@@ -24,7 +24,7 @@ def main():
     std = forms.standard_form("W", 4, F3)
 
     gset = constructions.sl2_5_in_sl2_9()
-    orbits = constructions.vector_orbit_reps(gset, 2)
+    orbits = group.vector_orbit_lists(gset)
     print(f"vector orbits: {sorted(len(o) for o in orbits)}")
     print(f"{'alpha':>8}  {'square':>6}  {'std gram':>8}  classification")
 

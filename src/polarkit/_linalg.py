@@ -183,10 +183,19 @@ _F64_SAFE = 2 ** 53
 def mulmod(A, B, p):
     """Exact (A @ B) % p via float64 BLAS.
 
-    Inputs must be reduced mod p; the inner dimension k must satisfy
-    k*(p-1)^2 < 2^53 so every accumulated dot product is exactly representable.
+    Inputs must be reduced mod p, and the inner dimension k must satisfy
+    k*(p-1)^2 < 2^53, else ValueError.  Then every accumulated dot product S
+    is an exactly represented integer below 2^53.  The reduction is
+    S - floor(S/p)*p.  The rounded quotient fl(S/p) is no lower than the
+    integer floor(S/p) (rounding is monotone) and within S/p * 2^-53 < 1/p
+    above S/p, which is itself at least 1/p below the next integer.  So
+    floor(fl(S/p)) is the exact quotient, and the product and the
+    difference are exact too.
     """
     k = A.shape[-1]
-    assert k * (p - 1) ** 2 < _F64_SAFE
-    C = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
-    return np.remainder(C, p).astype(np.int64)
+    if k * (p - 1) ** 2 >= _F64_SAFE:
+        raise ValueError(f"mulmod: inner dimension {k} with p={p} exceeds "
+                         "the exact float64 range")
+    S = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
+    S -= np.floor(S / p) * p
+    return S.astype(np.int64)

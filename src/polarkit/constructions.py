@@ -132,7 +132,8 @@ def adjoint_sl3(q):
             C[u][v] = F.sub(F.sub(adjoint_quadratic(F, _unflat3(s)), bq[u]),
                             bq[v])
     form = forms.quadratic_form(F, C)
-    assert form.kind is FormKind.PARABOLIC, "adjoint form should be parabolic"
+    if form.kind is not FormKind.PARABOLIC:
+        raise AssertionError("adjoint form should be parabolic")
     space = polar.build(form)
 
     # SL3(q) = < x_01(lam) over an F_p-basis, 3-cycle Weyl element >:
@@ -230,7 +231,8 @@ def extsq_sp6(q):
         cand = vbasis + [r, h]
         if len(la.rref(F, cand)[0]) == len(cand):
             vbasis.append(r)
-    assert len(vbasis) == 13, "section should have dimension 13"
+    if len(vbasis) != 13:
+        raise AssertionError("section should have dimension 13")
     quo = _Quotient(F, vbasis, [h])
 
     inv2 = F.inv(F.add(1, 1))
@@ -241,7 +243,8 @@ def extsq_sp6(q):
         for v in range(u + 1, 13):
             C[u][v] = _beta_apply(F, B15, bu, quo.vbasis[v])
     form = forms.quadratic_form(F, C)
-    assert form.kind is FormKind.PARABOLIC, "section form should be parabolic"
+    if form.kind is not FormKind.PARABOLIC:
+        raise AssertionError("section form should be parabolic")
     space = polar.build(form)
 
     sp_gens = group.classical_generators("Sp", 6, F)
@@ -419,32 +422,6 @@ def sl2_5_in_sl2_9():
     raise AssertionError("search exhausted: SL2(9) arithmetic is broken")
 
 
-def vector_orbit_reps(gset, dim):
-    """The orbits of a matrix-generator set on the nonzero vectors of F^dim,
-    as a list of vector tuples per orbit (deterministic order)."""
-    F = gset.field
-    seen = set()
-    orbits = []
-    for v0 in itertools.product(F.elements(), repeat=dim):
-        if not any(v0) or v0 in seen:
-            continue
-        frontier = [v0]
-        seen.add(v0)
-        members = [v0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gset:
-                    w = g.apply(v)
-                    if w not in seen:
-                        seen.add(w)
-                        members.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        orbits.append(members)
-    return orbits
-
-
 def sl2_5_reduced_sets():
     """The two SL2(5) vector orbits on GF(9)^2, pushed down to W(3,3) points
     through the symplectic field reduction with alpha = a nonsquare.
@@ -471,7 +448,7 @@ def sl2_5_reduced_sets():
     wform = forms.standard_form("W", 2, F9)
     fr = fieldred.reduce(1, wform, F3, alpha=F9.generator)
     sets = []
-    for orbit in vector_orbit_reps(gset, 2):
+    for orbit in group.vector_orbit_lists(gset):
         idx = {fr.small_space.index[group._canonical(F3, fr.flattener.flatten(v))]
                for v in orbit}
         sets.append(polar.PointSet(fr.small_space, tuple(sorted(idx))))

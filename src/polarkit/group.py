@@ -6,6 +6,7 @@ applied entrywise first.  Composition is left-to-right, (A,s)(B,t) = (A^t B,
 s+t), so v.(gh) = (v.g).h.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -40,6 +41,16 @@ class Semisimilarity:
         self.sigma_power = sigma_power % field.f
         la.mat_inv(field, matrix)  # raises if singular
 
+    @classmethod
+    def _trusted(cls, field, matrix, sigma_power):
+        """Skip the invertibility check where it follows from the operands:
+        products, Frobenius twists and inverses of invertible matrices."""
+        g = object.__new__(cls)
+        g.field = field
+        g.matrix = matrix
+        g.sigma_power = sigma_power % field.f
+        return g
+
     @property
     def dim(self):
         return len(self.matrix)
@@ -56,8 +67,8 @@ class Semisimilarity:
             raise ValueError("mismatched fields")
         A = (la.mat_frobenius(F, self.matrix, other.sigma_power)
              if other.sigma_power else self.matrix)
-        return Semisimilarity(F, la.mat_mul(F, A, other.matrix),
-                              self.sigma_power + other.sigma_power)
+        return Semisimilarity._trusted(F, la.mat_mul(F, A, other.matrix),
+                                       self.sigma_power + other.sigma_power)
 
     def inverse(self):
         F = self.field
@@ -65,7 +76,7 @@ class Semisimilarity:
         Ainv = la.mat_inv(F, self.matrix)
         if k:
             Ainv = la.mat_frobenius(F, Ainv, k)
-        return Semisimilarity(F, Ainv, k)
+        return Semisimilarity._trusted(F, Ainv, k)
 
     def is_linear(self):
         return self.sigma_power == 0
@@ -89,25 +100,30 @@ class Semisimilarity:
 
 def multiplier(form, g):
     """The multiplier lambda of g for the form, or ValueError if g is not a
-    semisimilarity.  Checks every basis pair (and basis Q-values for
-    quadratic forms), which pins the identity on the whole space."""
+    semisimilarity.
+
+    Row i of M is the image of e_i, so the form on image pairs is the Gram
+    congruence H = M G (M^tau)^T, with tau the Hermitian conjugation (trivial
+    otherwise).  g is a semisimilarity exactly when H = lambda G^(sigma^s)
+    entrywise and, for quadratic forms, Q(M_i) = lambda Q(e_i)^(sigma^s) on
+    the basis; together these pin the identity on the whole space.  A few
+    d x d products, so O(d^3).
+    """
     F = form.field
     d = form.dim
     if g.dim != d or g.field is not F:
         raise ValueError("dimension or field mismatch")
-    basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    images = [g.apply(b) for b in basis]
+    M = g.matrix
+    G = form.bilinear_gram
+    Mtau_t = tuple(zip(*la.mat_frobenius(F, M, form.sigma)))
+    H = la.mat_mul(F, la.mat_mul(F, M, G), Mtau_t)
+    pairs = [(G[i][j], H[i][j]) for i in range(d) for j in range(d)]
+    if form.kind.is_quadratic:
+        C = form.data
+        MC = la.mat_mul(F, M, C)
+        pairs += [(C[i][i], la.dot(F, MC[i], M[i])) for i in range(d)]
     s = g.sigma_power
     lam = None
-    pairs = []
-    for i in range(d):
-        for j in range(d):
-            val = form.evaluate_pair(basis[i], basis[j])
-            got = form.evaluate_pair(images[i], images[j])
-            pairs.append((val, got))
-    if form.kind.is_quadratic:
-        for i in range(d):
-            pairs.append((form.evaluate(basis[i]), form.evaluate(images[i])))
     for val, got in pairs:
         if val == 0:
             if got != 0:
@@ -241,33 +257,16 @@ def orbits(space, gens):
     """Exact orbit partition of the generated group on the space's points.
 
     Every generator is checked for form invariance first; a failure names the
-    offending index and no orbit work happens.  Deterministic: labels are
-    canonical (smallest member index), independent of generator order.
+    offending index and no orbit work happens.  The generators are then
+    taken in order: each one's image of the whole point list becomes an
+    index array, and _close merges the components of the graph i -- g(i).
+    Work stops once a single orbit remains, which no later generator can
+    refine.  Deterministic: labels are canonical (smallest member index),
+    independent of generator order.
     """
     _validate_gens(space.form, gens.elements)
-    n = space.num_points
-    F = space.field
-    if F.f == 1 and all(g.is_linear() for g in gens) and n * len(gens) > 20000:
-        return _orbits_np(space, gens)
-    index = space.index
-    labels = [-1] * n
-    for seed in range(n):
-        if labels[seed] != -1:
-            continue
-        labels[seed] = seed
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                v = space.points[i]
-                for g in gens:
-                    w = _canonical(F, g.apply(v))
-                    j = index[w]
-                    if labels[j] == -1:
-                        labels[j] = seed
-                        nxt.append(j)
-            frontier = nxt
-    return OrbitPartition(space, tuple(labels))
+    labels = _close(space.num_points, _point_images(space, gens))
+    return OrbitPartition(space, tuple(labels.tolist()))
 
 
 def _canonical(F, v):
@@ -278,82 +277,108 @@ def _canonical(F, v):
     return tuple(F.mul(inv, x) for x in v)
 
 
-def _orbits_np(space, gens):
-    """Vectorized breadth-first closure for linear groups over prime fields.
+def _point_images(space, gens):
+    """Each generator's image of the point list as an index array, lazily.
 
-    Frontier vectors are pushed through each generator with one exact
-    float64 matmul, canonicalized in bulk, and located by binary search in
-    the space's sorted code table.
+    Over a prime field every map is linear: one exact mulmod moves all
+    points, which are canonicalised in bulk and located by binary search in
+    their sorted base-p codes (the point list is in code order).  Otherwise
+    each point goes through g.apply.
     """
-    p = space.field.p
+    F = space.field
     n = space.num_points
-    d = space.d
-    pts = space.points_np
-    codes = space.codes.astype(np.int64)
-    mats = [np.array(g.matrix, dtype=np.int64) for g in gens]
-    invlut = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        invlut[x] = pow(x, -1, p)
-    powvec = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    labels = np.full(n, -1, dtype=np.int64)
-    seed = 0
-    while True:
-        unseen = np.flatnonzero(labels == -1)
-        if not len(unseen):
+    if F.f == 1:
+        p = F.p
+        pts = space.points_np
+        powvec = p ** np.arange(space.d - 1, -1, -1, dtype=np.int64)
+        codes = pts @ powvec
+        pts = pts.astype(np.float64)
+        invlut = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
+                          dtype=np.int64)
+        rows = np.arange(n)
+        for g in gens:
+            W = la.mulmod(pts, np.array(g.matrix, dtype=np.float64), p)
+            lead = W[rows, np.argmax(W != 0, axis=1)]
+            wcodes = (W * invlut[lead][:, None] % p) @ powvec
+            j = np.minimum(np.searchsorted(codes, wcodes), n - 1)
+            if not np.array_equal(codes[j], wcodes):
+                raise AssertionError("image point missing from space")
+            yield j
+    else:
+        index = space.index
+        for g in gens:
+            yield np.fromiter((index[_canonical(F, g.apply(v))]
+                               for v in space.points), dtype=np.int64, count=n)
+
+
+def _close(n, images):
+    """Connected components of the graph on range(n) with the edges
+    i -- img[i] for every index array img drawn from images.
+
+    Returns labels, each the smallest index of its component.  Union by
+    min-root hooking with pointer jumping: labels always point at roots, a
+    root is the smallest index of its tree, and a root only hooks onto a
+    smaller one (any of them, when several edges leave it), so the result
+    does not depend on the order of the images.  No more images are drawn
+    once every label is 0.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    for img in images:
+        while True:
+            a, b = labels, labels[img]
+            moved = a != b
+            if not moved.any():
+                break
+            a, b = a[moved], b[moved]
+            labels[np.maximum(a, b)] = np.minimum(a, b)
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+        if not labels.any():
             break
-        seed = int(unseen[0])
-        labels[seed] = seed
-        frontier = np.array([seed], dtype=np.int64)
-        while len(frontier):
-            V = pts[frontier]
-            new = []
-            for M in mats:
-                W = la.mulmod(V, M, p)
-                first = W[np.arange(len(W)), np.argmax(W != 0, axis=1)]
-                W = W * invlut[first][:, None] % p
-                wcodes = W @ powvec
-                j = np.minimum(np.searchsorted(codes, wcodes), n - 1)
-                if not np.array_equal(codes[j], wcodes):
-                    raise AssertionError("image point missing from space")
-                j = j[labels[j] == -1]
-                if len(j):
-                    # label immediately so later generators skip duplicates
-                    labels[j] = seed
-                    new.append(np.unique(j))
-            frontier = np.concatenate(new) if new else np.empty(0, dtype=np.int64)
-    return OrbitPartition(space, tuple(int(x) for x in labels))
+    return labels
+
+
+def vector_orbit_lists(gens):
+    """The orbits of the generated group on the nonzero vectors of F^d.
+
+    Each orbit is a list of vectors in lexicographic order; orbits are listed
+    by their first vector.  Same engine as orbits(): a vector's index is its
+    big-endian base-q code minus one.  No form validation (see
+    vector_orbits).
+    """
+    F, d = gens.field, gens.dim
+    q = F.q
+    total = q ** d - 1
+    if total > VECTOR_CAP:
+        raise ValueError(f"too many vectors: {total} exceeds cap {VECTOR_CAP}")
+    vecs = list(itertools.product(F.elements(), repeat=d))[1:]
+    labels = _close(total, _vector_images(F, vecs, gens))
+    members = {}
+    for v, label in zip(vecs, labels.tolist()):
+        members.setdefault(label, []).append(v)
+    return list(members.values())
+
+
+def _vector_images(F, vecs, gens):
+    """Each generator's image of the nonzero vectors as an index array."""
+    q, d = F.q, len(vecs[0])
+    powvec = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    if F.f == 1:
+        V = np.array(vecs, dtype=np.float64)
+        for g in gens:
+            yield la.mulmod(V, np.array(g.matrix, dtype=np.float64), q) @ powvec - 1
+    else:
+        for g in gens:
+            yield np.array([g.apply(v) for v in vecs], dtype=np.int64) @ powvec - 1
 
 
 def vector_orbits(form, gens):
     """Orbit sizes on the nonzero vectors of the form's space (capped)."""
-    F = form.field
-    d = form.dim
-    total = F.q ** d - 1
-    if total > VECTOR_CAP:
-        raise ValueError(f"too many vectors: {total} exceeds cap {VECTOR_CAP}")
     _validate_gens(form, gens.elements)
-    import itertools
-    seen = {}
-    sizes = []
-    for v0 in itertools.product(F.elements(), repeat=d):
-        if not any(v0) or v0 in seen:
-            continue
-        label = len(sizes)
-        seen[v0] = label
-        frontier = [v0]
-        count = 1
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gens:
-                    w = g.apply(v)
-                    if w not in seen:
-                        seen[w] = label
-                        nxt.append(w)
-                        count += 1
-            frontier = nxt
-        sizes.append(count)
-    return tuple(sorted(sizes))
+    return tuple(sorted(len(o) for o in vector_orbit_lists(gens)))
 
 
 # -- classical generator sets ----------------------------------------------
@@ -375,9 +400,12 @@ def classical_generators(family, d, field, self_check=True):
 
     Sp and SU are transvection floods (one transvection per singular/point
     direction and additive parameter); the Omega families use Eichler
-    transformations anchored at the first hyperbolic pair.  All outputs are
-    validated for form invariance, and — except for the reducible monomial
-    family — checked to act transitively on the polar points (Witt).
+    transformations anchored at the first hyperbolic pair, with v scaled by
+    a GF(p)-basis of GF(q).  With self_check, every generator is validated
+    for form invariance and — except for the reducible monomial family —
+    the set is checked to act transitively on the polar points (Witt) by
+    orbits(), which stops drawing generator images once one orbit remains.
+    Transitivity does not certify that the whole group is generated.
     """
     from . import forms as fm
     if isinstance(family, FormKind) or family not in _FAMILIES:
@@ -423,7 +451,6 @@ def _transvection(F, d, v, lam, gram_row):
 
 
 def _proj_vectors(F, d):
-    import itertools
     for lead in range(d - 1, -1, -1):
         for tail in itertools.product(F.elements(), repeat=d - 1 - lead):
             yield (0,) * lead + (1,) + tail
@@ -456,8 +483,13 @@ def _unitary_transvections(form):
 
 def _eichler_generators(form):
     """Eichler (Siegel) transformations rho_{u,v} for u in the first
-    hyperbolic pair and v running over a spanning set of u^perp:
-    x -> x + B(x,v)u - B(x,u)v - Q(v)B(x,u)u."""
+    hyperbolic pair and v running over a spanning set of u^perp, each
+    scaled by every omega^k (k < f), a GF(p)-basis of GF(q):
+    x -> x + B(x,v)u - B(x,u)v - Q(v)B(x,u)u.
+
+    For fixed singular u, v -> rho_{u,v} is additive, so the v's must span
+    u^perp over GF(p), not only over GF(q): without the scalings Omega+(6,4)
+    is not transitive.  Over a prime field omega^0 = 1 is the only scaling."""
     from . import forms as fm
     F, d = form.field, form.dim
     us = [_first_hyperbolic_pair(form)[k] for k in (0, 1)]
@@ -470,7 +502,8 @@ def _eichler_generators(form):
             for j in range(i + 1, len(perp_basis)):
                 vs.append(la.add_vec(F, perp_basis[i], perp_basis[j]))
         for v in vs:
-            gens.append(_eichler(form, u, v))
+            for k in range(F.f):
+                gens.append(_eichler(form, u, la.scale(F, F.exp[k], v)))
     return gens
 
 

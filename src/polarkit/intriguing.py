@@ -91,7 +91,8 @@ def _collinear_constant(space):
     points so this is constant, which we spot-check on three samples."""
     n = space.num_points
     vals = {int(_raw_counts(space, [i]).sum()) for i in {0, n // 2, n - 1}}
-    assert len(vals) == 1, "collinear count is not constant across points"
+    if len(vals) != 1:
+        raise AssertionError("collinear count is not constant across points")
     return vals.pop()
 
 
@@ -221,7 +222,8 @@ def _cyclotomic_value(n, k):
             num *= n ** d - 1
         elif mu == -1:
             den *= n ** d - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"cyclotomic quotient for ({n}, {k}) is not integral")
     return num // den
 
 

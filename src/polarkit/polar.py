@@ -98,7 +98,6 @@ class PolarSpace:
         self.ovoid_number = theta(self.kind, self.d, self.q, self.rank)
         self.epsilon = epsilon_of(self.kind)
         self._index = None
-        self._codes = None
         self._pts_np = None
 
     # -- dense lookups -----------------------------------------------------
@@ -108,21 +107,6 @@ class PolarSpace:
         if self._index is None:
             self._index = {p: i for i, p in enumerate(self.points)}
         return self._index
-
-    def point_code(self, v):
-        q = self.q
-        c = 0
-        for x in v:
-            c = c * q + x
-        return c
-
-    @property
-    def codes(self):
-        """Sorted big-endian base-q codes of the points (numpy uint64)."""
-        if self._codes is None:
-            self._codes = np.array([self.point_code(p) for p in self.points],
-                                   dtype=np.uint64)
-        return self._codes
 
     @property
     def points_np(self):

@@ -83,7 +83,7 @@ def test_alpha_square_class_decides_the_graph():
     nonsquare alphas make both orbits 5-tight, squares make them 2-ovoids."""
     F9 = gf.field(3, 2)
     gset = constructions.sl2_5_in_sl2_9()
-    orbits = constructions.vector_orbit_reps(gset, 2)
+    orbits = group.vector_orbit_lists(gset)
     partitions = set()
     for alpha in F9.units():
         fr = _w19_down(alpha=alpha)

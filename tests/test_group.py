@@ -1,7 +1,9 @@
+import functools
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from polarkit import forms, gf, group, polar
@@ -127,6 +129,7 @@ def test_vector_orbits_of_full_group(f9):
     ("OmegaPlus", 6, 2, 35),
     ("OmegaMinus", 6, 3, 112),
     ("Omega", 5, 3, 40),
+    ("OmegaPlus", 6, 4, 357),
 ])
 def test_classical_generators_transitive(family, d, q, n):
     F = gf.field_of_order(q)
@@ -149,3 +152,226 @@ def test_orbit_partition_serialize(w33):
     assert d["orbit_sizes"] == [40]
     assert len(d["labels"]) == 40
     assert d["space_descriptor"] == w33.descriptor()
+
+
+# -- differential checks against test-only oracles -------------------------
+
+
+def _canon(F, v):
+    lead = next(x for x in v if x)
+    return tuple(F.div(x, lead) for x in v)
+
+
+def _bfs_labels(space, gens):
+    """Breadth-first orbit labels, point by point: the reference for orbits()."""
+    F = space.field
+    index = {v: i for i, v in enumerate(space.points)}
+    labels = [-1] * space.num_points
+    for seed in range(space.num_points):
+        if labels[seed] != -1:
+            continue
+        labels[seed] = seed
+        frontier = [seed]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for g in gens:
+                    j = index[_canon(F, g.apply(space.points[i]))]
+                    if labels[j] == -1:
+                        labels[j] = seed
+                        nxt.append(j)
+            frontier = nxt
+    return tuple(labels)
+
+
+def _frobenius(F, d):
+    return group.Semisimilarity(F, [[1 if j == i else 0 for j in range(d)]
+                                    for i in range(d)], sigma_power=1)
+
+
+_POOL_SPACES = [("W", 4, 3, "Sp"), ("Q", 5, 5, "Omega"), ("W", 4, 4, "Sp"),
+                ("H", 4, 4, "SU"), ("Q+", 6, 4, "OmegaPlus")]
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(kind, d, q, family):
+    """A space and a pool of its semisimilarities; over GF(4) the pool holds
+    the Frobenius map and its products with isometries (semilinear)."""
+    F = gf.field_of_order(q)
+    space = polar.build(forms.standard_form(kind, d, F))
+    pool = list(group.classical_generators(family, d, F, self_check=False))
+    if F.f > 1:
+        frob = _frobenius(F, d)
+        pool += [frob] + [g * frob for g in pool[:8]]
+    return space, pool
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_orbits_match_bfs_on_intransitive_subsets(data):
+    space, pool = _pool(*data.draw(st.sampled_from(_POOL_SPACES)))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=3))
+    gens = group.GeneratorSet(space.field, [pool[i] for i in picks])
+    want = _bfs_labels(space, gens)
+    assume(len(set(want)) > 1)
+    assert group.orbits(space, gens).labels == want
+
+
+def _union_find_labels(n, images):
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for img in images:
+        for i, j in enumerate(img):
+            a, b = root(i), root(int(j))
+            parent[max(a, b)] = min(a, b)
+    return [root(i) for i in range(n)]
+
+
+@st.composite
+def _index_maps(draw):
+    """A few maps on range(n): random ones, identities with a few edges
+    changed (trees that later maps re-hook), and shifted reversals, whose
+    long paths need many rounds of hooking and pointer jumping."""
+    n = draw(st.integers(1, 80))
+    index = st.integers(0, n - 1)
+    maps = []
+    for _ in range(draw(st.integers(1, 6))):
+        shape = draw(st.sampled_from(["random", "sparse", "reversal"]))
+        if shape == "random":
+            maps.append(draw(st.lists(index, min_size=n, max_size=n)))
+        elif shape == "sparse":
+            m = list(range(n))
+            for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+                m[i] = j
+            maps.append(m)
+        else:
+            k = draw(index)
+            maps.append([(n - 1 - i + k) % n for i in range(n)])
+    return n, maps
+
+
+# after a single pointer jump per round, re-hooking a non-root would split
+# these components
+@example((8, [[0, 1, 2, 3, 4, 5, 6, 6], [2, 3, 1, 6, 4, 0, 5, 7]]))
+@example((8, [[0, 1, 2, 3, 4, 5, 4, 7], [0, 1, 4, 2, 3, 5, 6, 7],
+              [0, 1, 2, 3, 0, 5, 6, 7]]))
+@settings(max_examples=300)
+@given(_index_maps())
+def test_close_matches_union_find(case):
+    n, maps = case
+    images = [np.array(m, dtype=np.int64) for m in maps]
+    labels = group._close(n, iter(images)).tolist()
+    want = _union_find_labels(n, maps)
+    if any(want):
+        assert labels == want
+    else:   # one component: later maps may go unread, labels are all 0
+        assert labels == [0] * n
+
+
+@pytest.mark.parametrize("spec", [("W", 4, 3, "Sp"), ("H", 4, 4, "SU")])
+def test_orbits_stop_once_transitive(monkeypatch, spec):
+    space, pool = _pool(*spec)
+    gens = group.GeneratorSet(space.field, pool)
+    drawn = []
+    images = group._point_images
+
+    def counting(space, gens):
+        for img in images(space, gens):
+            drawn.append(img)
+            yield img
+
+    monkeypatch.setattr(group, "_point_images", counting)
+    part = group.orbits(space, gens)
+    assert part.labels == (0,) * space.num_points == _bfs_labels(space, gens)
+    assert 0 < len(drawn) < len(gens)
+
+
+def _multiplier_by_basis_pairs(form, g):
+    """Multiplier from every basis pair (d^2 form evaluations of O(d^2) each)
+    and the basis Q-values: the reference for multiplier()."""
+    F = form.field
+    d = form.dim
+    if g.dim != d or g.field is not F:
+        raise ValueError("dimension or field mismatch")
+    basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    images = [g.apply(b) for b in basis]
+    s = g.sigma_power
+    pairs = [(form.evaluate_pair(basis[i], basis[j]),
+              form.evaluate_pair(images[i], images[j]))
+             for i in range(d) for j in range(d)]
+    if form.kind.is_quadratic:
+        pairs += [(form.evaluate(b), form.evaluate(w))
+                  for b, w in zip(basis, images)]
+    lam = None
+    for val, got in pairs:
+        if val == 0:
+            if got != 0:
+                raise ValueError("form invariance fails (zero value moved)")
+        elif lam is None:
+            lam = F.div(got, F.frobenius(val, s))
+    if lam is None or lam == 0:
+        raise ValueError("could not recover a multiplier")
+    for val, got in pairs:
+        if val != 0 and got != F.mul(lam, F.frobenius(val, s)):
+            raise ValueError("form invariance fails")
+    return lam
+
+
+def _outcome(fn, form, g):
+    try:
+        return fn(form, g)
+    except ValueError as exc:
+        return str(exc)
+
+
+_MULT_FAMILIES = [("W", 4, 3, "Sp"), ("W", 4, 5, "Sp"), ("Q", 5, 3, "Omega"),
+                  ("Q-", 6, 3, "OmegaMinus"), ("Q+", 6, 4, "OmegaPlus"),
+                  ("H", 3, 4, "SU"), ("H", 3, 9, "SU"), ("H", 4, 9, "SU")]
+
+
+@functools.lru_cache(maxsize=None)
+def _isometries(kind, d, q, family):
+    F = gf.field_of_order(q)
+    return (forms.standard_form(kind, d, F),
+            group.classical_generators(family, d, F, self_check=False).elements)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_multiplier_matches_basis_pair_oracle(data):
+    form, isos = _isometries(*data.draw(st.sampled_from(_MULT_FAMILIES)))
+    F, d = form.field, form.dim
+    word = data.draw(st.lists(st.sampled_from(isos), min_size=1, max_size=3))
+    g = word[0]
+    for h in word[1:]:
+        g = g * h
+    # scaled similarity: c*I has multiplier c^2 (c^(sqrt q + 1) for Hermitian)
+    c = data.draw(st.integers(1, F.q - 1))
+    M = [[F.mul(c, x) for x in row] for row in g.matrix]
+    sigma = data.draw(st.integers(0, F.f - 1))
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+        M[i][j] = F.add(M[i][j], data.draw(st.integers(1, F.q - 1)))
+    try:
+        g = group.Semisimilarity(F, M, sigma)
+    except ValueError:
+        assume(False)
+    want = _outcome(_multiplier_by_basis_pairs, form, g)
+    assert _outcome(group.multiplier, form, g) == want
+
+
+def test_multiplier_of_semilinear_hermitian_similarity(f9):
+    form = forms.standard_form("H", 3, f9)
+    w = f9.generator
+    scaled = [[w if j == i else 0 for j in range(3)] for i in range(3)]
+    g = group.Semisimilarity(f9, scaled, sigma_power=1)
+    lam = f9.pow(w, 4)                         # w * w^3, the norm of w
+    assert lam != 1
+    assert group.multiplier(form, g) == lam
+    assert _multiplier_by_basis_pairs(form, g) == lam
