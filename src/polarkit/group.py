@@ -355,24 +355,14 @@ def vector_orbit_lists(gens):
     if total > VECTOR_CAP:
         raise ValueError(f"too many vectors: {total} exceeds cap {VECTOR_CAP}")
     vecs = list(itertools.product(F.elements(), repeat=d))[1:]
-    labels = _close(total, _vector_images(F, vecs, gens))
+    powvec = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    images = (np.array([g.apply(v) for v in vecs], dtype=np.int64) @ powvec - 1
+              for g in gens)
+    labels = _close(total, images)
     members = {}
     for v, label in zip(vecs, labels.tolist()):
         members.setdefault(label, []).append(v)
     return list(members.values())
-
-
-def _vector_images(F, vecs, gens):
-    """Each generator's image of the nonzero vectors as an index array."""
-    q, d = F.q, len(vecs[0])
-    powvec = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    if F.f == 1:
-        V = np.array(vecs, dtype=np.float64)
-        for g in gens:
-            yield la.mulmod(V, np.array(g.matrix, dtype=np.float64), q) @ powvec - 1
-    else:
-        for g in gens:
-            yield np.array([g.apply(v) for v in vecs], dtype=np.int64) @ powvec - 1
 
 
 def vector_orbits(form, gens):
