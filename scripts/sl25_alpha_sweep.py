@@ -34,7 +34,7 @@ def main():
         sp = fr.small_space
         sets = []
         for o in orbits:
-            idx = {sp.index[group._canonical(F3, fr.flattener.flatten(v))]
+            idx = {sp.index[polar.canonical(F3, fr.flattener.flatten(v))]
                    for v in o}
             sets.append(tuple(sorted(idx)))
         partitions.add(frozenset(sets))

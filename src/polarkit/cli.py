@@ -202,12 +202,7 @@ def _select_targets(args):
 
 def cmd_verify(args):
     chosen = _select_targets(args)
-    if args.parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            reports = list(pool.map(manifest.run_target, chosen))
-    else:
-        reports = [manifest.run_target(t) for t in chosen]
+    reports = [manifest.run_target(t) for t in chosen]
     ok = True
     width = max((len(t.id) for t in chosen), default=4)
     for rep in reports:
@@ -295,8 +290,6 @@ def build_parser():
                    help="keep only fast-budget targets")
     p.add_argument("--slow", action="store_true",
                    help="keep only slow-budget targets")
-    p.add_argument("--parallel", action="store_true",
-                   help="run targets concurrently (output order is fixed)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return ap

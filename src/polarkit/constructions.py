@@ -280,7 +280,7 @@ def wedge_point(model, u, v):
     w = [0] * 15
     for t, (a, b) in enumerate(WEDGE_PAIRS):
         w[t] = F.sub(F.mul(u[a], v[b]), F.mul(u[b], v[a]))
-    coords = group._canonical(F, model.quotient.project(tuple(w)))
+    coords = polar.canonical(F, model.quotient.project(tuple(w)))
     return model.space.index[coords]
 
 
@@ -449,7 +449,7 @@ def sl2_5_reduced_sets():
     fr = fieldred.reduce(1, wform, F3, alpha=F9.generator)
     sets = []
     for orbit in group.vector_orbit_lists(gset):
-        idx = {fr.small_space.index[group._canonical(F3, fr.flattener.flatten(v))]
+        idx = {fr.small_space.index[polar.canonical(F3, fr.flattener.flatten(v))]
                for v in orbit}
         sets.append(polar.PointSet(fr.small_space, tuple(sorted(idx))))
     return fr, sets

@@ -238,13 +238,7 @@ def _traced_form(row, large_form, emb, basis, dst_kind, alpha):
 
 def _small_point(fr, vlarge):
     """Canonical small-space point under a large vector."""
-    S = fr.small_field
-    v = fr.flattener.flatten(vlarge)
-    first = next(x for x in v if x)
-    if first != 1:
-        inv = S.inv(first)
-        v = tuple(S.mul(inv, x) for x in v)
-    return v
+    return pl.canonical(fr.small_field, fr.flattener.flatten(vlarge))
 
 
 def blow_up(fr):
@@ -286,10 +280,7 @@ def lift_up(fr, small_set):
     out = set()
     for i in small_set.members:
         v = fr.small_space.points[i]
-        w = fr.flattener.unflatten(v)
-        first = next(x for x in w if x)
-        winv = L.inv(first)
-        w = tuple(L.mul(winv, x) for x in w)
+        w = pl.canonical(L, fr.flattener.unflatten(v))
         j = fr.large_space.index.get(w)
         if j is None:
             raise ValueError(

@@ -256,6 +256,9 @@ def standard_form(kind, d, field):
     """
     kind = parse_kind(kind)
     F = field
+    if d < 1:
+        raise ValueError(f"projective dimension {d - 1} is negative "
+                         f"(vector dimension {d} < 1)")
     if kind is FormKind.SYMPLECTIC:
         if d % 2:
             raise ValueError("symplectic dimension must be even")

@@ -59,7 +59,8 @@ _LOG_CAP = 2 ** 16        # precompute exp/log tables up to here
 _ADD_TABLE_CAP = 512      # full q x q addition table below this
 
 
-def _is_probable_prime(n):
+def is_prime(n):
+    """Deterministic Miller-Rabin for n < 2^64 (the prime bases up to 37)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -92,7 +93,7 @@ class FiniteField:
     def __init__(self, p, f, _token=None):
         if _token is not _FIELD_TOKEN:
             raise TypeError("use field(p, f) to construct fields")
-        if not _is_probable_prime(p):
+        if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         q = p ** f
         if q > _Q_CAP:

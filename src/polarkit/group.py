@@ -8,7 +8,7 @@ s+t), so v.(gh) = (v.g).h.
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,37 +269,23 @@ def orbits(space, gens):
     return OrbitPartition(space, tuple(labels.tolist()))
 
 
-def _canonical(F, v):
-    first = next(x for x in v if x)
-    if first == 1:
-        return tuple(v)
-    inv = F.inv(first)
-    return tuple(F.mul(inv, x) for x in v)
-
-
 def _point_images(space, gens):
     """Each generator's image of the point list as an index array, lazily.
 
     Over a prime field every map is linear: one exact mulmod moves all
-    points, which are canonicalised in bulk and located by binary search in
-    their sorted base-p codes (the point list is in code order).  Otherwise
-    each point goes through g.apply.
+    points, whose canonical codes are located by binary search in the
+    point codes (the point list is in code order).  Otherwise each point
+    goes through g.apply.
     """
     F = space.field
     n = space.num_points
     if F.f == 1:
         p = F.p
-        pts = space.points_np
-        powvec = p ** np.arange(space.d - 1, -1, -1, dtype=np.int64)
-        codes = pts @ powvec
-        pts = pts.astype(np.float64)
-        invlut = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
-                          dtype=np.int64)
-        rows = np.arange(n)
+        codes = pl.canonical_codes(F, space.points_np)
+        pts = space.points_np.astype(np.float64)
         for g in gens:
             W = la.mulmod(pts, np.array(g.matrix, dtype=np.float64), p)
-            lead = W[rows, np.argmax(W != 0, axis=1)]
-            wcodes = (W * invlut[lead][:, None] % p) @ powvec
+            wcodes = pl.canonical_codes(F, W)
             j = np.minimum(np.searchsorted(codes, wcodes), n - 1)
             if not np.array_equal(codes[j], wcodes):
                 raise AssertionError("image point missing from space")
@@ -307,7 +293,7 @@ def _point_images(space, gens):
     else:
         index = space.index
         for g in gens:
-            yield np.fromiter((index[_canonical(F, g.apply(v))]
+            yield np.fromiter((index[pl.canonical(F, g.apply(v))]
                                for v in space.points), dtype=np.int64, count=n)
 
 
@@ -440,16 +426,10 @@ def _transvection(F, d, v, lam, gram_row):
     return Semisimilarity(F, rows)
 
 
-def _proj_vectors(F, d):
-    for lead in range(d - 1, -1, -1):
-        for tail in itertools.product(F.elements(), repeat=d - 1 - lead):
-            yield (0,) * lead + (1,) + tail
-
-
 def _symplectic_transvections(form):
     F, d = form.field, form.dim
     gens = []
-    for v in _proj_vectors(F, d):
+    for v in pl.projective_vectors(F, d):
         row = form.pair_functional(v)
         gens.append(_transvection(F, d, v, 1, row))
     return gens
@@ -460,7 +440,7 @@ def _unitary_transvections(form):
     s = form.sigma
     lams = [x for x in F.elements() if x and F.add(x, F.frobenius(x, s)) == 0]
     gens = []
-    for v in _proj_vectors(F, d):
+    for v in pl.projective_vectors(F, d):
         if form.evaluate(v) != 0:
             continue
         row = form.pair_functional(v)

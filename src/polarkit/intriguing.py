@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import gf
 from . import polar as pl
 
 
@@ -87,13 +88,22 @@ def _perp_counts(space, M):
 
 
 def _collinear_constant(space):
-    """|x^perp ∩ P| for a point x; the isometry group is transitive on
-    points so this is constant, which we spot-check on three samples."""
-    n = space.num_points
-    vals = {int(_raw_counts(space, [i]).sum()) for i in {0, n // 2, n - 1}}
-    if len(vals) != 1:
-        raise AssertionError("collinear count is not constant across points")
-    return vals.pop()
+    """|x^perp ∩ P| for a point x, by the closed form 1 + q |P'|.
+
+    The lines on x in x^perp are the points of the residual space P' =
+    x^perp / x, of the same kind in dimension d - 2 and rank r - 1, and each
+    carries q points besides x.  At rank 1 the residual is empty (its theta
+    is not an integer there).  Point 0 is counted directly as a cross-check.
+    """
+    residual = (pl.expected_point_count(space.kind, space.d - 2, space.q)
+                if space.rank > 1 else 0)
+    count = 1 + space.q * residual
+    sample = int(_raw_counts(space, [0]).sum())
+    if sample != count:
+        raise AssertionError(
+            f"point 0 is collinear with {sample} points, the closed form "
+            f"gives {count}")
+    return count
 
 
 def _raw_counts(space, members):
@@ -256,31 +266,6 @@ def _mobius(k):
     return -1 if len(fs) % 2 else 1
 
 
-def _is_prime(n):
-    """Deterministic Miller-Rabin for n < 2^64."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _pollard_rho(n):
     if n % 2 == 0:
         return 2
@@ -304,7 +289,7 @@ def _smallest_prime_factor(n):
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         if n % p == 0:
             return p
-    if _is_prime(n):
+    if gf.is_prime(n):
         return n
     d = _pollard_rho(n)
     a = _smallest_prime_factor(d)

@@ -298,7 +298,7 @@ def _t_zsigmondy():
                 if not _zsigmondy_none_expected(n, k):
                     violations.append(key)
                 continue
-            ok = (intriguing._is_prime(z) and (n ** k - 1) % z == 0
+            ok = (gf.is_prime(z) and (n ** k - 1) % z == 0
                   and all((n ** i - 1) % z for i in range(1, k))
                   and not _zsigmondy_none_expected(n, k))
             if not ok:

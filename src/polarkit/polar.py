@@ -142,8 +142,13 @@ class PolarSpace:
 _BUILD = object()
 
 
-def build(form, cap=POINT_CAP, allow_grid=False, force_method=None):
+def build(form, cap=POINT_CAP, allow_grid=False):
     """Enumerate the polar space of a nondegenerate form.
+
+    The points are the canonical singular vectors (see canonical) in code
+    order: a vectorised scan over prime fields, the generic scan over
+    projective_vectors otherwise.  The count is checked against the closed
+    form and the greedy rank against the parameter table.
 
     The hyperbolic-quadric surface in projective 3-space (a grid, not a thick
     generalized quadrangle) degenerates most of the counting arguments here
@@ -156,16 +161,7 @@ def build(form, cap=POINT_CAP, allow_grid=False, force_method=None):
     expected = expected_point_count(kind, d, q)
     if expected > cap:
         raise ValueError(f"space too large: {expected} points exceeds cap {cap}")
-    if force_method is None:
-        method = "scan" if d <= 10 else "solve"
-    else:
-        method = force_method
-    if method == "scan":
-        points = _enumerate_scan(form)
-    elif method == "solve":
-        points = _enumerate_solve(form)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
+    points = _enumerate_scan(form)
     if len(points) != expected:
         raise AssertionError(
             f"enumerated {len(points)} points, formula gives {expected}")
@@ -176,32 +172,61 @@ def build(form, cap=POINT_CAP, allow_grid=False, force_method=None):
     return PolarSpace(form, points, ts, _token=_BUILD)
 
 
+# -- the point representation ----------------------------------------------
+#
+# A projective point is its vector scaled so that the first nonzero
+# coordinate is 1, and points are ordered by the big-endian base-q code of
+# that vector, which equals lexicographic order on coordinate tuples.
+
+
+def projective_vectors(F, d):
+    """The canonical vectors of F^d, one per projective point, in code order.
+
+    Generating by descending leading-zero count yields sorted output."""
+    for lead in range(d - 1, -1, -1):
+        for tail in itertools.product(F.elements(), repeat=d - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def canonical(F, v):
+    """The canonical vector of the point <v>, for nonzero v."""
+    first = next(x for x in v if x)
+    if first == 1:
+        return tuple(v)
+    inv = F.inv(first)
+    return tuple(F.mul(inv, x) for x in v)
+
+
+def canonical_codes(F, rows):
+    """Base-p codes of the canonical vectors of nonzero rows over GF(p).
+
+    The bulk twin of canonical for a prime field F: rows is an integer array
+    of shape (n, d) with entries reduced mod p, and the result is an int64
+    array of n codes (exact while p^d < 2^63)."""
+    p = F.p
+    rows = np.asarray(rows, dtype=np.int64)
+    inv = np.array([0] + [F.inv(x) for x in range(1, p)], dtype=np.int64)
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    powvec = p ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return rows * inv[lead][:, None] % p @ powvec
+
+
 # -- enumeration ----------------------------------------------------------
 
 
 def _enumerate_scan(form):
-    """All canonical singular points by direct scan, in sorted order.
-
-    Canonical = first nonzero coordinate 1; sorting key is the big-endian
-    base-q digit code, which equals lexicographic order on coordinate tuples.
-    Generating by ascending leading-zero count yields sorted output directly.
-    """
-    F, d = form.field, form.dim
+    """All canonical singular points by direct scan, in code order."""
+    F = form.field
     if F.f == 1:
         return _scan_prime(form)
-    pts = []
-    elems = F.elements()
-    for lead in range(d - 1, -1, -1):
-        for tail in itertools.product(elems, repeat=d - 1 - lead):
-            v = (0,) * lead + (1,) + tail
-            if form.evaluate(v) == 0:
-                pts.append(v)
-    return tuple(pts)
+    return tuple(v for v in projective_vectors(F, form.dim)
+                 if form.evaluate(v) == 0)
 
 
 def _scan_prime(form):
-    """Vectorized scan over prime fields; exact in float64/int64 arithmetic."""
-    F, d, p = form.field, form.dim, form.field.p
+    """Vectorized scan over prime fields; exact in int64 arithmetic.  Each
+    block holds the vectors with one leading-zero count, in code order."""
+    d, p = form.dim, form.field.p
     pts = []
     for lead in range(d - 1, -1, -1):
         ntail = d - 1 - lead
@@ -213,8 +238,7 @@ def _scan_prime(form):
             rem, digit = np.divmod(rem, p)
             block[:, col] = digit
         vals = _eval_np(form, block)
-        for row in block[vals == 0]:
-            pts.append(tuple(int(x) for x in row))
+        pts.extend(map(tuple, block[vals == 0].tolist()))
     return tuple(pts)
 
 
@@ -226,60 +250,6 @@ def _eval_np(form, block):
         return np.einsum("ij,jk,ik->i", block, C, block) % p
     B = np.array(form.bilinear_gram, dtype=np.int64)
     return np.einsum("ij,jk,ik->i", block, B, block) % p
-
-
-def _enumerate_solve(form):
-    """Enumerate by solving for the last coordinate; prime quadratic forms.
-
-    For each of the q^(d-1) prefixes the form is a*x^2 + b*x + c in the last
-    coordinate; the standard models keep a = 0 so each prefix contributes a
-    unique, three, or zero solutions.  Output is normalized, deduplicated and
-    sorted by code — identical to the scan (tested against it).
-    """
-    F, d, p = form.field, form.dim, form.field.p
-    if not form.kind.is_quadratic or F.f != 1:
-        return _enumerate_scan(form)
-    C = np.array(form.data, dtype=np.int64)
-    a = int(C[d - 1][d - 1])
-    if a != 0:
-        return _enumerate_scan(form)
-    n = p ** (d - 1)
-    prefix = np.zeros((n, d - 1), dtype=np.int64)
-    rem = np.arange(n, dtype=np.int64)
-    for col in range(d - 2, -1, -1):
-        rem, digit = np.divmod(rem, p)
-        prefix[:, col] = digit
-    b = prefix @ C[: d - 1, d - 1] % p
-    c = np.einsum("ij,jk,ik->i", prefix, C[: d - 1, : d - 1], prefix) % p
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, -1, p)
-    sols = []
-    m = b != 0
-    if m.any():
-        x = (-c[m] * inv[b[m]]) % p
-        sols.append(np.concatenate([prefix[m], x[:, None]], axis=1))
-    m0 = (b == 0) & (c == 0)
-    if m0.any():
-        base = prefix[m0]
-        for x in range(p):
-            col = np.full((len(base), 1), x, dtype=np.int64)
-            sols.append(np.concatenate([base, col], axis=1))
-    vs = np.concatenate(sols, axis=0)
-    vs = vs[np.any(vs != 0, axis=1)]
-    # normalize: divide by the first nonzero coordinate
-    first = vs[np.arange(len(vs)), np.argmax(vs != 0, axis=1)]
-    vs = vs * inv[first][:, None] % p
-    codes = np.zeros(len(vs), dtype=np.int64)
-    for col in range(d):
-        codes = codes * p + vs[:, col]
-    codes = np.unique(codes)
-    out = np.zeros((len(codes), d), dtype=np.int64)
-    rem = codes.copy()
-    for col in range(d - 1, -1, -1):
-        rem, digit = np.divmod(rem, p)
-        out[:, col] = digit
-    return tuple(tuple(int(x) for x in row) for row in out)
 
 
 # -- rank ------------------------------------------------------------------
@@ -307,31 +277,19 @@ def _greedy_ts_basis(form, points):
 def _greedy_ts_np(form, points):
     """Numpy variant: filter candidates by B-perpendicularity in bulk, and
     strike span members by code (the span is tiny: at most theta-many points)."""
-    p = form.field.p
-    d = form.dim
+    F, p = form.field, form.field.p
     pts = np.array(points, dtype=np.int64)
-    codes = np.zeros(len(pts), dtype=np.int64)
-    for col in range(d):
-        codes = codes * p + pts[:, col]
+    codes = canonical_codes(F, pts)
     B = np.array(form.bilinear_gram, dtype=np.int64)
     basis = []
     alive = np.ones(len(pts), dtype=bool)
     while alive.any():
-        i = int(np.argmax(alive))
-        basis.append(tuple(int(x) for x in pts[i]))
+        basis.append(points[int(np.argmax(alive))])
         bb = np.array(basis, dtype=np.int64)
         alive &= (pts @ (B @ bb.T) % p == 0).all(axis=1)
-        span_codes = set()
-        for cs in itertools.product(range(p), repeat=len(basis)):
-            if any(cs):
-                w = np.array(cs, dtype=np.int64) @ bb % p
-                first = int(w[np.argmax(w != 0)])
-                w = w * pow(first, -1, p) % p
-                code = 0
-                for x in w:
-                    code = code * p + int(x)
-                span_codes.add(code)
-        alive &= ~np.isin(codes, np.fromiter(span_codes, dtype=np.int64))
+        coeffs = np.array(list(itertools.product(range(p), repeat=len(basis)))[1:],
+                          dtype=np.int64)
+        alive &= ~np.isin(codes, canonical_codes(F, coeffs @ bb % p))
     return tuple(basis)
 
 
@@ -404,14 +362,9 @@ def perp_residual(space, W):
 def maximal_ts_points(space):
     """The points of the standard (greedily built) maximal TS subspace."""
     F = space.field
-    members = []
     sub = Subspace.span(F, space.ts_basis, ambient=space.d)
-    for v in sub.vectors():
-        first = next(x for x in v if x)
-        if first != 1:
-            v = tuple(F.div(x, first) for x in v)
-        members.append(space.index[v])
-    return PointSet(space, tuple(sorted(set(members))))
+    members = {space.index[canonical(F, v)] for v in sub.vectors()}
+    return PointSet(space, tuple(sorted(members)))
 
 
 def nonsingular_point_with_residual(space, sign):
@@ -419,16 +372,14 @@ def nonsingular_point_with_residual(space, sign):
     in a nondegenerate restriction of the given kind (e.g. MINUS for an
     elliptic residual).  Deterministic; used by the constructive examples."""
     sign = fm.parse_kind(sign)
-    F, d = space.field, space.d
-    for lead in range(d - 1, -1, -1):
-        for tail in itertools.product(F.elements(), repeat=d - 1 - lead):
-            v = (0,) * lead + (1,) + tail
-            if space.form.evaluate(v) == 0:
-                continue
-            S = Subspace.span(F, [v])
-            rep = fm.classify_restriction(space.form, fm.perp(space.form, S))
-            if rep.kind is sign and rep.nondegenerate:
-                return S
+    F = space.field
+    for v in projective_vectors(F, space.d):
+        if space.form.evaluate(v) == 0:
+            continue
+        S = Subspace.span(F, [v])
+        rep = fm.classify_restriction(space.form, fm.perp(space.form, S))
+        if rep.kind is sign and rep.nondegenerate:
+            return S
     raise ValueError(f"no nonsingular point with {sign.name} residual")
 
 
@@ -438,13 +389,10 @@ def first_subspace_of_type(space, dim, sign, anisotropic=False):
     must also contain no singular point (e.g. an elliptic line of Q^-(5,2)).
     Scans combinations, so only meant for dim <= 3 at desk scale."""
     sign = fm.parse_kind(sign)
-    F, d = space.field, space.d
-    vecs = []
-    for lead in range(d - 1, -1, -1):
-        for tail in itertools.product(F.elements(), repeat=d - 1 - lead):
-            vecs.append((0,) * lead + (1,) + tail)
+    F = space.field
     if dim > 3:
         raise ValueError("subspace scan is limited to dim <= 3")
+    vecs = list(projective_vectors(F, space.d))
     for combo in itertools.combinations(vecs, dim):
         S = Subspace.span(F, list(combo))
         if S.dim != dim:

@@ -90,7 +90,7 @@ def test_alpha_square_class_decides_the_graph():
         sp = fr.small_space
         sets = []
         for o in orbits:
-            idx = {sp.index[group._canonical(fr.small_field,
+            idx = {sp.index[polar.canonical(fr.small_field,
                                              fr.flattener.flatten(v))]
                    for v in o}
             sets.append(tuple(sorted(idx)))

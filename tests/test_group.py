@@ -117,6 +117,17 @@ def test_orbits_reject_corrupted_generator(w33):
         group.orbits(w33, gens)
 
 
+def test_point_images_raise_on_a_point_leaving_the_space(q43):
+    """Behind orbits' validation, the prime-field image path still refuses a
+    map that sends a singular point off the quadric: swapping x0 and x1
+    moves <(0,1,0,0,0)> to the nonsingular <(1,0,0,0,0)>."""
+    swap = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0],
+            [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    gens = group.GeneratorSet(q43.field, [group.Semisimilarity(q43.field, swap)])
+    with pytest.raises(AssertionError, match="image point missing from space"):
+        list(group._point_images(q43, gens))
+
+
 def test_vector_orbits_of_full_group(f9):
     form = forms.standard_form("W", 2, f9)
     gs = group.classical_generators("Sp", 2, f9, self_check=False)

@@ -95,6 +95,18 @@ def test_complement_count_identity(w33, data):
     assert np.all(a + b == intriguing._collinear_constant(w33))
 
 
+@pytest.mark.parametrize("kind,pdim,q", [
+    ("W", 1, 3), ("Q+", 1, 3), ("Q", 2, 3), ("Q-", 3, 3), ("H", 2, 4),  # rank 1
+    ("W", 3, 3), ("Q+", 5, 2), ("Q", 4, 3), ("H", 3, 4), ("Q-", 5, 2),
+])
+def test_collinear_constant_matches_every_point(kind, pdim, q):
+    sp = polar.build(forms.standard_form(kind, pdim + 1, gf.field_of_order(q)))
+    const = intriguing._collinear_constant(sp)
+    assert type(const) is int
+    for x in sp.points:
+        assert sum(sp.form.evaluate_pair(x, y) == 0 for y in sp.points) == const
+
+
 @given(st.data())
 @settings(max_examples=25)
 def test_classify_branches_agree(qm52, data):

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from polarkit import forms, gf, polar
@@ -57,11 +60,56 @@ def test_point_order_is_deterministic():
     assert a.ts_basis == b.ts_basis
 
 
-def test_scan_and_solve_agree():
-    form = forms.standard_form("Q-", 6, gf.field(3))
-    a = polar.build(form, force_method="scan")
-    b = polar.build(form, force_method="solve")
-    assert a.points == b.points
+def _oracle_points(form):
+    """Every singular vector of F^d, normalised by hand to first nonzero
+    coordinate 1, deduplicated and sorted by base-q code."""
+    F, d = form.field, form.dim
+    found = set()
+    for v in itertools.product(range(F.q), repeat=d):
+        if any(v) and form.evaluate(v) == 0:
+            lead = next(x for x in v if x)
+            found.add(tuple(F.div(x, lead) for x in v))
+    return sorted(found, key=lambda v: sum(x * F.q ** (d - 1 - i)
+                                           for i, x in enumerate(v)))
+
+
+@pytest.mark.parametrize("kind,pdim,q", [
+    ("W", 5, 2), ("Q-", 5, 3), ("Q", 6, 3), ("H", 3, 4), ("Q+", 5, 4),
+    ("Q+", 11, 2), ("Q-", 13, 2),
+])
+def test_points_match_full_space_oracle(kind, pdim, q):
+    sp = _space(kind, pdim, q)
+    assert list(sp.points) == _oracle_points(sp.form)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_projective_vectors(q):
+    F = gf.field_of_order(q)
+    vecs = list(polar.projective_vectors(F, 3))
+    assert len(vecs) == q * q + q + 1
+    assert vecs == sorted(vecs)
+    assert all(polar.canonical(F, v) == v for v in vecs)
+    assert {polar.canonical(F, tuple(F.mul(c, x) for x in v))
+            for v in vecs for c in F.units()} == set(vecs)
+
+
+@pytest.mark.parametrize("p,d", [(2, 5), (3, 4), (5, 6), (7, 3), (13, 4)])
+def test_canonical_codes_match_canonical(p, d):
+    F = gf.field(p)
+    rng = np.random.default_rng(p * 100 + d)
+    rows = rng.integers(0, p, size=(200, d))
+    rows = rows[rows.any(axis=1)]
+    # every row next to a random unit multiple of itself; for p > 2 most of
+    # these are not canonical
+    scaled = rows * rng.integers(1, p, size=(len(rows), 1)) % p
+    both = np.concatenate([rows, scaled])
+    want = [sum(x * p ** (d - 1 - i)
+                for i, x in enumerate(polar.canonical(F, tuple(r))))
+            for r in both.tolist()]
+    got = polar.canonical_codes(F, both)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert np.array_equal(got[:len(rows)], got[len(rows):])
 
 
 def test_grid_refused():
