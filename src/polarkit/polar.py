@@ -392,8 +392,7 @@ def first_subspace_of_type(space, dim, sign, anisotropic=False):
     F = space.field
     if dim > 3:
         raise ValueError("subspace scan is limited to dim <= 3")
-    vecs = list(projective_vectors(F, space.d))
-    for combo in itertools.combinations(vecs, dim):
+    for combo in itertools.combinations(projective_vectors(F, space.d), dim):
         S = Subspace.span(F, list(combo))
         if S.dim != dim:
             continue
