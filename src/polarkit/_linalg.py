@@ -1,8 +1,14 @@
-"""Small exact linear algebra over FiniteField instances.
+"""Small exact linear algebra over FiniteField instances, and the one array
+kernel that every field runs on.
 
 Vectors are tuples of int codes, matrices are tuples of row tuples.  Sizes here
-are tiny (d <= 16), so everything is straightforward Gaussian elimination; the
-numpy fast paths for prime fields live next to their call sites.
+are tiny (d <= 16), so everything is straightforward Gaussian elimination.
+
+Bulk work writes GF(q)^d as GF(p)^(d*f) through the base-p digits of the
+codes (FiniteField.digits).  expand turns a semilinear map into its GF(p)
+matrix and expand_quadratic a (sesqui)linear form's values into GF(p)
+quadratic forms; mulmod multiplies such matrices exactly.  Over a prime
+field the expansions are the matrices themselves.
 """
 
 import numpy as np
@@ -175,15 +181,49 @@ def in_rowspace(F, rows_rref, v):
     return not any(v)
 
 
-# -- numpy helpers for prime fields ---------------------------------------
+# -- the array kernel ------------------------------------------------------
 
 _F64_SAFE = 2 ** 53
+
+
+def expand(F, M, s=0):
+    """The GF(p) matrix of v -> (v^(p^s)) M, a d x e matrix M of codes
+    over F = GF(p^f) acting on row vectors: shape (d*f, e*f), with
+    digits(v^(p^s) M) = digits(v) @ expand(F, M, s), where a digit row
+    lists the f digits of each coordinate in turn."""
+    T = F.mul_matrix(M, s)                      # [i, j, r, c]
+    d, e, f = T.shape[0], T.shape[1], F.f
+    return T.transpose(0, 2, 1, 3).reshape(d * f, e * f)
+
+
+def expand_quadratic(F, K, s=0):
+    """The f GF(p) quadratic forms whose values are the digits of
+    v -> sum_ij v_i K_ij v_j^(p^s), as a (d*f) x (d*f*f) matrix for
+    form_values.  Quadratic forms pass their upper-triangular coefficient
+    matrix and s = 0, Hermitian forms their Gram matrix and the
+    conjugation's power."""
+    K = np.asarray(K, dtype=np.int64)
+    b = F.basis_np
+    P = F.mul_np(b[:, None], F.frobenius_np(b, s)[None, :])
+    T = F.digits(F.mul_np(K[:, :, None, None], P))   # [i, j, r, t, c]
+    d, f = len(K), F.f
+    return T.transpose(0, 2, 1, 3, 4).reshape(d * f, d * f * f)
+
+
+def form_values(F, A, X):
+    """Digits (n, f) of the form values at the rows of the digit matrix X
+    (n, d*f), for A from expand_quadratic.  Exact in int64: each digit sums
+    d*f products below p^2."""
+    p, f = F.p, F.f
+    Y = mulmod(X, A, p).reshape(len(X), X.shape[1], f)
+    return (Y * X[:, :, None]).sum(axis=1) % p
 
 
 def mulmod(A, B, p):
     """Exact (A @ B) % p via float64 BLAS.
 
-    Inputs must be reduced mod p, and the inner dimension k must satisfy
+    Inputs must be reduced mod p, and the inner dimension k (d*f for the
+    expanded matrices of GF(p^f)^d) must satisfy
     k*(p-1)^2 < 2^53, else ValueError.  Then every accumulated dot product S
     is an exactly represented integer below 2^53.  The reduction is
     S - floor(S/p)*p.  The rounded quotient fl(S/p) is no lower than the

@@ -19,6 +19,8 @@ bilinear values going through the full trace.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _linalg as la
 from . import forms as fm
 from . import gf
@@ -80,6 +82,9 @@ class _Flattener:
         self._from_digits = la.mat_inv(Fp, rows)
         self._Fp = Fp
         self._e = e
+        # flatten on GF(p) digits: digits(flatten(v)) = digits(v) @ digit_matrix
+        self.digit_matrix = np.kron(np.eye(m, dtype=np.int64),
+                              np.array(self._from_digits, dtype=np.int64))
 
     def split(self, y):
         """One large-field element -> b small-field elements."""
@@ -241,29 +246,36 @@ def _small_point(fr, vlarge):
     return pl.canonical(fr.small_field, fr.flattener.flatten(vlarge))
 
 
+def _small_points_under(fr, rows):
+    """The GF(q)-points on the GF(q^b)-points with the given vectors
+    (element codes, shape (n, m)), as a PointSet of the small space.
+
+    The GF(q)-points on <w> are the flattenings of eta*w, one for each
+    coset eta*GF(q)* of GF(q^b)*: the cosets of the powers G^k,
+    k < (q^b-1)/(q-1), of the generator G, since flatten is GF(q)-linear.
+    Scaling by eta and flattening is one GF(p)-linear map on the digits, so
+    each eta costs one mulmod over all the rows."""
+    L, S = fr.large_field, fr.small_field
+    X = L.digit_rows(rows)
+    found = []
+    for eta in L.exp[:(L.q - 1) // (S.q - 1)]:
+        scale = la.expand(L, np.diag([eta] * fr.large_space.d))
+        E = la.mulmod(scale, fr.flattener.digit_matrix, L.p)
+        found.append(fr.small_space.locate(S.code_rows(la.mulmod(X, E, L.p))))
+    return PointSet(fr.small_space, tuple(np.unique(np.concatenate(found)).tolist()))
+
+
 def blow_up(fr):
-    """M1: every GF(q)-point lying on a GF(q^b)-singular point."""
-    L = fr.large_field
-    members = set()
-    for w in fr.large_space.points:
-        for eta in L.units():
-            vw = tuple(L.mul(eta, x) for x in w)
-            members.add(fr.small_space.index[_small_point(fr, vw)])
-    return PointSet(fr.small_space, tuple(sorted(members)))
+    """M1: every GF(q)-point lying on a GF(q^b)-singular point, by one
+    expanded mulmod over the whole large point list per GF(q)* coset."""
+    return _small_points_under(fr, fr.large_space.points_np)
 
 
 def push_down(fr, large_set):
     """The GF(q)-points lying on the given GF(q^b)-points."""
     if large_set.space is not fr.large_space:
         raise ValueError("point set does not live in the large space")
-    L = fr.large_field
-    members = set()
-    for i in large_set.members:
-        w = fr.large_space.points[i]
-        for eta in L.units():
-            vw = tuple(L.mul(eta, x) for x in w)
-            members.add(fr.small_space.index[_small_point(fr, vw)])
-    return PointSet(fr.small_space, tuple(sorted(members)))
+    return _small_points_under(fr, fr.large_space.points_np[list(large_set.members)])
 
 
 def lift_up(fr, small_set):

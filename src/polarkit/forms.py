@@ -11,6 +11,8 @@ symplectic one and is not modelled here.
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _linalg as la
 from . import gf
 
@@ -174,6 +176,15 @@ class Form:
             return tuple(la.dot(F, self.data[i], sc) for i in range(self.dim))
         return tuple(la.dot(F, self.bilinear_gram[i], s) for i in range(self.dim))
 
+    def pair_matrix(self, rows):
+        """The pair functionals of the rows s_1..s_m in bulk: a GF(p) matrix
+        E of shape (d*f, m*f) such that digits(x) @ E lists the digits of
+        kappa(x, s_1), ..., kappa(x, s_m) (see _linalg.expand)."""
+        F = self.field
+        S = np.asarray(rows, dtype=np.int64).reshape(-1, self.dim)
+        conj = F.frobenius_np(S, self.sigma)
+        return la.mulmod(la.expand(F, self.bilinear_gram), la.expand(F, conj.T), F.p)
+
     def is_singular(self, v):
         return self.evaluate(v) == 0
 
@@ -228,22 +239,11 @@ def _quadratic_sign(F, C, B=None):
 
 
 def _count_singular(F, C):
-    import itertools
-    d = len(C)
-    n = 0
-    for v in itertools.product(F.elements(), repeat=d):
-        if any(v):
-            acc = 0
-            for i, x in enumerate(v):
-                if x:
-                    row = C[i]
-                    acc = F.add(acc, F.mul(x, F.mul(x, row[i])))
-                    for j in range(i + 1, d):
-                        if v[j] and row[j]:
-                            acc = F.add(acc, F.mul(row[j], F.mul(x, v[j])))
-            if acc == 0:
-                n += 1
-    return n
+    """The nonzero vectors v with v C v^T = 0: q - 1 for each singular
+    projective point, counted block by block with the point scan."""
+    from . import polar   # polar builds on this module
+    return (F.q - 1) * sum(int(np.count_nonzero(singular))
+                           for _, singular in polar.singular_blocks(F, C))
 
 
 def standard_form(kind, d, field):

@@ -5,7 +5,8 @@ are the coefficients of the element in the polynomial basis ``1, g, ..., g^(f-1)
 where ``g`` is the residue class of x modulo the defining polynomial.  Keeping
 elements as ints makes them free to hash, compare and pack into numpy arrays;
 all structure lives in the :class:`FiniteField` object (discrete-log tables,
-addition tables, Frobenius tables).
+addition tables, Frobenius tables), which also holds the tables as numpy
+arrays for the bulk helpers that every array kernel uses.
 
 Defining polynomials come from a frozen table of Conway polynomials so that the
 same (p, f) always produces the same field on every machine, and so that the
@@ -15,6 +16,8 @@ to the lexicographically minimal primitive polynomial under the same ordering.
 """
 
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "FiniteField", "SubfieldEmbedding", "field", "embedding",
@@ -54,8 +57,7 @@ _CONWAY = {
     (13, 2): (2, 12, 1),
 }
 
-_Q_CAP = 2 ** 20          # refuse anything bigger outright
-_LOG_CAP = 2 ** 16        # precompute exp/log tables up to here
+_Q_CAP = 2 ** 16          # the exp/log tables cover fields up to here
 _ADD_TABLE_CAP = 512      # full q x q addition table below this
 
 
@@ -97,7 +99,8 @@ class FiniteField:
             raise ValueError(f"characteristic {p} is not prime")
         q = p ** f
         if q > _Q_CAP:
-            raise ValueError(f"field size {q} exceeds the configured cap {_Q_CAP}")
+            raise ValueError(f"field size q = {q} > {_Q_CAP} is not supported "
+                             "by the table backend")
         self.p = p
         self.f = f
         self.q = q
@@ -133,8 +136,6 @@ class FiniteField:
 
     def _build_tables(self):
         p, f, q = self.p, self.f, self.q
-        if q > _LOG_CAP:
-            raise ValueError(f"fields with q > {_LOG_CAP} are not supported by the table backend")
         # exp/log via repeated multiplication by the generator in coefficient form
         exp = [0] * (2 * (q - 1))
         log = [-1] * q
@@ -179,6 +180,16 @@ class FiniteField:
             self._add_tbl = tbl
         else:
             self._add_tbl = None
+        # the same tables as arrays, for the bulk helpers below; exp_np is
+        # zero past index 2(q-1) and log_np[0] points there, so
+        # exp_np[log_np[a] + log_np[b]] is a*b for zero factors too
+        self.exp_np = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        self.exp_np[:2 * (q - 1)] = exp
+        self.log_np = np.array([2 * (q - 1)] + log[1:], dtype=np.int64)
+        self.inv_np = np.array(inv, dtype=np.int64)
+        self.frob_np = np.array(frob, dtype=np.int64)
+        # the codes p^r of the basis 1, g, ..., g^(f-1): the digit weights
+        self.basis_np = p ** np.arange(f, dtype=np.int64)
 
     def _coeff_mul(self, a, b):
         p, f = self.p, self.f
@@ -275,6 +286,58 @@ class FiniteField:
     def in_subfield(self, a, q0):
         """Membership in the subfield of size q0, by the fixed-point test a^q0 = a."""
         return self.pow(a, q0) == a
+
+    # -- bulk arithmetic on integer arrays ------------------------------------
+    #
+    # GF(q) is GF(p)^f through the digits of the codes, so every semilinear
+    # map of GF(q)^d is a GF(p)-linear map of GF(p)^(d*f); _linalg.expand
+    # builds its matrix from mul_matrix.
+
+    def mul_np(self, a, b):
+        """Elementwise products of broadcastable arrays of element codes."""
+        return self.exp_np[self.log_np[a] + self.log_np[b]]
+
+    def frobenius_np(self, a, k=1):
+        """Elementwise a^(p^k) of an array of element codes; k is reduced mod f."""
+        a = np.asarray(a, dtype=np.int64)
+        for _ in range(k % self.f):
+            a = self.frob_np[a]
+        return a
+
+    def digits(self, a):
+        """Little-endian base-p digits of element codes: shape (..., f)."""
+        a = np.asarray(a, dtype=np.int64)
+        if self.f == 1:
+            return a[..., None]
+        return a[..., None] // self.basis_np % self.p
+
+    def from_digits(self, x):
+        """Element codes from digit arrays of shape (..., f), digits in [0, p)."""
+        x = np.asarray(x, dtype=np.int64)
+        if self.f == 1:
+            return x[..., 0]
+        return x @ self.basis_np
+
+    def digit_rows(self, rows):
+        """An (n, d) array of element codes as (n, d*f) GF(p) digits, the f
+        digits of each coordinate in turn."""
+        rows = np.asarray(rows, dtype=np.int64)
+        n, d = rows.shape
+        return self.digits(rows).reshape(n, d * self.f)
+
+    def code_rows(self, x):
+        """The inverse of digit_rows: (n, d*f) digits to (n, d) codes."""
+        x = np.asarray(x, dtype=np.int64)
+        n, k = x.shape
+        return self.from_digits(x.reshape(n, k // self.f, self.f))
+
+    def mul_matrix(self, a, k=0):
+        """The f x f GF(p) matrices of x -> x^(p^k) * a, for an array of
+        codes a: shape (..., f, f), with digits(x^(p^k) * a) =
+        digits(x) @ mul_matrix(a, k)."""
+        basis = self.frobenius_np(self.basis_np, k)
+        return self.digits(self.mul_np(np.asarray(a, dtype=np.int64)[..., None],
+                                       basis))
 
     # -- misc --------------------------------------------------------------
 

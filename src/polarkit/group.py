@@ -29,7 +29,7 @@ class Semisimilarity:
     inconsistent data.
     """
 
-    __slots__ = ("field", "matrix", "sigma_power")
+    __slots__ = ("field", "matrix", "sigma_power", "_inv_matrix", "_inverse")
 
     def __init__(self, field, matrix, sigma_power=0):
         matrix = tuple(tuple(row) for row in matrix)
@@ -39,7 +39,8 @@ class Semisimilarity:
         self.field = field
         self.matrix = matrix
         self.sigma_power = sigma_power % field.f
-        la.mat_inv(field, matrix)  # raises if singular
+        self._inv_matrix = la.mat_inv(field, matrix)  # raises if singular
+        self._inverse = None
 
     @classmethod
     def _trusted(cls, field, matrix, sigma_power):
@@ -49,6 +50,8 @@ class Semisimilarity:
         g.field = field
         g.matrix = matrix
         g.sigma_power = sigma_power % field.f
+        g._inv_matrix = None
+        g._inverse = None
         return g
 
     @property
@@ -71,12 +74,17 @@ class Semisimilarity:
                                        self.sigma_power + other.sigma_power)
 
     def inverse(self):
-        F = self.field
-        k = (-self.sigma_power) % F.f
-        Ainv = la.mat_inv(F, self.matrix)
-        if k:
-            Ainv = la.mat_frobenius(F, Ainv, k)
-        return Semisimilarity._trusted(F, Ainv, k)
+        """The inverse map, computed once: it reuses the matrix inverse that
+        the invertibility check produced, and knows self as its inverse."""
+        if self._inverse is None:
+            F = self.field
+            k = (-self.sigma_power) % F.f
+            Ainv = self._inv_matrix or la.mat_inv(F, self.matrix)
+            if k:
+                Ainv = la.mat_frobenius(F, Ainv, k)
+            self._inverse = Semisimilarity._trusted(F, Ainv, k)
+            self._inverse._inverse = self
+        return self._inverse
 
     def is_linear(self):
         return self.sigma_power == 0
@@ -272,29 +280,21 @@ def orbits(space, gens):
 def _point_images(space, gens):
     """Each generator's image of the point list as an index array, lazily.
 
-    Over a prime field every map is linear: one exact mulmod moves all
-    points, whose canonical codes are located by binary search in the
-    point codes (the point list is in code order).  Otherwise each point
-    goes through g.apply.
+    Every semilinear map of GF(q)^d is GF(p)-linear on the digits
+    (la.expand), so one exact mulmod moves all points, and
+    PolarSpace.locate finds the images by binary search in the point codes
+    (it raises on an image outside the space).
     """
-    F = space.field
-    n = space.num_points
-    if F.f == 1:
-        p = F.p
-        codes = pl.canonical_codes(F, space.points_np)
-        pts = space.points_np.astype(np.float64)
-        for g in gens:
-            W = la.mulmod(pts, np.array(g.matrix, dtype=np.float64), p)
-            wcodes = pl.canonical_codes(F, W)
-            j = np.minimum(np.searchsorted(codes, wcodes), n - 1)
-            if not np.array_equal(codes[j], wcodes):
-                raise AssertionError("image point missing from space")
-            yield j
-    else:
-        index = space.index
-        for g in gens:
-            yield np.fromiter((index[pl.canonical(F, g.apply(v))]
-                               for v in space.points), dtype=np.int64, count=n)
+    X = space.field.digit_rows(space.points_np).astype(np.float64)
+    for g in gens:
+        yield space.locate(_image_rows(g, X))
+
+
+def _image_rows(g, X):
+    """The element-code rows of the images under g of the GF(p) digit rows
+    X (float64, so that mulmod does not convert them for every g)."""
+    F = g.field
+    return F.code_rows(la.mulmod(X, la.expand(F, g.matrix, g.sigma_power), F.p))
 
 
 def _close(n, images):
@@ -341,9 +341,9 @@ def vector_orbit_lists(gens):
     if total > VECTOR_CAP:
         raise ValueError(f"too many vectors: {total} exceeds cap {VECTOR_CAP}")
     vecs = list(itertools.product(F.elements(), repeat=d))[1:]
+    X = F.digit_rows(vecs).astype(np.float64)
     powvec = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    images = (np.array([g.apply(v) for v in vecs], dtype=np.int64) @ powvec - 1
-              for g in gens)
+    images = (_image_rows(g, X) @ powvec - 1 for g in gens)
     labels = _close(total, images)
     members = {}
     for v, label in zip(vecs, labels.tolist()):

@@ -38,8 +38,8 @@ class IntriguingReport:
 
 def classify(space, M):
     """Exact IntriguingReport for a point set, by computing |P^perp ∩ M| for
-    every point P of the space (streamed in exact float32/float64 blocks on
-    prime fields, pure field arithmetic otherwise)."""
+    every point P of the space (streamed in exact float32/float64 blocks over
+    the GF(p) digits of the points, for every field)."""
     if len(M) == 0:
         raise ValueError("cannot classify the empty set")
     if M.space is not space:
@@ -106,46 +106,38 @@ def _collinear_constant(space):
     return count
 
 
-def _raw_counts(space, members):
-    F = space.field
-    if F.f == 1:
-        return _perp_counts_np(space, members)
-    form = space.form
-    counts = np.zeros(space.num_points, dtype=np.int64)
-    mvecs = [space.points[i] for i in members]
-    for i, pt in enumerate(space.points):
-        counts[i] = sum(1 for w in mvecs if form.evaluate_pair(pt, w) == 0)
-    return counts
-
-
 _ROW_BLOCK = 2048
 _COL_BLOCK = 32768
 _F32_SAFE = 2 ** 24
 
 
-def _perp_counts_np(space, members):
-    """Zero-counts of B(P, Q) over Q in the member list, for all P.  Blocked
-    matmuls; the accumulated dot products are small integers, exactly
-    representable in float32 at desk scale, so the zero test is exact."""
-    p = space.field.p
-    d = space.d
-    pts = space.points_np
-    B = np.array(space.form.bilinear_gram, dtype=np.int64)
-    G = (B @ pts[members].T % p)
-    dtype = np.float32 if d * (p - 1) ** 2 < _F32_SAFE else np.float64
+def _raw_counts(space, members):
+    """|P^perp ∩ members| for every point P: the zero count of kappa(P, Q)
+    over Q in the member list.  Each member's pair functional is a
+    (d*f) x f GF(p) block (Form.pair_matrix), and kappa(P, Q) = 0 when all f
+    columns of its block vanish on P's digits.  Blocked matmuls; the
+    accumulated dot products are small integers, exactly representable in
+    float32 at desk scale, so the zero test is exact."""
+    F = space.field
+    p, f, n = F.p, F.f, space.num_points
+    X = F.digit_rows(space.points_np)
+    G = space.form.pair_matrix(space.points_np[members])
+    dtype = np.float32 if X.shape[1] * (p - 1) ** 2 < _F32_SAFE else np.float64
     Gf = np.ascontiguousarray(G, dtype=dtype)
-    ptsf = np.ascontiguousarray(pts, dtype=dtype)
-    n, m = len(pts), G.shape[1]
+    Xf = np.ascontiguousarray(X, dtype=dtype)
     counts = np.zeros(n, dtype=np.int64)
     pinv = dtype(1.0) / dtype(p)
+    cols = _COL_BLOCK // f * f
     for r0 in range(0, n, _ROW_BLOCK):
-        A = ptsf[r0:r0 + _ROW_BLOCK]
+        A = Xf[r0:r0 + _ROW_BLOCK]
         acc = np.zeros(len(A), dtype=np.int64)
-        for c0 in range(0, m, _COL_BLOCK):
-            S = A @ Gf[:, c0:c0 + _COL_BLOCK]
-            T = np.rint(S * pinv)
+        for c0 in range(0, G.shape[1], cols):
+            S = A @ Gf[:, c0:c0 + cols]
+            T = np.multiply(S, pinv)
+            np.rint(T, out=T)
             T *= p
-            acc += np.count_nonzero(S == T, axis=1)
+            zero = (S == T).reshape(len(A), S.shape[1] // f, f).all(axis=2)
+            acc += np.count_nonzero(zero, axis=1)
         counts[r0:r0 + len(A)] = acc
     return counts
 

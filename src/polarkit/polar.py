@@ -84,7 +84,7 @@ def space_name(kind, d, q):
 class PolarSpace:
     """Immutable: form, rank, ovoid number, and the full canonical point list."""
 
-    def __init__(self, form, points, ts_basis, _token=None):
+    def __init__(self, form, points_np, ts_basis, _token=None):
         if _token is not _BUILD:
             raise TypeError("use polar.build(form)")
         self.form = form
@@ -92,13 +92,14 @@ class PolarSpace:
         self.field = form.field
         self.d = form.dim
         self.q = form.field.q
-        self.points = points
+        self.points_np = points_np
+        self.points = tuple(map(tuple, points_np.tolist()))
         self.rank = len(ts_basis)
         self.ts_basis = ts_basis
         self.ovoid_number = theta(self.kind, self.d, self.q, self.rank)
         self.epsilon = epsilon_of(self.kind)
         self._index = None
-        self._pts_np = None
+        self._codes = None
 
     # -- dense lookups -----------------------------------------------------
 
@@ -109,10 +110,21 @@ class PolarSpace:
         return self._index
 
     @property
-    def points_np(self):
-        if self._pts_np is None:
-            self._pts_np = np.array(self.points, dtype=np.int64)
-        return self._pts_np
+    def codes(self):
+        """The points' base-q codes, increasing (points are canonical and in
+        code order)."""
+        if self._codes is None:
+            self._codes = self.points_np @ _powers(self.q, self.d)
+        return self._codes
+
+    def locate(self, rows):
+        """The indices of the points spanned by nonzero rows of element codes
+        (shape (n, d)); raises if a row spans a point outside the space."""
+        codes = canonical_codes(self.field, rows)
+        j = np.minimum(np.searchsorted(self.codes, codes), self.num_points - 1)
+        if not np.array_equal(self.codes[j], codes):
+            raise AssertionError("image point missing from space")
+        return j
 
     def theta_j(self, j):
         return theta(self.kind, self.d, self.q, j)
@@ -146,9 +158,10 @@ def build(form, cap=POINT_CAP, allow_grid=False):
     """Enumerate the polar space of a nondegenerate form.
 
     The points are the canonical singular vectors (see canonical) in code
-    order: a vectorised scan over prime fields, the generic scan over
-    projective_vectors otherwise.  The count is checked against the closed
-    form and the greedy rank against the parameter table.
+    order, found by one blocked scan over projective_blocks for every field,
+    which evaluates the form on GF(p) digits (see _linalg).  The count is
+    checked against the closed form and the greedy rank against the
+    parameter table.
 
     The hyperbolic-quadric surface in projective 3-space (a grid, not a thick
     generalized quadrangle) degenerates most of the counting arguments here
@@ -161,7 +174,8 @@ def build(form, cap=POINT_CAP, allow_grid=False):
     expected = expected_point_count(kind, d, q)
     if expected > cap:
         raise ValueError(f"space too large: {expected} points exceeds cap {cap}")
-    points = _enumerate_scan(form)
+    points = np.concatenate([block[singular] for block, singular
+                             in singular_blocks(form.field, form.data, form.sigma)])
     if len(points) != expected:
         raise AssertionError(
             f"enumerated {len(points)} points, formula gives {expected}")
@@ -197,59 +211,51 @@ def canonical(F, v):
     return tuple(F.mul(inv, x) for x in v)
 
 
-def canonical_codes(F, rows):
-    """Base-p codes of the canonical vectors of nonzero rows over GF(p).
+def _powers(q, d):
+    """The weights q^(d-1), ..., q, 1 of the big-endian base-q code."""
+    return q ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
-    The bulk twin of canonical for a prime field F: rows is an integer array
-    of shape (n, d) with entries reduced mod p, and the result is an int64
-    array of n codes (exact while p^d < 2^63)."""
-    p = F.p
+
+def canonical_codes(F, rows):
+    """Base-q codes of the canonical vectors of nonzero rows.
+
+    The bulk twin of canonical: rows is an integer array of shape (n, d)
+    of element codes, and the result is an int64 array of n codes (exact
+    while q^d < 2^63)."""
     rows = np.asarray(rows, dtype=np.int64)
-    inv = np.array([0] + [F.inv(x) for x in range(1, p)], dtype=np.int64)
     lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-    powvec = p ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    return rows * inv[lead][:, None] % p @ powvec
+    return F.mul_np(rows, F.inv_np[lead][:, None]) @ _powers(F.q, rows.shape[1])
 
 
 # -- enumeration ----------------------------------------------------------
 
-
-def _enumerate_scan(form):
-    """All canonical singular points by direct scan, in code order."""
-    F = form.field
-    if F.f == 1:
-        return _scan_prime(form)
-    return tuple(v for v in projective_vectors(F, form.dim)
-                 if form.evaluate(v) == 0)
+_SCAN_ROWS = 2 ** 12   # vectors per scan block, to bound memory
 
 
-def _scan_prime(form):
-    """Vectorized scan over prime fields; exact in int64 arithmetic.  Each
-    block holds the vectors with one leading-zero count, in code order."""
-    d, p = form.dim, form.field.p
-    pts = []
+def projective_blocks(F, d):
+    """projective_vectors in bulk: arrays of at most _SCAN_ROWS canonical
+    vectors of F^d (element codes, shape (n, d)), in code order.  Each
+    block shares one leading-zero count."""
+    q = F.q
     for lead in range(d - 1, -1, -1):
-        ntail = d - 1 - lead
-        n = p ** ntail
-        block = np.zeros((n, d), dtype=np.int64)
-        block[:, lead] = 1
-        rem = np.arange(n, dtype=np.int64)
-        for col in range(d - 1, lead, -1):
-            rem, digit = np.divmod(rem, p)
-            block[:, col] = digit
-        vals = _eval_np(form, block)
-        pts.extend(map(tuple, block[vals == 0].tolist()))
-    return tuple(pts)
+        total = q ** (d - 1 - lead)
+        for start in range(0, total, _SCAN_ROWS):
+            rem = np.arange(start, min(start + _SCAN_ROWS, total), dtype=np.int64)
+            block = np.zeros((len(rem), d), dtype=np.int64)
+            block[:, lead] = 1
+            for col in range(d - 1, lead, -1):
+                rem, block[:, col] = np.divmod(rem, q)
+            yield block
 
 
-def _eval_np(form, block):
-    """Evaluate the form on each row (prime field).  Returns values mod p."""
-    p = form.field.p
-    if form.kind.is_quadratic:
-        C = np.array(form.data, dtype=np.int64)
-        return np.einsum("ij,jk,ik->i", block, C, block) % p
-    B = np.array(form.bilinear_gram, dtype=np.int64)
-    return np.einsum("ij,jk,ik->i", block, B, block) % p
+def singular_blocks(F, K, s=0):
+    """Each block of projective_blocks(F, d) with the mask of its rows v
+    where sum_ij v_i K_ij v_j^(p^s) = 0: Q(v) for the upper-triangular
+    coefficient matrix of a quadratic form (s = 0), kappa(v, v) for a Gram
+    matrix and the form's conjugation power."""
+    A = la.expand_quadratic(F, K, s)
+    for block in projective_blocks(F, len(K)):
+        yield block, ~la.form_values(F, A, F.digit_rows(block)).any(axis=1)
 
 
 # -- rank ------------------------------------------------------------------
@@ -257,40 +263,28 @@ def _eval_np(form, block):
 
 def _greedy_ts_basis(form, points):
     """A maximal totally singular subspace, grown greedily through the point
-    list.  Maximality is certified by exhausting all points; the resulting
+    array (canonical, in code order): take the first point still alive,
+    then strike every point not perpendicular to it and every point of the
+    span so far, by code (the span is tiny: at most theta-many points).
+    Maximality is certified by exhausting all points; the resulting
     dimension is the rank (all maximal TS subspaces share it)."""
-    F = form.field
-    if F.f == 1 and len(points) > 5000:
-        return _greedy_ts_np(form, points)
+    F, p, f = form.field, form.field.p, form.field.f
+    n, d = points.shape
+    X = F.digit_rows(points)
+    codes = points @ _powers(F.q, d)
     basis = []
-    rref_rows = []
-    for pt in points:
-        if any(form.evaluate_pair(pt, x) != 0 for x in basis):
-            continue
-        if la.in_rowspace(F, rref_rows, pt):
-            continue
-        basis.append(pt)
-        rref_rows, _ = la.rref(F, basis)
-    return tuple(basis)
-
-
-def _greedy_ts_np(form, points):
-    """Numpy variant: filter candidates by B-perpendicularity in bulk, and
-    strike span members by code (the span is tiny: at most theta-many points)."""
-    F, p = form.field, form.field.p
-    pts = np.array(points, dtype=np.int64)
-    codes = canonical_codes(F, pts)
-    B = np.array(form.bilinear_gram, dtype=np.int64)
-    basis = []
-    alive = np.ones(len(pts), dtype=bool)
+    alive = np.ones(n, dtype=bool)
     while alive.any():
-        basis.append(points[int(np.argmax(alive))])
-        bb = np.array(basis, dtype=np.int64)
-        alive &= (pts @ (B @ bb.T) % p == 0).all(axis=1)
-        coeffs = np.array(list(itertools.product(range(p), repeat=len(basis)))[1:],
+        i = int(np.argmax(alive))
+        basis.append(i)
+        if 2 * len(basis) > d:   # also bounds the span enumeration below
+            raise AssertionError("greedy totally singular basis exceeds d/2")
+        alive &= ~la.mulmod(X, form.pair_matrix(points[i:i + 1]), p).any(axis=1)
+        coeffs = np.array(list(itertools.product(range(p), repeat=len(basis) * f))[1:],
                           dtype=np.int64)
-        alive &= ~np.isin(codes, canonical_codes(F, coeffs @ bb % p))
-    return tuple(basis)
+        span = F.code_rows(la.mulmod(coeffs, la.expand(F, points[basis]), p))
+        alive &= ~np.isin(codes, canonical_codes(F, span))
+    return tuple(map(tuple, points[basis].tolist()))
 
 
 # -- point sets ------------------------------------------------------------
@@ -345,18 +339,9 @@ def perp_residual(space, W):
     if W.dim == 0:
         return full_set(space)
     F = space.field
-    if F.f == 1 and space.num_points > 2000:
-        p = F.p
-        pts = space.points_np
-        funcs = np.array([space.form.pair_functional(s) for s in W.rows],
-                         dtype=np.int64)
-        ok = (pts @ funcs.T % p == 0).all(axis=1)
-        return PointSet(space, tuple(int(i) for i in np.flatnonzero(ok)))
-    members = []
-    for i, pt in enumerate(space.points):
-        if all(space.form.evaluate_pair(pt, s) == 0 for s in W.rows):
-            members.append(i)
-    return PointSet(space, tuple(members))
+    ok = ~la.mulmod(F.digit_rows(space.points_np), space.form.pair_matrix(W.rows),
+                    F.p).any(axis=1)
+    return PointSet(space, tuple(np.flatnonzero(ok).tolist()))
 
 
 def maximal_ts_points(space):

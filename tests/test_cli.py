@@ -39,6 +39,12 @@ def test_space_rejects_nonpositive_dimension(kind, dim):
     assert err.startswith("error: projective dimension") and "negative" in err
 
 
+def test_space_rejects_a_field_over_the_table_cap():
+    code, out, err = run_cli("space", "--kind", "W", "--dim", "1", "--q", "131072")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "table backend" in err
+
+
 def test_space_grid_refused_and_allowed():
     code, _, err = run_cli("space", "--kind", "Q+", "--dim", "3", "--q", "4")
     assert code == 2 and "grid" in err

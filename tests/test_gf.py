@@ -1,3 +1,6 @@
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -159,3 +162,77 @@ def test_in_subfield():
     F = gf.field(2, 4)
     sub = [a for a in F.elements() if F.in_subfield(a, 4)]
     assert len(sub) == 4
+
+
+def test_field_over_the_table_cap_is_refused_at_once():
+    """The cap is checked before the primitive-polynomial search, which for
+    GF(2^17) would run for minutes before the tables refused the field."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not supported by the table backend"):
+        gf.field(2, 17)
+    assert time.perf_counter() - start < 1
+
+
+_TABLE_ORDERS = sorted(p ** f for p, f in gf._CONWAY if p ** f <= 64)
+
+
+@pytest.mark.parametrize("q", _TABLE_ORDERS)
+def test_numpy_tables_match_scalar_arithmetic(q):
+    """Every pair: the bulk helpers against the scalar add, mul, inv and
+    frobenius."""
+    F = gf.field_of_order(q)
+    a, b = (x.ravel() for x in np.meshgrid(range(q), range(q), indexing="ij"))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert F.mul_np(a, b).tolist() == [F.mul(x, y) for x, y in pairs]
+    added = F.from_digits((F.digits(a) + F.digits(b)) % F.p)
+    assert added.tolist() == [F.add(x, y) for x, y in pairs]
+    assert F.digits(a).tolist() == [F.coeffs(x) for x in a.tolist()]
+    assert F.inv_np[1:].tolist() == [F.inv(x) for x in F.units()]
+    for k in range(F.f):
+        assert F.frobenius_np(range(q), k).tolist() == [F.frobenius(x, k)
+                                                         for x in range(q)]
+        # x -> x^(p^k) * c on digits, for every x and c
+        M = F.mul_matrix(range(q), k)
+        got = F.from_digits(np.einsum("xr,crs->cxs", F.digits(range(q)), M) % F.p)
+        assert got.tolist() == [[F.mul(F.frobenius(x, k), c) for x in range(q)]
+                                for c in range(q)]
+
+
+def _sympy_galois():
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy import factorint
+    from sympy.polys.domains import ZZ
+    return gt, factorint, ZZ
+
+
+@pytest.mark.parametrize("pf", sorted(gf._CONWAY))
+def test_conway_polynomials_are_irreducible_and_primitive(pf):
+    """sympy as an independent oracle: each frozen polynomial is irreducible
+    and x has multiplicative order exactly p^f - 1 modulo it."""
+    gt, factorint, ZZ = _sympy_galois()
+    p, f = pf
+    poly = [ZZ(c) for c in reversed(gf._CONWAY[pf])]     # sympy is big-endian
+    assert gt.gf_irreducible_p(poly, p, ZZ)
+    n = p ** f - 1
+    x = [ZZ(1), ZZ(0)]
+    assert gt.gf_pow_mod(x, n, poly, p, ZZ) == [1]
+    for r in factorint(n):
+        assert gt.gf_pow_mod(x, n // r, poly, p, ZZ) != [1]
+
+
+@pytest.mark.parametrize("q", _TABLE_ORDERS)
+def test_products_match_sympy_polynomial_arithmetic(q):
+    """mul on every pair against polynomial multiplication modulo the
+    defining polynomial, computed by sympy."""
+    gt, _, ZZ = _sympy_galois()
+    F = gf.field_of_order(q)
+    poly = [ZZ(c) for c in reversed(F.defining_polynomial)]
+
+    def big_endian(x):
+        return gt.gf_strip([ZZ(c) for c in reversed(F.coeffs(x))])
+
+    for x in F.elements():
+        for y in F.elements():
+            rem = gt.gf_rem(gt.gf_mul(big_endian(x), big_endian(y), F.p, ZZ),
+                            poly, F.p, ZZ)
+            assert F.mul(x, y) == F.from_coeffs([int(c) for c in reversed(rem)])

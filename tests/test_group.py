@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from polarkit import _linalg as la
 from polarkit import forms, gf, group, polar
 
 
@@ -149,6 +150,33 @@ def test_classical_generators_transitive(family, d, q, n):
                  "OmegaMinus": "Q-", "Omega": "Q"}[family]
     sp = polar.build(forms.standard_form(form_kind, d, F))
     assert group.orbits(sp, gs).orbit_sizes == (n,)
+
+
+def test_each_generator_matrix_is_inverted_once(monkeypatch, f3):
+    """The invertibility check's inverse is kept: building Sp(6,3)'s 364
+    transvections inverts each matrix once, and closing the set under
+    inverses (364 more elements) inverts nothing."""
+    calls = []
+    mat_inv = la.mat_inv
+    monkeypatch.setattr(la, "mat_inv",
+                        lambda F, A: calls.append(A) or mat_inv(F, A))
+    seen = {}
+    gs_init = group.GeneratorSet.__init__
+
+    def counting_init(self, field, elements, label=""):
+        elements = list(elements)
+        seen["constructed"], seen["before"] = len(elements), len(calls)
+        gs_init(self, field, elements, label)
+        seen["after"] = len(calls)
+
+    monkeypatch.setattr(group.GeneratorSet, "__init__", counting_init)
+    gs = group.classical_generators("Sp", 6, f3, self_check=False)
+    assert seen["constructed"] == seen["before"] == 364
+    assert seen["after"] == seen["before"]
+    assert len(gs) == 728
+    for g in gs:
+        assert g.inverse().inverse() is g
+    assert len(calls) == 364
 
 
 def test_classical_generators_desk_scale_cap(f3):
