@@ -8,7 +8,9 @@ Bulk work writes GF(q)^d as GF(p)^(d*f) through the base-p digits of the
 codes (FiniteField.digits).  expand turns a semilinear map into its GF(p)
 matrix and expand_quadratic a (sesqui)linear form's values into GF(p)
 quadratic forms; mulmod multiplies such matrices exactly.  Over a prime
-field the expansions are the matrices themselves.
+field the expansions are the matrices themselves.  projective_blocks owns
+the canonical point order (first nonzero coordinate 1, then big-endian
+code order), and singular_blocks scans it for zeros of a form.
 """
 
 import numpy as np
@@ -217,6 +219,36 @@ def form_values(F, A, X):
     p, f = F.p, F.f
     Y = mulmod(X, A, p).reshape(len(X), X.shape[1], f)
     return (Y * X[:, :, None]).sum(axis=1) % p
+
+
+_SCAN_ROWS = 2 ** 12   # vectors per scan block, to bound memory
+
+
+def projective_blocks(F, d):
+    """The canonical vectors of F^d, one per projective point, in code
+    order, as arrays of at most _SCAN_ROWS rows of element codes (shape
+    (n, d)).  Generating by descending leading-zero count yields sorted
+    output; each block shares one leading-zero count."""
+    q = F.q
+    for lead in range(d - 1, -1, -1):
+        total = q ** (d - 1 - lead)
+        for start in range(0, total, _SCAN_ROWS):
+            rem = np.arange(start, min(start + _SCAN_ROWS, total), dtype=np.int64)
+            block = np.zeros((len(rem), d), dtype=np.int64)
+            block[:, lead] = 1
+            for col in range(d - 1, lead, -1):
+                rem, block[:, col] = np.divmod(rem, q)
+            yield block
+
+
+def singular_blocks(F, K, s=0):
+    """Each block of projective_blocks(F, d) with the mask of its rows v
+    where sum_ij v_i K_ij v_j^(p^s) = 0: Q(v) for the upper-triangular
+    coefficient matrix of a quadratic form (s = 0), kappa(v, v) for a Gram
+    matrix and the form's conjugation power."""
+    A = expand_quadratic(F, K, s)
+    for block in projective_blocks(F, len(K)):
+        yield block, ~form_values(F, A, F.digit_rows(block)).any(axis=1)
 
 
 def mulmod(A, B, p):

@@ -241,11 +241,6 @@ def _traced_form(row, large_form, emb, basis, dst_kind, alpha):
     return form
 
 
-def _small_point(fr, vlarge):
-    """Canonical small-space point under a large vector."""
-    return pl.canonical(fr.small_field, fr.flattener.flatten(vlarge))
-
-
 def _small_points_under(fr, rows):
     """The GF(q)-points on the GF(q^b)-points with the given vectors
     (element codes, shape (n, m)), as a PointSet of the small space.
@@ -282,30 +277,34 @@ def lift_up(fr, small_set):
     """The GF(q^b)-points spanned by the given GF(q)-points.
 
     Meaningful only when the set is a union of full GF(q^b)-scalar classes;
-    this is checked, and a violation reports a witnessing pair of small
-    points (one inside the set, one outside, on the same large point).
+    this is checked by pushing the lifted points back down, and a violation
+    reports a witnessing pair of small points (one inside the set, one
+    outside, on the same large point).
     """
     if small_set.space is not fr.small_space:
         raise ValueError("point set does not live in the small space")
     L = fr.large_field
-    inside = set(small_set.members)
-    out = set()
+    witness = {}   # large point -> first small point of the set on it
     for i in small_set.members:
-        v = fr.small_space.points[i]
-        w = pl.canonical(L, fr.flattener.unflatten(v))
-        j = fr.large_space.index.get(w)
+        j = _large_point(fr, i)
         if j is None:
             raise ValueError(
                 f"small point {i} lies on a non-singular GF({L.q})-point "
                 "and cannot be lifted")
-        if j in out:
-            continue
-        for eta in L.units():
-            vw = tuple(L.mul(eta, x) for x in w)
-            k = fr.small_space.index[_small_point(fr, vw)]
-            if k not in inside:
-                raise ValueError(
-                    f"set is not closed under GF({L.q}) scalars: small points "
-                    f"{i} (in) and {k} (out) lie on large point {j}")
-        out.add(j)
-    return PointSet(fr.large_space, tuple(sorted(out)))
+        witness.setdefault(j, i)
+    lifted = PointSet(fr.large_space, tuple(sorted(witness)))
+    missing = sorted(set(push_down(fr, lifted).members)
+                     - set(small_set.members))
+    if missing:
+        k = missing[0]
+        j = _large_point(fr, k)
+        raise ValueError(
+            f"set is not closed under GF({L.q}) scalars: small points "
+            f"{witness[j]} (in) and {k} (out) lie on large point {j}")
+    return lifted
+
+
+def _large_point(fr, i):
+    """Index of the large point on small point i (None if not singular)."""
+    v = fr.flattener.unflatten(fr.small_space.points[i])
+    return fr.large_space.index.get(pl.canonical(fr.large_field, v))

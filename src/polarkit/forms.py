@@ -240,10 +240,9 @@ def _quadratic_sign(F, C, B=None):
 
 def _count_singular(F, C):
     """The nonzero vectors v with v C v^T = 0: q - 1 for each singular
-    projective point, counted block by block with the point scan."""
-    from . import polar   # polar builds on this module
+    projective point, counted block by block by _linalg.singular_blocks."""
     return (F.q - 1) * sum(int(np.count_nonzero(singular))
-                           for _, singular in polar.singular_blocks(F, C))
+                           for _, singular in la.singular_blocks(F, C))
 
 
 def standard_form(kind, d, field):

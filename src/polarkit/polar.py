@@ -158,8 +158,8 @@ def build(form, cap=POINT_CAP, allow_grid=False):
     """Enumerate the polar space of a nondegenerate form.
 
     The points are the canonical singular vectors (see canonical) in code
-    order, found by one blocked scan over projective_blocks for every field,
-    which evaluates the form on GF(p) digits (see _linalg).  The count is
+    order, found by one blocked scan (_linalg.singular_blocks) for every
+    field, which evaluates the form on GF(p) digits.  The count is
     checked against the closed form and the greedy rank against the
     parameter table.
 
@@ -174,8 +174,8 @@ def build(form, cap=POINT_CAP, allow_grid=False):
     expected = expected_point_count(kind, d, q)
     if expected > cap:
         raise ValueError(f"space too large: {expected} points exceeds cap {cap}")
-    points = np.concatenate([block[singular] for block, singular
-                             in singular_blocks(form.field, form.data, form.sigma)])
+    scan = la.singular_blocks(form.field, form.data, form.sigma)
+    points = np.concatenate([block[singular] for block, singular in scan])
     if len(points) != expected:
         raise AssertionError(
             f"enumerated {len(points)} points, formula gives {expected}")
@@ -194,12 +194,10 @@ def build(form, cap=POINT_CAP, allow_grid=False):
 
 
 def projective_vectors(F, d):
-    """The canonical vectors of F^d, one per projective point, in code order.
-
-    Generating by descending leading-zero count yields sorted output."""
-    for lead in range(d - 1, -1, -1):
-        for tail in itertools.product(F.elements(), repeat=d - 1 - lead):
-            yield (0,) * lead + (1,) + tail
+    """The canonical vectors of F^d, one per projective point, in code order:
+    the rows of _linalg.projective_blocks, as tuples."""
+    for block in la.projective_blocks(F, d):
+        yield from map(tuple, block.tolist())
 
 
 def canonical(F, v):
@@ -225,37 +223,6 @@ def canonical_codes(F, rows):
     rows = np.asarray(rows, dtype=np.int64)
     lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
     return F.mul_np(rows, F.inv_np[lead][:, None]) @ _powers(F.q, rows.shape[1])
-
-
-# -- enumeration ----------------------------------------------------------
-
-_SCAN_ROWS = 2 ** 12   # vectors per scan block, to bound memory
-
-
-def projective_blocks(F, d):
-    """projective_vectors in bulk: arrays of at most _SCAN_ROWS canonical
-    vectors of F^d (element codes, shape (n, d)), in code order.  Each
-    block shares one leading-zero count."""
-    q = F.q
-    for lead in range(d - 1, -1, -1):
-        total = q ** (d - 1 - lead)
-        for start in range(0, total, _SCAN_ROWS):
-            rem = np.arange(start, min(start + _SCAN_ROWS, total), dtype=np.int64)
-            block = np.zeros((len(rem), d), dtype=np.int64)
-            block[:, lead] = 1
-            for col in range(d - 1, lead, -1):
-                rem, block[:, col] = np.divmod(rem, q)
-            yield block
-
-
-def singular_blocks(F, K, s=0):
-    """Each block of projective_blocks(F, d) with the mask of its rows v
-    where sum_ij v_i K_ij v_j^(p^s) = 0: Q(v) for the upper-triangular
-    coefficient matrix of a quadratic form (s = 0), kappa(v, v) for a Gram
-    matrix and the form's conjugation power."""
-    A = la.expand_quadratic(F, K, s)
-    for block in projective_blocks(F, len(K)):
-        yield block, ~la.form_values(F, A, F.digit_rows(block)).any(axis=1)
 
 
 # -- rank ------------------------------------------------------------------

@@ -25,9 +25,12 @@ ORDERS = [2, 3, 4, 8, 9, 16, 25]
 
 
 def scan_oracle(form):
-    """The generic scan: each canonical vector, kept when singular."""
-    return tuple(v for v in polar.projective_vectors(form.field, form.dim)
-                 if form.evaluate(v) == 0)
+    """The generic scan: each canonical vector (first nonzero coordinate 1)
+    of F^d in lexicographic order, kept when singular."""
+    F = form.field
+    return tuple(v for v in itertools.product(F.elements(), repeat=form.dim)
+                 if any(v) and next(x for x in v if x) == 1
+                 and form.evaluate(v) == 0)
 
 
 def greedy_ts_oracle(form, points):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -186,6 +188,23 @@ def test_lift_up_rejects_partial_scalar_classes():
     fr0, sets = constructions.sl2_5_reduced_sets()
     with pytest.raises(ValueError, match="scalar"):
         fieldred.lift_up(fr0, sets[0])
+
+
+def test_lift_up_names_a_witness_pair():
+    fr = _w19_down()
+    large = (0, 3, 7)
+    small = fieldred.push_down(fr, polar.PointSet(fr.large_space, large))
+    gone = small.members[5]
+    part = polar.PointSet(fr.small_space,
+                          tuple(m for m in small.members if m != gone))
+    with pytest.raises(ValueError, match="scalars") as err:
+        fieldred.lift_up(fr, part)
+    m = re.search(r"small points (\d+) \(in\) and (\d+) \(out\) "
+                  r"lie on large point (\d+)", str(err.value))
+    i, k, j = map(int, m.groups())
+    assert k == gone and j in large and i in part
+    on_j = fieldred.push_down(fr, polar.PointSet(fr.large_space, (j,)))
+    assert {i, k} <= set(on_j.members)
 
 
 def test_push_down_wrong_space():

@@ -93,6 +93,14 @@ def test_projective_vectors(q):
             for v in vecs for c in F.units()} == set(vecs)
 
 
+def test_projective_vectors_across_scan_blocks():
+    F = gf.field(2)
+    vecs = list(polar.projective_vectors(F, 14))   # 2^13 tails share lead 0
+    assert vecs == sorted(set(vecs))
+    assert len(vecs) == 2 ** 14 - 1
+    assert all(polar.canonical(F, v) == v for v in vecs)
+
+
 @pytest.mark.parametrize("p,d", [(2, 5), (3, 4), (5, 6), (7, 3), (13, 4)])
 def test_canonical_codes_match_canonical(p, d):
     F = gf.field(p)
