@@ -5,7 +5,7 @@ Same evidence as `polarkit verify all`, as a standalone script so a checkout
 can be validated without installing the console entry point:
 
     python scripts/verify_all.py            # everything, slow targets last
-    python scripts/verify_all.py --fast     # skip the minutes-scale targets
+    python scripts/verify_all.py --fast     # skip the targets budgeted "slow"
 """
 
 import argparse

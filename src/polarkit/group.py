@@ -8,6 +8,8 @@ s+t), so v.(gh) = (v.g).h.
 
 import itertools
 import json
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,11 +256,15 @@ class OrbitPartition:
 
 
 def _validate_gens(form, gens):
+    """The multipliers of the generators; a generator that is not a
+    semisimilarity raises ValueError naming its index."""
+    lams = []
     for i, g in enumerate(gens):
         try:
-            multiplier(form, g)
+            lams.append(multiplier(form, g))
         except ValueError as exc:
             raise ValueError(f"generator {i} rejected: {exc}") from None
+    return lams
 
 
 def orbits(space, gens):
@@ -374,14 +380,16 @@ _KIND_TO_FAMILY = {
 def classical_generators(family, d, field, self_check=True):
     """Generators for the named isometry group on the standard form.
 
-    Sp and SU are transvection floods (one transvection per singular/point
-    direction and additive parameter); the Omega families use Eichler
-    transformations anchored at the first hyperbolic pair, with v scaled by
-    a GF(p)-basis of GF(q).  With self_check, every generator is validated
-    for form invariance and — except for the reducible monomial family —
-    the set is checked to act transitively on the polar points (Witt) by
-    orbits(), which stops drawing generator images once one orbit remains.
-    Transitivity does not certify that the whole group is generated.
+    Sp and SU get transvections along O(d) vectors with the parameter over
+    a GF(p)-basis (see _symplectic_transvections, _unitary_transvections);
+    the Omega families use Eichler transformations anchored at the first
+    hyperbolic pair, with v scaled by a GF(p)-basis of GF(q).  With
+    self_check the set is certified to generate the whole group (see
+    _certify): every generator is an isometry of determinant 1, and a
+    Schreier-Sims run on the point permutations proves that the generated
+    group's image on the polar points has the closed-form order of the
+    family's projective group.  The reducible monomial family is not
+    checked.
     """
     from . import forms as fm
     if isinstance(family, FormKind) or family not in _FAMILIES:
@@ -396,6 +404,8 @@ def classical_generators(family, d, field, self_check=True):
     elif family == "SU":
         form = fm.standard_form(FormKind.HERMITIAN, d, field)
         gens = _unitary_transvections(form)
+        if (d, field.q) == (3, 4):
+            gens += _su32_fourier(field)
     elif family == "GO1WrSym":
         return _monomial_group(d, field)
     else:
@@ -406,10 +416,154 @@ def classical_generators(family, d, field, self_check=True):
     gs = GeneratorSet(field, gens, label=f"{family}({d},{field.q})")
     if self_check:
         allow_grid = family == "OmegaPlus" and d == 4
-        space = pl.build(form, allow_grid=allow_grid)
-        if orbits(space, gs).n_orbits != 1:
-            raise AssertionError(f"{gs.label} failed the transitivity self-check")
+        _certify(pl.build(form, allow_grid=allow_grid), gs,
+                 point_image_order(family, d, field.q))
     return gs
+
+
+def point_image_order(family, d, q):
+    """The order of the family's group on its standard form, acting on the
+    polar points: |PSp(d,q)|, |PSU(d,q0)| (q = q0^2) or |POmega^e(d,q)|, the
+    order of the group divided by the scalars it contains.  The scalars are
+    the kernel of the action once the singular points contain a frame, as
+    they do for d >= 3 and for the lines of Sp and SU.  Sp(2m, q) and
+    Omega(2m+1, q) have the same order."""
+    prod = math.prod
+    m = d // 2
+    if family in ("Sp", "Omega"):
+        order = q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+        return order // math.gcd(2, q - 1)
+    if family == "SU":
+        q0 = math.isqrt(q)
+        order = q0 ** (d * (d - 1) // 2) * prod(
+            q0 ** i - (-1) ** i for i in range(2, d + 1))
+        return order // math.gcd(d, q0 + 1)
+    eps = {"OmegaPlus": 1, "OmegaMinus": -1}[family]
+    order = q ** (m * (m - 1)) * (q ** m - eps) * prod(
+        q ** (2 * i) - 1 for i in range(1, m))
+    return order // math.gcd(4, q ** m - eps)
+
+
+_STALL = 32   # consecutive trivial sifts after which a shortfall is final
+
+
+def _certify(space, gs, order):
+    """Certify that gs generates a group whose image on the space's points
+    has the given order; return the product of the basic orbit lengths.
+
+    Each generator must be an isometry (multiplier 1, sigma power 0) of
+    determinant 1, so the generated group lies in the special isometry
+    group.  A random Schreier-Sims run (Seress, Permutation Group
+    Algorithms, 2003) on the point permutations then builds a base
+    and strong generators: every strong generator is a word in gs, so the
+    product of the basic orbit lengths is a lower bound on the order of the
+    generated image, and the run stops once it reaches `order`.  For Sp and
+    SU that is the order of the whole special isometry group's image; the
+    Eichler transformations lie in Omega, whose image has that order.  A
+    product above `order`, or one still short after _STALL consecutive
+    random elements sift to the identity, raises AssertionError.  For
+    d >= 3 the whole group is transitive on the points, so a certified set
+    is too and needs no orbit check of its own.  Random
+    elements come from product replacement with a fixed seed: the run is
+    deterministic.
+    """
+    F = space.field
+    for i, (g, lam) in enumerate(zip(gs, _validate_gens(space.form, gs))):
+        if lam != 1 or g.sigma_power or la.det(F, g.matrix) != 1:
+            raise ValueError(f"generator {i} rejected: not a special isometry "
+                             f"(multiplier {lam}, sigma power {g.sigma_power})")
+    perms = list(_point_images(space, gs))
+    n = space.num_points
+    levels = [_Level(n, 0, perms)]
+    found = len(levels[0].orbit)
+    stall = 0
+    randoms = _random_elements(perms, random.Random(0))
+    while found < order:
+        if stall == _STALL:
+            raise AssertionError(
+                f"{gs.label} failed its self-check: the generated group has "
+                f"order at least {found} on points, short of {order} by a "
+                f"factor {order / found:.4g} after {_STALL} trivial sifts")
+        h, i = _sift(levels, next(randoms))
+        if i == len(levels):
+            moved = np.flatnonzero(h != np.arange(n))
+            if not moved.size:
+                stall += 1
+                continue
+            levels.append(_Level(n, int(moved[0]), []))
+        stall = 0
+        for lv in levels[1:i + 1]:
+            lv.add(h)
+        found = math.prod(len(lv.orbit) for lv in levels)
+    if found > order:
+        raise AssertionError(f"{gs.label} generates a group of order at least "
+                             f"{found} on points, above {order}")
+    return found
+
+
+class _Level:
+    """One level of a stabiliser chain: a base point, the strong generators
+    that fix the earlier base points, and the basic orbit as a Schreier
+    vector (for each orbit point the point it was reached from and the
+    generator that took it there; -1 off the orbit)."""
+
+    def __init__(self, n, base, gens):
+        self.base = base
+        self.gens = list(gens)
+        self.invs = [np.argsort(s) for s in self.gens]
+        self._grow(n)
+
+    def add(self, g):
+        self.gens.append(g)
+        self.invs.append(np.argsort(g))
+        self._grow(len(g))
+
+    def _grow(self, n):
+        parent = np.full(n, -1, dtype=np.int64)
+        via = np.full(n, -1, dtype=np.int64)
+        parent[self.base] = self.base
+        frontier = np.array([self.base])
+        layers = [frontier]
+        while frontier.size:
+            nxt = []
+            for k, s in enumerate(self.gens):
+                img = s[frontier]
+                new = parent[img] < 0
+                img = img[new]
+                parent[img] = frontier[new]
+                via[img] = k
+                nxt.append(img)
+            frontier = np.concatenate(nxt) if nxt else frontier[:0]
+            layers.append(frontier)
+        self.parent, self.via = parent, via
+        self.orbit = np.concatenate(layers)
+
+
+def _sift(levels, g):
+    """Strip g through the chain: (residue, level).  The level is where
+    the residue's base image left the basic orbit, len(levels) if it fixes
+    every base point."""
+    for i, lv in enumerate(levels):
+        x = g[lv.base]
+        if lv.parent[x] < 0:
+            return g, i
+        while x != lv.base:       # multiply by the transversal's inverse
+            g = lv.invs[lv.via[x]][g]
+            x = lv.parent[x]
+    return g, len(levels)
+
+
+def _random_elements(perms, rng):
+    """Random elements of the group generated by perms, by product
+    replacement (Celler et al., 1995) with an accumulator."""
+    state = [perms[i % len(perms)] for i in range(max(10, len(perms)))]
+    acc = np.arange(len(perms[0]))
+    for step in itertools.count():
+        i, j = rng.sample(range(len(state)), 2)
+        state[i] = state[j][state[i]]
+        acc = state[i][acc]
+        if step >= 50:        # the first 50 steps only mix the state
+            yield acc
 
 
 def _transvection(F, d, v, lam, gram_row):
@@ -427,28 +581,54 @@ def _transvection(F, d, v, lam, gram_row):
 
 
 def _symplectic_transvections(form):
+    """Transvections x -> x + t kappa(x, v) v along v in {e_i} and
+    {e_i + e_{i+1}}, with t over the GF(p)-basis omega^k (k < f) of GF(q):
+    (2d - 1) f maps.  t -> T_{v,t} is additive, so each v contributes its
+    whole root group."""
     F, d = form.field, form.dim
-    gens = []
-    for v in pl.projective_vectors(F, d):
-        row = form.pair_functional(v)
-        gens.append(_transvection(F, d, v, 1, row))
-    return gens
+    vs = list(la.identity(F, d))
+    vs += [la.add_vec(F, vs[i], vs[i + 1]) for i in range(d - 1)]
+    return [_transvection(F, d, v, F.exp[k], form.pair_functional(v))
+            for v in vs for k in range(F.f)]
 
 
 def _unitary_transvections(form):
+    """Unitary transvections x -> x + lam kappa(x, v) v, v isotropic, along
+    e_i + a e_{i+1} for every a with a^(q0+1) = -1 and along the first d
+    isotropic vectors of weight >= 3 in point order, with lam over a
+    GF(p)-basis of the trace-zero line {lam : lam + lam^q0 = 0}."""
     F, d = form.field, form.dim
     s = form.sigma
-    lams = [x for x in F.elements() if x and F.add(x, F.frobenius(x, s)) == 0]
-    gens = []
-    for v in pl.projective_vectors(F, d):
-        if form.evaluate(v) != 0:
-            continue
-        row = form.pair_functional(v)
-        for lam in lams:
-            gens.append(_transvection(F, d, v, lam, row))
-    if not gens:
+    q0 = F.p ** s
+    minus_one = F.neg(1)
+    lam0 = next(x for x in F.units() if F.add(x, F.frobenius(x, s)) == 0)
+    omega0 = F.exp[q0 + 1]   # primitive in GF(q0), so its powers k < s span it
+    lams = [F.mul(lam0, F.pow(omega0, k)) for k in range(s)]
+    roots = [a for a in F.units() if F.pow(a, q0 + 1) == minus_one]
+    e = la.identity(F, d)
+    vs = [la.add_vec(F, e[i], la.scale(F, a, e[i + 1]))
+          for i in range(d - 1) for a in roots]
+    heavy = (v for v in pl.projective_vectors(F, d)
+             if sum(1 for x in v if x) >= 3 and form.evaluate(v) == 0)
+    vs += itertools.islice(heavy, d)
+    if not vs:
         raise ValueError("no isotropic directions: unitary transvections need rank >= 1")
-    return gens
+    return [_transvection(F, d, v, lam, form.pair_functional(v))
+            for v in vs for lam in lams]
+
+
+def _su32_fourier(F):
+    """Two elements that complete SU(3,2)'s transvections, the one case
+    where the transvections do not generate SU(d, q0).  PSU(3,2) = 3^2:Q8
+    and the transvections generate 3^2:2, the 2 being the centre of Q8; Q8
+    is not cyclic, so one element more does not suffice.  These are the
+    Fourier matrix D = (eta^(ij)), unitary because D D^* = 3I = I in
+    characteristic 2, and its conjugate by diag(eta, 1, 1) in GU(3,2)."""
+    eta = F.exp[1]
+    D = Semisimilarity(F, [[F.pow(eta, i * j) for j in range(3)]
+                           for i in range(3)])
+    C = Semisimilarity(F, [[eta, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return [D, C.inverse() * D * C]
 
 
 def _eichler_generators(form):

@@ -93,15 +93,23 @@ class PolarSpace:
         self.d = form.dim
         self.q = form.field.q
         self.points_np = points_np
-        self.points = tuple(map(tuple, points_np.tolist()))
         self.rank = len(ts_basis)
         self.ts_basis = ts_basis
         self.ovoid_number = theta(self.kind, self.d, self.q, self.rank)
         self.epsilon = epsilon_of(self.kind)
+        self._points = None
         self._index = None
         self._codes = None
 
     # -- dense lookups -----------------------------------------------------
+
+    @property
+    def points(self):
+        """The points as coordinate tuples, built on first use: the array
+        kernels read points_np."""
+        if self._points is None:
+            self._points = tuple(map(tuple, self.points_np.tolist()))
+        return self._points
 
     @property
     def index(self):
@@ -131,7 +139,7 @@ class PolarSpace:
 
     @property
     def num_points(self):
-        return len(self.points)
+        return len(self.points_np)
 
     @property
     def name(self):
@@ -285,7 +293,8 @@ class PointSet:
                                           if i not in inside))
 
     def vectors(self):
-        return tuple(self.space.points[i] for i in self.members)
+        points = self.space.points
+        return tuple(points[i] for i in self.members)
 
     def serialize(self):
         return {"space_descriptor": self.space.descriptor(),
@@ -312,11 +321,16 @@ def perp_residual(space, W):
 
 
 def maximal_ts_points(space):
-    """The points of the standard (greedily built) maximal TS subspace."""
+    """The points of the standard (greedily built) maximal TS subspace: the
+    images of the projective points of F^r under x -> x B, B the basis."""
     F = space.field
-    sub = Subspace.span(F, space.ts_basis, ambient=space.d)
-    members = {space.index[canonical(F, v)] for v in sub.vectors()}
-    return PointSet(space, tuple(sorted(members)))
+    if not space.ts_basis:
+        return PointSet(space, ())
+    basis = la.expand(F, space.ts_basis)
+    images = [F.code_rows(la.mulmod(F.digit_rows(block), basis, F.p))
+              for block in la.projective_blocks(F, len(space.ts_basis))]
+    members = space.locate(np.concatenate(images))
+    return PointSet(space, tuple(np.sort(members).tolist()))
 
 
 def nonsingular_point_with_residual(space, sign):

@@ -1,0 +1,143 @@
+"""The order certificate of classical_generators, against an independent
+oracle: the whole permutation group on the points, closed by breadth-first
+search over its elements, with no stabiliser chain."""
+
+import numpy as np
+import pytest
+
+from polarkit import forms, gf, group, polar
+
+_KIND = {"Sp": "W", "SU": "H", "Omega": "Q", "OmegaPlus": "Q+",
+         "OmegaMinus": "Q-"}
+
+
+def _space(family, d, q):
+    F = gf.field_of_order(q)
+    return polar.build(forms.standard_form(_KIND[family], d, F))
+
+
+def _permutations(space, gens):
+    """Each generator's action on the point indices, point by point through
+    Semisimilarity.apply and a dictionary of the points."""
+    F = space.field
+    index = {v: i for i, v in enumerate(space.points)}
+    perms = []
+    for g in gens:
+        img = []
+        for v in space.points:
+            w = g.apply(v)
+            lead = F.inv(next(x for x in w if x))
+            img.append(index[tuple(F.mul(lead, x) for x in w)])
+        perms.append(np.array(img, dtype=np.int32))
+    return perms
+
+
+def _closure_order(perms):
+    """The order of the permutation group generated by perms: every element,
+    reached by breadth-first search from the identity."""
+    identity = np.arange(len(perms[0]), dtype=np.int32)
+    seen = {identity.tobytes()}
+    frontier = identity[None, :]
+    while len(frontier):
+        new = []
+        for s in perms:
+            for row in s[frontier]:
+                key = row.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    new.append(row)
+        frontier = np.array(new, dtype=np.int32).reshape(-1, len(identity))
+    return len(seen)
+
+
+@pytest.mark.parametrize("family,d,q,order", [
+    ("Sp", 4, 2, 720),            # PSp(4,2)
+    ("Sp", 4, 3, 25_920),         # PSp(4,3)
+    ("SU", 3, 9, 6_048),          # PSU(3,3)
+    ("SU", 4, 4, 25_920),         # PSU(4,2)
+    ("OmegaPlus", 6, 2, 20_160),  # POmega+(6,2)
+    ("OmegaMinus", 6, 2, 25_920),  # POmega-(6,2)
+    ("Omega", 5, 3, 25_920),      # POmega(5,3)
+    ("SU", 3, 4, 72),             # PSU(3,2)
+])
+def test_certificate_matches_closure_order(family, d, q, order):
+    space = _space(family, d, q)
+    gs = group.classical_generators(family, d, space.field)
+    assert group.point_image_order(family, d, q) == order
+    assert group._certify(space, gs, order) == order
+    assert _closure_order(_permutations(space, gs)) == order
+
+
+def test_su32_transvections_alone_fall_short():
+    """The transvections of SU(3,2) are transitive on the 9 points of
+    H(2,4) and generate a group of order 18 there, a quarter of PSU(3,2);
+    the certificate refuses them once _STALL random elements in a row sift
+    to the identity."""
+    space = _space("SU", 3, 4)
+    tv = group.GeneratorSet(space.field,
+                            group._unitary_transvections(space.form),
+                            label="SU(3,2) transvections")
+    assert group.orbits(space, tv).n_orbits == 1
+    assert _closure_order(_permutations(space, tv)) == 18
+    with pytest.raises(AssertionError,
+                       match=r"order at least 18 .* short of 72 .* after 32 "
+                             r"trivial sifts"):
+        group._certify(space, tv, 72)
+
+
+def test_stall_bound_is_the_number_of_trivial_sifts(monkeypatch):
+    space = _space("SU", 3, 4)
+    tv = group.GeneratorSet(space.field,
+                            group._unitary_transvections(space.form))
+    sifts = []
+    sift = group._sift
+
+    def counting(levels, g):
+        h, i = sift(levels, g)
+        sifts.append(i == len(levels) and not (h != np.arange(len(h))).any())
+        return h, i
+
+    monkeypatch.setattr(group, "_sift", counting)
+    monkeypatch.setattr(group, "_STALL", 5)
+    with pytest.raises(AssertionError, match="after 5 trivial sifts"):
+        group._certify(space, tv, 72)
+    assert sifts[-5:] == [True] * 5 and not all(sifts[-6:])
+
+
+def test_a_proper_subset_is_refused():
+    """The transvections along e_0, ..., e_5 alone generate SL2(3)^3 inside
+    Sp(6,3), which is not even transitive on the points of W(5,3)."""
+    space = _space("Sp", 6, 3)
+    sub = group._symplectic_transvections(space.form)[:6]
+    gs = group.GeneratorSet(space.field, sub, label="e_i transvections")
+    with pytest.raises(AssertionError, match="e_i transvections failed"):
+        group._certify(space, gs, group.point_image_order("Sp", 6, 3))
+
+
+def test_an_order_above_the_target_is_refused():
+    """Sp(4,3) is transitive on the 40 points of W(3,3), so its first basic
+    orbit alone exceeds a claimed order of 39."""
+    space = _space("Sp", 4, 3)
+    gs = group.classical_generators("Sp", 4, space.field, self_check=False)
+    with pytest.raises(AssertionError, match="at least 40 on points, above 39"):
+        group._certify(space, gs, 39)
+
+
+@pytest.mark.parametrize("family,d,q,matrix,sigma", [
+    # a similarity of W(3,3) with multiplier 2
+    ("Sp", 4, 3, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 0),
+    # the Frobenius map of GF(4), a semilinear isometry of W(3,4)
+    ("Sp", 4, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1),
+    # diag(eta, 1, 1), unitary of determinant eta != 1
+    ("SU", 3, 4, [[2, 0, 0], [0, 1, 0], [0, 0, 1]], 0),
+])
+def test_a_generator_outside_the_special_isometries_is_refused(
+        family, d, q, matrix, sigma):
+    space = _space(family, d, q)
+    F = space.field
+    gens = list(group.classical_generators(family, d, F, self_check=False))
+    odd = group.Semisimilarity(F, matrix, sigma)
+    group.multiplier(space.form, odd)        # a semisimilarity all the same
+    gs = group.GeneratorSet(F, gens + [odd])
+    with pytest.raises(ValueError, match="not a special isometry"):
+        group._certify(space, gs, group.point_image_order(family, d, q))

@@ -145,7 +145,7 @@ def test_vector_orbits_of_full_group(f9):
 ])
 def test_classical_generators_transitive(family, d, q, n):
     F = gf.field_of_order(q)
-    gs = group.classical_generators(family, d, F)   # self-check = transitivity
+    gs = group.classical_generators(family, d, F)   # self-check = order certificate
     form_kind = {"Sp": "W", "SU": "H", "OmegaPlus": "Q+",
                  "OmegaMinus": "Q-", "Omega": "Q"}[family]
     sp = polar.build(forms.standard_form(form_kind, d, F))
@@ -153,9 +153,9 @@ def test_classical_generators_transitive(family, d, q, n):
 
 
 def test_each_generator_matrix_is_inverted_once(monkeypatch, f3):
-    """The invertibility check's inverse is kept: building Sp(6,3)'s 364
-    transvections inverts each matrix once, and closing the set under
-    inverses (364 more elements) inverts nothing."""
+    """The invertibility check's inverse is kept: building Sp(6,3)'s
+    (2d - 1) f = 11 transvections inverts each matrix once, and closing the
+    set under inverses (11 more elements) inverts nothing."""
     calls = []
     mat_inv = la.mat_inv
     monkeypatch.setattr(la, "mat_inv",
@@ -171,12 +171,12 @@ def test_each_generator_matrix_is_inverted_once(monkeypatch, f3):
 
     monkeypatch.setattr(group.GeneratorSet, "__init__", counting_init)
     gs = group.classical_generators("Sp", 6, f3, self_check=False)
-    assert seen["constructed"] == seen["before"] == 364
+    assert seen["constructed"] == seen["before"] == 11
     assert seen["after"] == seen["before"]
-    assert len(gs) == 728
+    assert len(gs) == 22
     for g in gs:
         assert g.inverse().inverse() is g
-    assert len(calls) == 364
+    assert len(calls) == 11
 
 
 def test_classical_generators_desk_scale_cap(f3):

@@ -210,3 +210,20 @@ def test_maximal_ts_points(w33, q43):
         for a in pts:
             for b in pts:
                 assert sp.form.evaluate_pair(a, b) == 0
+
+
+@pytest.mark.parametrize("kind,pdim,q", [("Q+", 7, 3), ("W", 5, 4),
+                                         ("H", 4, 4), ("Q-", 5, 8),
+                                         ("Q", 4, 9), ("Q-", 1, 3)])
+def test_maximal_ts_points_match_the_span_oracle(kind, pdim, q):
+    """Neither building a space nor finding its maximal TS points builds
+    the tuple point list or its index; the members are the canonical forms
+    of every nonzero vector in the span of the TS basis."""
+    sp = _space(kind, pdim, q)
+    members = polar.maximal_ts_points(sp).members
+    assert sp._points is None and sp._index is None
+    F = sp.field
+    span = forms.Subspace.span(F, sp.ts_basis, ambient=sp.d)
+    assert members == tuple(sorted({sp.index[polar.canonical(F, v)]
+                                    for v in span.vectors()}))
+    assert sp.num_points == len(sp.points) == len(sp.points_np)
