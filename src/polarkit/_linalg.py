@@ -10,7 +10,9 @@ matrix and expand_quadratic a (sesqui)linear form's values into GF(p)
 quadratic forms; mulmod multiplies such matrices exactly.  Over a prime
 field the expansions are the matrices themselves.  projective_blocks owns
 the canonical point order (first nonzero coordinate 1, then big-endian
-code order), and singular_blocks scans it for zeros of a form.
+code order), and singular_blocks scans it for zeros of a form.  Small
+products of code arrays that stay over GF(q) (mat_mul_np) take their
+products from the field's log tables and add them digit by digit (sum_np).
 """
 
 import numpy as np
@@ -186,6 +188,18 @@ def in_rowspace(F, rows_rref, v):
 # -- the array kernel ------------------------------------------------------
 
 _F64_SAFE = 2 ** 53
+
+
+def sum_np(F, P, axis=0):
+    """The sum over F of the code array P along a nonnegative axis: the
+    base-p digits add mod p.  Exact in int64."""
+    return F.from_digits(F.digits(P).sum(axis=axis) % F.p)
+
+
+def mat_mul_np(F, A, B):
+    """The product over F of code arrays A (n, k) and B (k, m): the
+    products come from the log tables, then sum_np adds them up."""
+    return sum_np(F, F.mul_np(A[:, :, None], B[None]), axis=1)
 
 
 def expand(F, M, s=0):

@@ -15,6 +15,8 @@ Four families, each returning exact objects that the classifier can check:
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _linalg as la
 from . import forms, gf, group, polar
 from .forms import FormKind
@@ -323,12 +325,10 @@ def dlength_partition(kind, q, t):
                 f"the diagonal form on {t} coordinates over GF({q}) is "
                 f"{form.kind.value}, not {kind.value}")
     space = polar.build(form)
-    buckets = {}
-    for i, v in enumerate(space.points):
-        w = sum(1 for c in v if c)
-        buckets.setdefault(w, []).append(i)
-    classes = {w: polar.PointSet(space, tuple(ix))
-               for w, ix in sorted(buckets.items())}
+    weights = np.count_nonzero(space.points_np, axis=1)
+    classes = {w: polar.PointSet(space,
+                                 tuple(np.flatnonzero(weights == w).tolist()))
+               for w in np.unique(weights).tolist()}
     return DlengthPartition(space=space, lengths=tuple(sorted(classes)),
                             classes=classes)
 

@@ -10,6 +10,7 @@ symplectic one and is not modelled here.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,6 +188,21 @@ class Form:
 
     def is_singular(self, v):
         return self.evaluate(v) == 0
+
+    @cached_property
+    def basis_arrays(self):
+        """What group.multiplier checks a map against, computed once per
+        form: the form's matrix as a code array (the coefficient matrix for
+        quadratic kinds, the Gram matrix otherwise); its values on the basis
+        (the Gram entries row by row, then Q(e_i) for quadratic kinds); their
+        zero mask; and the index of the first nonzero value, which exists
+        because the form is nondegenerate."""
+        A = np.array(self.data, dtype=np.int64)
+        vals = np.array(self.bilinear_gram, dtype=np.int64).ravel()
+        if self.kind.is_quadratic:
+            vals = np.concatenate((vals, np.diagonal(A)))
+        zero = vals == 0
+        return A, vals, zero, int(np.flatnonzero(vals)[0])
 
     # -- misc --------------------------------------------------------------
 

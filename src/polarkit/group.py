@@ -9,8 +9,10 @@ s+t), so v.(gh) = (v.g).h.
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,13 +36,13 @@ class Semisimilarity:
     __slots__ = ("field", "matrix", "sigma_power", "_inv_matrix", "_inverse")
 
     def __init__(self, field, matrix, sigma_power=0):
-        matrix = tuple(tuple(row) for row in matrix)
+        matrix = _element_codes(field, matrix)
         d = len(matrix)
         if any(len(r) != d for r in matrix):
             raise ValueError("matrix must be square")
         self.field = field
         self.matrix = matrix
-        self.sigma_power = sigma_power % field.f
+        self.sigma_power = _integer("sigma_power", sigma_power) % field.f
         self._inv_matrix = la.mat_inv(field, matrix)  # raises if singular
         self._inverse = None
 
@@ -108,6 +110,34 @@ class Semisimilarity:
         return f"Semisimilarity(d={self.dim}, sigma={self.sigma_power})"
 
 
+def _integer(name, x):
+    """x as an int; ValueError naming it if it is not one (floats and
+    strings are refused, numpy integers accepted)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} {x!r} is not an int") from None
+
+
+def _element_codes(F, matrix):
+    """The matrix as a tuple of row tuples of element codes of F: ints in
+    range(q), else ValueError naming the entry."""
+    rows = tuple(tuple(row) for row in matrix)
+    flat = [x for row in rows for x in row]
+    if (all(type(x) is int for x in flat)
+            and 0 <= min(flat, default=0) and max(flat, default=0) < F.q):
+        return rows
+    out = []
+    for i, row in enumerate(rows):
+        out.append(tuple(_integer(f"matrix entry ({i}, {j})", x)
+                         for j, x in enumerate(row)))
+        for j, x in enumerate(out[-1]):
+            if not 0 <= x < F.q:
+                raise ValueError(f"matrix entry ({i}, {j}) = {x} is out of "
+                                 f"range for q={F.q}")
+    return tuple(out)
+
+
 def multiplier(form, g):
     """The multiplier lambda of g for the form, or ValueError if g is not a
     semisimilarity.
@@ -116,35 +146,33 @@ def multiplier(form, g):
     congruence H = M G (M^tau)^T, with tau the Hermitian conjugation (trivial
     otherwise).  g is a semisimilarity exactly when H = lambda G^(sigma^s)
     entrywise and, for quadratic forms, Q(M_i) = lambda Q(e_i)^(sigma^s) on
-    the basis; together these pin the identity on the whole space.  A few
-    d x d products, so O(d^3).
+    the basis; together these pin the identity on the whole space.  With A
+    the form's matrix (Form.basis_arrays), K = M A (M^tau)^T is H for Gram
+    forms; for a quadratic form, whose Gram matrix is C + C^T, H = K + K^T
+    and the Q(M_i) are the diagonal of K.  Two d x d products of int64 code
+    arrays (_linalg.mat_mul_np) and one array comparison; lambda comes from
+    the first nonzero basis value.
     """
     F = form.field
-    d = form.dim
-    if g.dim != d or g.field is not F:
+    if g.dim != form.dim or g.field is not F:
         raise ValueError("dimension or field mismatch")
-    M = g.matrix
-    G = form.bilinear_gram
-    Mtau_t = tuple(zip(*la.mat_frobenius(F, M, form.sigma)))
-    H = la.mat_mul(F, la.mat_mul(F, M, G), Mtau_t)
-    pairs = [(G[i][j], H[i][j]) for i in range(d) for j in range(d)]
+    A, vals, zero, first = form.basis_arrays
+    M = np.array(g.matrix, dtype=np.int64)
+    K = la.mat_mul_np(F, la.mat_mul_np(F, M, A),
+                      F.frobenius_np(M, form.sigma).T)
     if form.kind.is_quadratic:
-        C = form.data
-        MC = la.mat_mul(F, M, C)
-        pairs += [(C[i][i], la.dot(F, MC[i], M[i])) for i in range(d)]
+        got = np.concatenate((la.sum_np(F, np.stack((K, K.T))).ravel(),
+                              np.diagonal(K)))
+    else:
+        got = K.ravel()
+    if got[zero].any():
+        raise ValueError("form invariance fails (zero value moved)")
     s = g.sigma_power
-    lam = None
-    for val, got in pairs:
-        if val == 0:
-            if got != 0:
-                raise ValueError("form invariance fails (zero value moved)")
-        elif lam is None:
-            lam = F.div(got, F.frobenius(val, s))
-    if lam is None or lam == 0:
+    lam = F.div(int(got[first]), F.frobenius(int(vals[first]), s))
+    if lam == 0:
         raise ValueError("could not recover a multiplier")
-    for val, got in pairs:
-        if val != 0 and got != F.mul(lam, F.frobenius(val, s)):
-            raise ValueError("form invariance fails")
+    if not np.array_equal(got, F.mul_np(lam, F.frobenius_np(vals, s))):
+        raise ValueError("form invariance fails")
     return lam
 
 
@@ -198,21 +226,26 @@ class GeneratorSet:
 
         def decode(c):
             # entries are coefficient lists as written by serialize(), but a
-            # hand-written file may use plain int codes
-            if isinstance(c, list):
-                return F.from_coeffs(c)
-            if not 0 <= c < F.q:
-                raise ValueError(f"element code {c} out of range for q={F.q}")
-            return c
+            # hand-written file may use plain int codes, which
+            # Semisimilarity checks
+            if not isinstance(c, list):
+                return c
+            if not all(type(x) is int and 0 <= x < F.p for x in c):
+                raise ValueError(f"coefficient list {c} is not a list of "
+                                 f"ints in range({F.p})")
+            return F.from_coeffs(c)
 
         gens = []
-        for item in data["generators"]:
+        for k, item in enumerate(data["generators"]):
             if isinstance(item, list):
                 item = {"matrix": item}
-            M = [[decode(c) for c in row] for row in item["matrix"]]
-            if len(M) != d:
-                raise ValueError("matrix dimension disagrees with header")
-            gens.append(Semisimilarity(F, M, item.get("sigma_power", 0)))
+            try:
+                M = [[decode(c) for c in row] for row in item["matrix"]]
+                if len(M) != d:
+                    raise ValueError("matrix dimension disagrees with header")
+                gens.append(Semisimilarity(F, M, item.get("sigma_power", 0)))
+            except ValueError as exc:
+                raise ValueError(f"generator {k}: {exc}") from None
         return cls(F, gens, label=label)
 
     def __repr__(self):
@@ -235,9 +268,13 @@ class OrbitPartition:
     def orbit_labels(self):
         return tuple(sorted(set(self.labels)))
 
+    @cached_property
+    def _labels_np(self):
+        return np.array(self.labels, dtype=np.int64)
+
     def orbit(self, label):
         return PointSet(self.space,
-                        tuple(i for i, l in enumerate(self.labels) if l == label))
+                        tuple(np.flatnonzero(self._labels_np == label).tolist()))
 
     def orbit_sets(self):
         return [self.orbit(l) for l in self.orbit_labels]
@@ -494,6 +531,10 @@ def _certify(space, gs, order):
         stall = 0
         for lv in levels[1:i + 1]:
             lv.add(h)
+        if len(levels[i].orbit) == 1:
+            raise AssertionError(
+                f"{gs.label}: level {i} of the stabiliser chain has a basic "
+                f"orbit of length 1 after adding a residue that moves its base")
         found = math.prod(len(lv.orbit) for lv in levels)
     if found > order:
         raise AssertionError(f"{gs.label} generates a group of order at least "

@@ -49,11 +49,8 @@ def classify(space, M):
     size = len(M)
     off_empty = size == n
     inside = np.zeros(n, dtype=bool)
-    inside[list(M.members)] = True
-    on_vals = set(int(c) for c in counts[inside])
-    off_vals = set(int(c) for c in counts[~inside])
-    h1 = on_vals.pop() if len(on_vals) == 1 else None
-    h2 = off_vals.pop() if len(off_vals) == 1 else None
+    inside[np.array(M.members, dtype=np.int64)] = True
+    h1, h2 = _constant(counts[inside]), _constant(counts[~inside])
     intr = h1 is not None and (off_empty or h2 is not None)
     tight_i = ovoid_m = None
     if intr:
@@ -71,6 +68,13 @@ def classify(space, M):
                     and (off_empty or h2 == m * th1)):
                 ovoid_m = m
     return IntriguingReport(size, h1, h2, intr, tight_i, ovoid_m)
+
+
+def _constant(values):
+    """The value every entry of a nonempty array shares, else None."""
+    if values.size and values.min() == values.max():
+        return int(values[0])
+    return None
 
 
 def _perp_counts(space, M):

@@ -378,8 +378,8 @@ def get(target_id):
 
 def run_target(target):
     import time
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected, computed = target.run()
     return RunReport(target_id=target.id, expected=expected,
                      computed=computed, match=expected == computed,
-                     wall_time=time.time() - t0)
+                     wall_time=time.perf_counter() - t0)

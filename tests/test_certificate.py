@@ -2,6 +2,8 @@
 oracle: the whole permutation group on the points, closed by breadth-first
 search over its elements, with no stabiliser chain."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,18 @@ def test_a_generator_outside_the_special_isometries_is_refused(
     gs = group.GeneratorSet(F, gens + [odd])
     with pytest.raises(ValueError, match="not a special isometry"):
         group._certify(space, gs, group.point_image_order(family, d, q))
+
+
+def test_a_level_that_does_not_grow_raises_instead_of_hanging(monkeypatch):
+    """With _Level.add a no-op the first residue's new level keeps a basic
+    orbit of length 1, and the run would otherwise sift forever.  The
+    random elements are capped, so a missing check fails with StopIteration
+    rather than hanging."""
+    space = _space("Sp", 4, 3)
+    gs = group.classical_generators("Sp", 4, space.field, self_check=False)
+    randoms = group._random_elements
+    monkeypatch.setattr(group, "_random_elements",
+                        lambda perms, rng: itertools.islice(randoms(perms, rng), 500))
+    monkeypatch.setattr(group._Level, "add", lambda self, g: None)
+    with pytest.raises(AssertionError, match="basic orbit of length 1"):
+        group._certify(space, gs, group.point_image_order("Sp", 4, 3))

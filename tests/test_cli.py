@@ -98,6 +98,26 @@ def test_orbits_rejects_out_of_range_code(tmp_path):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("entry,sigma,message", [
+    (1.5, 0, "generator 1: matrix entry (2, 2) 1.5 is not an int"),
+    (-1, 0, "generator 1: matrix entry (2, 2) = -1 is out of range for q=3"),
+    ([4], 0, "generator 1: coefficient list [4] is not a list of ints in range(3)"),
+    (1, "x", "generator 1: sigma_power 'x' is not an int"),
+])
+def test_orbits_names_the_generator_and_entry_it_refuses(tmp_path, entry, sigma,
+                                                         message):
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    bad = [row[:] for row in ident]
+    bad[2][2] = entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"q": 3, "d": 4, "generators": [
+        ident, {"matrix": bad, "sigma_power": sigma}]}))
+    code, out, err = run_cli("orbits", "--kind", "W", "--dim", "3", "--q", "3",
+                             "--gens", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_orbits_rejects_corrupted_generator(tmp_path, w33):
     gens = group.classical_generators("Sp", 4, w33.field, self_check=False)
     data = gens.serialize()

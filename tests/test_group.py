@@ -53,6 +53,26 @@ def test_multiplier_rejects_non_isometry(f3):
         group.multiplier(form, group.Semisimilarity(f3, shear))
 
 
+@pytest.mark.parametrize("matrix,sigma,match", [
+    ([[1, 0], [0, -1]], 0, r"matrix entry \(1, 1\) = -1 is out of range for q=3"),
+    ([[1, 0], [4, 1]], 0, r"matrix entry \(1, 0\) = 4 is out of range for q=3"),
+    ([[1.5, 0], [0, 1]], 0, r"matrix entry \(0, 0\) 1.5 is not an int"),
+    ([[1, "2"], [0, 1]], 0, r"matrix entry \(0, 1\) '2' is not an int"),
+    ([[1, 0], [0, 1]], "x", r"sigma_power 'x' is not an int"),
+    ([[1, 0], [0, 1]], 1.0, r"sigma_power 1.0 is not an int"),
+])
+def test_semisimilarity_rejects_entries_that_are_not_codes(f3, matrix, sigma, match):
+    with pytest.raises(ValueError, match=match):
+        group.Semisimilarity(f3, matrix, sigma)
+
+
+def test_semisimilarity_takes_numpy_integers_as_codes(f9):
+    g = group.Semisimilarity(f9, np.array([[0, 1], [8, 0]]), np.int64(3))
+    assert g.matrix == ((0, 1), (8, 0)) and g.sigma_power == 1
+    assert all(type(x) is int for row in g.matrix for x in row)
+    assert type(g.sigma_power) is int
+
+
 def test_generator_set_closes_under_inverse(f3):
     g = group.Semisimilarity(f3, [[1, 1], [0, 1]])
     gs = group.GeneratorSet(f3, [g])
@@ -369,8 +389,10 @@ def _outcome(fn, form, g):
         return str(exc)
 
 
-_MULT_FAMILIES = [("W", 4, 3, "Sp"), ("W", 4, 5, "Sp"), ("Q", 5, 3, "Omega"),
-                  ("Q-", 6, 3, "OmegaMinus"), ("Q+", 6, 4, "OmegaPlus"),
+_MULT_FAMILIES = [("W", 4, 3, "Sp"), ("W", 4, 5, "Sp"), ("W", 4, 8, "Sp"),
+                  ("Q", 5, 3, "Omega"), ("Q", 5, 9, "Omega"),
+                  ("Q-", 6, 3, "OmegaMinus"), ("Q-", 4, 8, "OmegaMinus"),
+                  ("Q+", 6, 4, "OmegaPlus"),
                   ("H", 3, 4, "SU"), ("H", 3, 9, "SU"), ("H", 4, 9, "SU")]
 
 
@@ -414,3 +436,76 @@ def test_multiplier_of_semilinear_hermitian_similarity(f9):
     assert lam != 1
     assert group.multiplier(form, g) == lam
     assert _multiplier_by_basis_pairs(form, g) == lam
+
+
+def _symplectic_transvection(form, v):
+    """x -> x + B(x, v) v for the polar form B of a characteristic-2
+    quadratic form: it keeps B, and moves Q unless Q(v) = 1."""
+    F, d = form.field, form.dim
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i, b in enumerate(form.pair_functional(v)):
+        for j in range(d):
+            rows[i][j] = F.add(rows[i][j], F.mul(b, v[j]))
+    return group.Semisimilarity(F, rows)
+
+
+@pytest.mark.parametrize("upper,message", [
+    # the standard Q+(5,2): x0x1 + x2x3 + x4x5, so e0 -> e0 + e1 moves
+    # Q(e0) = 0 to 1
+    ("standard", "form invariance fails (zero value moved)"),
+    # x0^2 + x0x1 + x2x3 + x4x5, also hyperbolic: Q(e0) = 1 goes to 0
+    ([[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+      [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0]],
+     "form invariance fails"),
+])
+def test_multiplier_sees_a_moved_q_value_behind_a_kept_gram(upper, message):
+    F = gf.field(2)
+    form = (forms.standard_form("Q+", 6, F) if upper == "standard"
+            else forms.quadratic_form(F, upper))
+    assert form.kind is forms.FormKind.PLUS
+    t = _symplectic_transvection(form, (0, 1, 0, 0, 0, 0))
+    gram = la.mat_mul(F, la.mat_mul(F, t.matrix, form.bilinear_gram),
+                      tuple(zip(*t.matrix)))
+    assert gram == form.bilinear_gram
+    assert _outcome(_multiplier_by_basis_pairs, form, t) == message
+    assert _outcome(group.multiplier, form, t) == message
+
+
+def test_multiplier_cannot_recover_from_a_vanishing_first_value(f4):
+    """The Hermitian form with Gram [[1, 1], [1, 0]] over GF(4): e0 -> (0, 1)
+    and e1 -> (1, w) keep every zero of the Gram matrix but send its first
+    nonzero entry, kappa(e0, e0) = 1, to 0."""
+    form = forms.Form("H", f4, [[1, 1], [1, 0]])
+    w = f4.generator
+    g = group.Semisimilarity(f4, [[0, 1], [1, w]])
+    message = "could not recover a multiplier"
+    assert _outcome(_multiplier_by_basis_pairs, form, g) == message
+    assert _outcome(group.multiplier, form, g) == message
+
+
+def test_multiplier_keeps_no_constants_of_a_dropped_form(f3):
+    """Two forms of the same dimension, each built, used and dropped in
+    turn: every verdict matches the oracle on the live form.  CPython soon
+    hands a dropped form's address to the next one, so constants cached by
+    id(form) would be served to the other kind; the rounds go on until that
+    has happened (at most 50)."""
+    import gc
+    sp = group.classical_generators("Sp", 4, f3, self_check=False).elements
+    om = group.classical_generators("OmegaPlus", 4, f3, self_check=False).elements
+    pool = list(sp[:4]) + list(om[:4]) + [_identity(f3, 4)]
+    data = {kind: forms.standard_form(kind, 4, f3).data for kind in ("W", "Q+")}
+    verdicts, kind_at, reused = set(), {}, False
+    for _ in range(50):
+        for kind in ("W", "Q+"):
+            form = forms.Form(kind, f3, data[kind])
+            reused |= kind_at.setdefault(id(form), kind) != kind
+            kind_at[id(form)] = kind
+            got = [_outcome(group.multiplier, form, g) for g in pool]
+            assert got == [_outcome(_multiplier_by_basis_pairs, form, g)
+                           for g in pool]
+            verdicts.add(tuple(got))
+            del form
+            gc.collect()
+        if reused:
+            break
+    assert len(verdicts) == 2
