@@ -190,19 +190,28 @@ class Form:
         return self.evaluate(v) == 0
 
     @cached_property
-    def basis_arrays(self):
-        """What group.multiplier checks a map against, computed once per
-        form: the form's matrix as a code array (the coefficient matrix for
-        quadratic kinds, the Gram matrix otherwise); its values on the basis
-        (the Gram entries row by row, then Q(e_i) for quadratic kinds); their
-        zero mask; and the index of the first nonzero value, which exists
-        because the form is nondegenerate."""
-        A = np.array(self.data, dtype=np.int64)
-        vals = np.array(self.bilinear_gram, dtype=np.int64).ravel()
-        if self.kind.is_quadratic:
-            vals = np.concatenate((vals, np.diagonal(A)))
-        zero = vals == 0
-        return A, vals, zero, int(np.flatnonzero(vals)[0])
+    def matrix_np(self):
+        """The stored matrix as an int64 code array: the coefficient matrix
+        for quadratic kinds, the Gram matrix otherwise."""
+        return np.array(self.data, dtype=np.int64)
+
+    def frame_values(self, K):
+        """The form's values on a frame v_1..v_d, given the code array
+        K = V A (V^tau)^T with A = matrix_np and V the rows v_i: kappa(v_i,
+        v_j) row by row, then Q(v_i) for quadratic kinds, whose Gram matrix
+        is A + A^T and Q(v_i) = K_ii."""
+        if not self.kind.is_quadratic:
+            return K.ravel()
+        return np.concatenate((la.sum_np(self.field, np.stack((K, K.T))).ravel(),
+                               np.diagonal(K)))
+
+    @cached_property
+    def basis_values(self):
+        """frame_values on the standard basis, computed once: the values,
+        their zero mask and the index of the first nonzero value, which
+        exists because the form is nondegenerate."""
+        vals = self.frame_values(self.matrix_np)
+        return vals, vals == 0, int(np.flatnonzero(vals)[0])
 
     # -- misc --------------------------------------------------------------
 

@@ -122,19 +122,20 @@ def _integer(name, x):
 def _element_codes(F, matrix):
     """The matrix as a tuple of row tuples of element codes of F: ints in
     range(q), else ValueError naming the entry."""
-    rows = tuple(tuple(row) for row in matrix)
-    flat = [x for row in rows for x in row]
-    if (all(type(x) is int for x in flat)
-            and 0 <= min(flat, default=0) and max(flat, default=0) < F.q):
-        return rows
     out = []
-    for i, row in enumerate(rows):
-        out.append(tuple(_integer(f"matrix entry ({i}, {j})", x)
-                         for j, x in enumerate(row)))
-        for j, x in enumerate(out[-1]):
+    for i, row in enumerate(matrix):
+        codes = []
+        for j, x in enumerate(row):
+            try:
+                x = operator.index(x)
+            except TypeError:
+                raise ValueError(f"matrix entry ({i}, {j}) {x!r} is not an "
+                                 "int") from None
             if not 0 <= x < F.q:
                 raise ValueError(f"matrix entry ({i}, {j}) = {x} is out of "
                                  f"range for q={F.q}")
+            codes.append(x)
+        out.append(tuple(codes))
     return tuple(out)
 
 
@@ -146,25 +147,20 @@ def multiplier(form, g):
     congruence H = M G (M^tau)^T, with tau the Hermitian conjugation (trivial
     otherwise).  g is a semisimilarity exactly when H = lambda G^(sigma^s)
     entrywise and, for quadratic forms, Q(M_i) = lambda Q(e_i)^(sigma^s) on
-    the basis; together these pin the identity on the whole space.  With A
-    the form's matrix (Form.basis_arrays), K = M A (M^tau)^T is H for Gram
-    forms; for a quadratic form, whose Gram matrix is C + C^T, H = K + K^T
-    and the Q(M_i) are the diagonal of K.  Two d x d products of int64 code
-    arrays (_linalg.mat_mul_np) and one array comparison; lambda comes from
-    the first nonzero basis value.
+    the basis; together these pin the identity on the whole space.  Both
+    sides are Form.frame_values, of K = M A (M^tau)^T for the image frame
+    and of A itself (cached in Form.basis_values) for the basis, with A the
+    form's matrix.  Two d x d products of int64 code arrays
+    (_linalg.mat_mul_np) and one array comparison; lambda comes from the
+    first nonzero basis value.
     """
     F = form.field
     if g.dim != form.dim or g.field is not F:
         raise ValueError("dimension or field mismatch")
-    A, vals, zero, first = form.basis_arrays
+    vals, zero, first = form.basis_values
     M = np.array(g.matrix, dtype=np.int64)
-    K = la.mat_mul_np(F, la.mat_mul_np(F, M, A),
-                      F.frobenius_np(M, form.sigma).T)
-    if form.kind.is_quadratic:
-        got = np.concatenate((la.sum_np(F, np.stack((K, K.T))).ravel(),
-                              np.diagonal(K)))
-    else:
-        got = K.ravel()
+    got = form.frame_values(la.mat_mul_np(
+        F, la.mat_mul_np(F, M, form.matrix_np), F.frobenius_np(M, form.sigma).T))
     if got[zero].any():
         raise ValueError("form invariance fails (zero value moved)")
     s = g.sigma_power

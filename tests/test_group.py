@@ -484,28 +484,33 @@ def test_multiplier_cannot_recover_from_a_vanishing_first_value(f4):
 
 
 def test_multiplier_keeps_no_constants_of_a_dropped_form(f3):
-    """Two forms of the same dimension, each built, used and dropped in
-    turn: every verdict matches the oracle on the live form.  CPython soon
-    hands a dropped form's address to the next one, so constants cached by
-    id(form) would be served to the other kind; the rounds go on until that
-    has happened (at most 50)."""
+    """Forms of two kinds and the same dimension, each built, used and
+    dropped in turn: every verdict matches the oracle on the live form.
+    CPython soon hands a dropped form's address to a new one, so constants
+    cached by id(form) would be served to the other kind.  The kinds follow
+    a seeded random sequence, as a fixed alternation can fall in step with
+    the allocator's reuse cycle and never put the other kind at a dropped
+    address; the steps go on until that has happened (at most 100)."""
     import gc
+    import random
     sp = group.classical_generators("Sp", 4, f3, self_check=False).elements
     om = group.classical_generators("OmegaPlus", 4, f3, self_check=False).elements
     pool = list(sp[:4]) + list(om[:4]) + [_identity(f3, 4)]
     data = {kind: forms.standard_form(kind, 4, f3).data for kind in ("W", "Q+")}
+    rng = random.Random(0)
     verdicts, kind_at, reused = set(), {}, False
-    for _ in range(50):
-        for kind in ("W", "Q+"):
-            form = forms.Form(kind, f3, data[kind])
-            reused |= kind_at.setdefault(id(form), kind) != kind
-            kind_at[id(form)] = kind
-            got = [_outcome(group.multiplier, form, g) for g in pool]
-            assert got == [_outcome(_multiplier_by_basis_pairs, form, g)
-                           for g in pool]
-            verdicts.add(tuple(got))
-            del form
-            gc.collect()
-        if reused:
+    for _ in range(100):
+        kind = rng.choice(("W", "Q+"))
+        form = forms.Form(kind, f3, data[kind])
+        reused |= kind_at.setdefault(id(form), kind) != kind
+        kind_at[id(form)] = kind
+        got = [_outcome(group.multiplier, form, g) for g in pool]
+        assert got == [_outcome(_multiplier_by_basis_pairs, form, g)
+                       for g in pool]
+        verdicts.add(tuple(got))
+        del form
+        gc.collect()
+        if reused and len(verdicts) == 2:
             break
+    assert reused, "no dropped form's address went to the other kind"
     assert len(verdicts) == 2
