@@ -15,6 +15,8 @@ really do differ, and that alpha = g (the field generator) reproduces the
 standard alternating Gram on GF(3)^4 exactly.
 """
 
+import numpy as np
+
 from polarkit import constructions, fieldred, forms, gf, group, intriguing, polar
 
 
@@ -32,11 +34,8 @@ def main():
     for alpha in sorted(F9.units()):
         fr = fieldred.reduce(1, wform, F3, alpha=alpha)
         sp = fr.small_space
-        sets = []
-        for o in orbits:
-            idx = {sp.index[polar.canonical(F3, fr.flattener.flatten(v))]
-                   for v in o}
-            sets.append(tuple(sorted(idx)))
+        sets = [tuple(np.unique(sp.locate(fr.flattener.flatten(o))).tolist())
+                for o in orbits]
         partitions.add(frozenset(sets))
         reps = [intriguing.classify(sp, polar.PointSet(sp, s)) for s in sets]
         kinds = []

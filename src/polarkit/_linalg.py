@@ -18,10 +18,6 @@ products from the field's log tables and add them digit by digit (sum_np).
 import numpy as np
 
 
-def zeros(n):
-    return (0,) * n
-
-
 def identity(F, n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -44,7 +40,7 @@ def mat_mul(F, A, B):
 
 
 def mat_vec(F, A, v):
-    return tuple(_dot(F, row, v) for row in A)
+    return tuple(dot(F, row, v) for row in A)
 
 
 def vec_mat(F, v, A):
@@ -59,16 +55,12 @@ def vec_mat(F, v, A):
     return tuple(out)
 
 
-def _dot(F, u, v):
+def dot(F, u, v):
     acc = 0
     for x, y in zip(u, v):
         if x and y:
             acc = F.add(acc, F.mul(x, y))
     return acc
-
-
-def dot(F, u, v):
-    return _dot(F, u, v)
 
 
 def scale(F, c, v):

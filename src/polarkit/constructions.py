@@ -282,8 +282,7 @@ def wedge_point(model, u, v):
     w = [0] * 15
     for t, (a, b) in enumerate(WEDGE_PAIRS):
         w[t] = F.sub(F.mul(u[a], v[b]), F.mul(u[b], v[a]))
-    coords = polar.canonical(F, model.quotient.project(tuple(w)))
-    return model.space.index[coords]
+    return int(model.space.locate([model.quotient.project(tuple(w))])[0])
 
 
 # -- D-length partitions ----------------------------------------------------
@@ -449,7 +448,6 @@ def sl2_5_reduced_sets():
     fr = fieldred.reduce(1, wform, F3, alpha=F9.generator)
     sets = []
     for orbit in group.vector_orbit_lists(gset):
-        idx = {fr.small_space.index[polar.canonical(F3, fr.flattener.flatten(v))]
-               for v in orbit}
-        sets.append(polar.PointSet(fr.small_space, tuple(sorted(idx))))
+        idx = fr.small_space.locate(fr.flattener.flatten(orbit))
+        sets.append(polar.PointSet(fr.small_space, tuple(idx.tolist())))
     return fr, sets

@@ -15,6 +15,12 @@ Rows 1-3 trace the form value (kappa = Tr_{q^b/q} of alpha*kappa'; alpha = 1
 here); rows 9-10 take the Hermitian length kappa'(v,v) — which lies in
 GF(q^{b/2}) — through the half trace Tr_{q^{b/2}/q}, with the polarized
 bilinear values going through the full trace.
+
+Vectors pass between the two spaces through one flattening map
+(_Flattener), a pair of GF(p) digit matrices on the GF(q)-basis {G^j e_i}
+of GF(q^b)^m: the traced form is written on that basis, and blow-up,
+push-down and lift-up are bulk products with those matrices followed by
+PolarSpace.locate.
 """
 
 from dataclasses import dataclass
@@ -61,64 +67,35 @@ def table_point_counts(row, q, b, d):
 
 
 class _Flattener:
-    """Coordinate transport GF(q^b)^m <-> GF(q)^(mb) over the polynomial-power
-    basis {1, G, ..., G^(b-1)} of the large field (G its generator)."""
+    """Coordinate transport GF(q^b)^m <-> GF(q)^(mb) over the GF(q)-basis
+    {G^j e_i} (G the large generator, j < b): small coordinate i*b + j is
+    the coefficient of G^j in large coordinate i.
+
+    Both directions are GF(p)-linear on the digits (FiniteField.digit_rows),
+    so they are two GF(p) matrices built from the same rows, the digits of
+    the GF(p)-basis {G^j * p^t} of the large field (p^t the small field's
+    digit basis): digit_matrix flattens and its inverse unflattens."""
 
     def __init__(self, emb, m):
         L, S = emb.large, emb.small
-        self.emb = emb
-        self.m = m
-        self.b = emb.b
-        e = S.f
-        Fp = gf.field(L.p)
-        rows = []
-        for j in range(self.b):
-            gj = L.pow(L.generator, j)
-            for t in range(e):
-                # small basis element with p-digit vector e_t is the code p^t
-                w = L.mul(emb.up(S.p ** t), gj)
-                rows.append(tuple(L.coeffs(w)))
-        self._to_digits = tuple(rows)
-        self._from_digits = la.mat_inv(Fp, rows)
-        self._Fp = Fp
-        self._e = e
-        # flatten on GF(p) digits: digits(flatten(v)) = digits(v) @ digit_matrix
-        self.digit_matrix = np.kron(np.eye(m, dtype=np.int64),
-                              np.array(self._from_digits, dtype=np.int64))
+        self.large, self.small = L, S
+        up = np.array([emb.up(c) for c in S.basis_np.tolist()], dtype=np.int64)
+        rows = L.digits(L.mul_np(L.exp_np[:emb.b, None], up[None, :]))
+        rows = rows.reshape(L.f, L.f)
+        inv = np.array(la.mat_inv(gf.field(L.p), rows.tolist()), dtype=np.int64)
+        eye = np.eye(m, dtype=np.int64)
+        self.digit_matrix = np.kron(eye, inv)
+        self.inverse_matrix = np.kron(eye, rows)
 
-    def split(self, y):
-        """One large-field element -> b small-field elements."""
-        L, S = self.emb.large, self.emb.small
-        digits = L.coeffs(y)
-        digits = tuple(digits) + (0,) * (L.f - len(digits))
-        coeffs = la.vec_mat(self._Fp, digits, self._from_digits)
-        e = self._e
-        out = []
-        for j in range(self.b):
-            code = 0
-            for t in reversed(range(e)):
-                code = code * S.p + coeffs[j * e + t]
-            out.append(code)
-        return tuple(out)
+    def flatten(self, rows):
+        """Large vectors (n, m) of element codes -> small vectors (n, mb)."""
+        L = self.large
+        return self.small.code_rows(la.mulmod(L.digit_rows(rows), self.digit_matrix, L.p))
 
-    def join(self, cs):
-        """b small-field elements -> one large-field element."""
-        L = self.emb.large
-        acc = 0
-        for j, c in enumerate(cs):
-            if c:
-                acc = L.add(acc, L.mul(self.emb.up(c), L.pow(L.generator, j)))
-        return acc
-
-    def flatten(self, vlarge):
-        out = []
-        for y in vlarge:
-            out.extend(self.split(y))
-        return tuple(out)
-
-    def unflatten(self, vsmall):
-        b = self.b
-        return tuple(self.join(vsmall[i * b:(i + 1) * b]) for i in range(self.m))
+    def unflatten(self, rows):
+        """Small vectors (n, mb) of element codes -> large vectors (n, m)."""
+        S = self.small
+        return self.large.code_rows(la.mulmod(S.digit_rows(rows), self.inverse_matrix, S.p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +163,7 @@ def reduce(row, large_form, small_field, alpha=None):
     if n_small > pl.POINT_CAP:
         raise ValueError(f"space too large: {n_small} points")
     fl = _Flattener(emb, m)
-    basis = []
-    for i in range(m):
-        for j in range(b):
-            v = [0] * m
-            v[i] = L.pow(L.generator, j)
-            basis.append(tuple(v))
+    basis = tuple(map(tuple, fl.unflatten(np.eye(d, dtype=np.int64)).tolist()))
     small_form = _traced_form(row, large_form, emb, basis, dst_kind, alpha)
     large_space = pl.build(large_form, allow_grid=True)
     small_space = pl.build(small_form)
@@ -276,35 +248,35 @@ def push_down(fr, large_set):
 def lift_up(fr, small_set):
     """The GF(q^b)-points spanned by the given GF(q)-points.
 
-    Meaningful only when the set is a union of full GF(q^b)-scalar classes;
-    this is checked by pushing the lifted points back down, and a violation
-    reports a witnessing pair of small points (one inside the set, one
-    outside, on the same large point).
+    All members are unflattened at once; a member on a non-singular large
+    point is refused (the first such member is named), and the others are
+    located in the large space by one locate.  Meaningful only when the set
+    is a union of full GF(q^b)-scalar classes; this is checked by pushing
+    the lifted points back down, and a violation reports a witnessing pair
+    of small points (one inside the set, one outside, on the same large
+    point).
     """
     if small_set.space is not fr.small_space:
         raise ValueError("point set does not live in the small space")
-    L = fr.large_field
-    witness = {}   # large point -> first small point of the set on it
-    for i in small_set.members:
-        j = _large_point(fr, i)
-        if j is None:
-            raise ValueError(
-                f"small point {i} lies on a non-singular GF({L.q})-point "
-                "and cannot be lifted")
-        witness.setdefault(j, i)
-    lifted = PointSet(fr.large_space, tuple(sorted(witness)))
+    L, form = fr.large_field, fr.large_space.form
+    members = np.array(small_set.members, dtype=np.int64)
+    V = fr.flattener.unflatten(fr.small_space.points_np[members])
+    A = la.expand_quadratic(L, form.data, form.sigma)
+    nonsingular = la.form_values(L, A, L.digit_rows(V)).any(axis=1)
+    if nonsingular.any():
+        raise ValueError(
+            f"small point {members[np.argmax(nonsingular)]} lies on a "
+            f"non-singular GF({L.q})-point and cannot be lifted")
+    large = fr.large_space.locate(V)
+    lifted = PointSet(fr.large_space, tuple(large.tolist()))
     missing = sorted(set(push_down(fr, lifted).members)
                      - set(small_set.members))
     if missing:
         k = missing[0]
-        j = _large_point(fr, k)
+        j = fr.large_space.locate(
+            fr.flattener.unflatten(fr.small_space.points_np[k:k + 1]))[0]
         raise ValueError(
             f"set is not closed under GF({L.q}) scalars: small points "
-            f"{witness[j]} (in) and {k} (out) lie on large point {j}")
+            f"{members[np.argmax(large == j)]} (in) and {k} (out) lie on "
+            f"large point {j}")
     return lifted
-
-
-def _large_point(fr, i):
-    """Index of the large point on small point i (None if not singular)."""
-    v = fr.flattener.unflatten(fr.small_space.points[i])
-    return fr.large_space.index.get(pl.canonical(fr.large_field, v))

@@ -29,10 +29,6 @@ class FormKind(enum.Enum):
     def is_quadratic(self):
         return self in (FormKind.PLUS, FormKind.MINUS, FormKind.PARABOLIC)
 
-    @property
-    def is_orthogonal(self):
-        return self.is_quadratic
-
 
 _KIND_ALIASES = {
     "w": FormKind.SYMPLECTIC, "sp": FormKind.SYMPLECTIC, "symplectic": FormKind.SYMPLECTIC,
@@ -185,9 +181,6 @@ class Form:
         S = np.asarray(rows, dtype=np.int64).reshape(-1, self.dim)
         conj = F.frobenius_np(S, self.sigma)
         return la.mulmod(la.expand(F, self.bilinear_gram), la.expand(F, conj.T), F.p)
-
-    def is_singular(self, v):
-        return self.evaluate(v) == 0
 
     @cached_property
     def matrix_np(self):

@@ -19,10 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "FiniteField", "SubfieldEmbedding", "field", "embedding",
-    "frobenius", "rel_trace", "rel_norm",
-]
+__all__ = ["FiniteField", "SubfieldEmbedding", "field", "embedding"]
 
 # Conway polynomials, little-endian coefficient tuples (monic, degree f).
 # Generated offline by the standard recursive lex-minimal search and frozen.
@@ -517,16 +514,3 @@ class SubfieldEmbedding:
 def embedding(small, large):
     """Memoized canonical embedding; raises ValueError('incompatible fields') otherwise."""
     return SubfieldEmbedding(small, large)
-
-
-def frobenius(F, a, k=1):
-    return F.frobenius(a, k)
-
-
-def rel_trace(F, a, to):
-    """Trace of a (element of F) down to the subfield `to`."""
-    return embedding(to, F).trace(a)
-
-
-def rel_norm(F, a, to):
-    return embedding(to, F).norm(a)

@@ -27,14 +27,6 @@ class IntriguingReport:
     tight_i: object = None
     ovoid_m: object = None
 
-    def serialize(self):
-        out = {"size": self.size, "h1": self.h1, "h2": self.h2}
-        if self.tight_i is not None:
-            out["tight_i"] = self.tight_i
-        if self.ovoid_m is not None:
-            out["ovoid_m"] = self.ovoid_m
-        return out
-
 
 def classify(space, M):
     """Exact IntriguingReport for a point set, by computing |P^perp ∩ M| for

@@ -165,11 +165,11 @@ _BUILD = object()
 def build(form, cap=POINT_CAP, allow_grid=False):
     """Enumerate the polar space of a nondegenerate form.
 
-    The points are the canonical singular vectors (see canonical) in code
-    order, found by one blocked scan (_linalg.singular_blocks) for every
-    field, which evaluates the form on GF(p) digits.  The count is
-    checked against the closed form and the greedy rank against the
-    parameter table.
+    The points are the canonical singular vectors (see the point
+    representation below) in code order, found by one blocked scan
+    (_linalg.singular_blocks) for every field, which evaluates the form on
+    GF(p) digits.  The count is checked against the closed form and the
+    greedy rank against the parameter table.
 
     The hyperbolic-quadric surface in projective 3-space (a grid, not a thick
     generalized quadrangle) degenerates most of the counting arguments here
@@ -208,26 +208,16 @@ def projective_vectors(F, d):
         yield from map(tuple, block.tolist())
 
 
-def canonical(F, v):
-    """The canonical vector of the point <v>, for nonzero v."""
-    first = next(x for x in v if x)
-    if first == 1:
-        return tuple(v)
-    inv = F.inv(first)
-    return tuple(F.mul(inv, x) for x in v)
-
-
 def _powers(q, d):
     """The weights q^(d-1), ..., q, 1 of the big-endian base-q code."""
     return q ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
 def canonical_codes(F, rows):
-    """Base-q codes of the canonical vectors of nonzero rows.
-
-    The bulk twin of canonical: rows is an integer array of shape (n, d)
-    of element codes, and the result is an int64 array of n codes (exact
-    while q^d < 2^63)."""
+    """Base-q codes of the canonical vectors of nonzero rows: the one
+    canonicaliser.  rows is an integer array of shape (n, d) of element
+    codes, and the result is an int64 array of n codes (exact while
+    q^d < 2^63)."""
     rows = np.asarray(rows, dtype=np.int64)
     lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
     return F.mul_np(rows, F.inv_np[lead][:, None]) @ _powers(F.q, rows.shape[1])

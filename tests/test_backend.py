@@ -17,6 +17,7 @@ import hypothesis.strategies as st
 
 from polarkit import _linalg as la
 from polarkit import fieldred, forms, gf, group, intriguing, polar
+from strategies import canonical, flatten
 
 ORDERS = [2, 3, 4, 8, 9, 16, 25]
 
@@ -82,20 +83,21 @@ def count_singular_oracle(F, C):
 
 def point_images_oracle(space, g):
     F = space.field
-    return [space.index[polar.canonical(F, g.apply(v))] for v in space.points]
+    return [space.index[canonical(F, g.apply(v))] for v in space.points]
 
 
 def small_points_oracle(fr, large_members):
     """The GF(q)-points on the given GF(q^b)-points: every unit multiple of
     each large vector, flattened and normalised one at a time."""
     L = fr.large_field
+    emb = gf.embedding(fr.small_field, L)
     members = set()
     for i in large_members:
         w = fr.large_space.points[i]
         for eta in L.units():
             vw = tuple(L.mul(eta, x) for x in w)
             members.add(fr.small_space.index[
-                polar.canonical(fr.small_field, fr.flattener.flatten(vw))])
+                canonical(fr.small_field, flatten(emb, vw))])
     return tuple(sorted(members))
 
 

@@ -1,10 +1,13 @@
+import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from polarkit import constructions, fieldred, forms, gf, group, intriguing, polar
+from strategies import canonical, flatten, join
 
 
 def _w19_down(alpha=None):
@@ -86,14 +89,14 @@ def test_alpha_square_class_decides_the_graph():
     F9 = gf.field(3, 2)
     gset = constructions.sl2_5_in_sl2_9()
     orbits = group.vector_orbit_lists(gset)
+    emb = gf.embedding(gf.field(3), F9)
     partitions = set()
     for alpha in F9.units():
         fr = _w19_down(alpha=alpha)
         sp = fr.small_space
         sets = []
         for o in orbits:
-            idx = {sp.index[polar.canonical(fr.small_field,
-                                             fr.flattener.flatten(v))]
+            idx = {sp.index[canonical(fr.small_field, flatten(emb, v))]
                    for v in o}
             sets.append(tuple(sorted(idx)))
         partitions.add(frozenset(sets))
@@ -111,6 +114,44 @@ def test_nonsquare_alpha_reproduces_standard_gram():
     fr = _w19_down(alpha=F9.generator)
     std = forms.standard_form("W", 4, gf.field(3))
     assert fr.small_space.form.data == std.data
+
+
+# (row, small q, b, large kind, large dimension): the benchmark's five
+# extension-field reductions, and Q+(3,4) -> Q+(7,2)
+_TRACED = [(1, 3, 2, "W", 4), (1, 2, 3, "W", 4), (3, 2, 2, "Q-", 6),
+           (9, 2, 2, "H", 5), (10, 3, 2, "H", 4), (2, 2, 2, "Q+", 4)]
+
+
+@pytest.mark.parametrize("row,q,b,kind,m", _TRACED)
+def test_traced_form_matches_its_definition(row, q, b, kind, m):
+    """On small vectors x, y the traced form is the trace of the large form
+    at the joined vectors X, Y (join written from emb.up and powers of G):
+    kappa(x, y) = Tr(kappa'(X, Y)); for quadratic rows Q(x) = Tr(Q'(X))
+    (rows 2, 3) or the half trace of kappa'(X, X) (rows 9, 10)."""
+    S = gf.field_of_order(q)
+    L = gf.field(S.p, S.f * b)
+    large = forms.standard_form(kind, m, L)
+    fr = fieldred.reduce(row, large, S)
+    small = fr.small_space.form
+    emb = gf.embedding(S, L)
+    if row in (9, 10):
+        mid = gf.field(L.p, L.f // 2)
+        half = gf.embedding(S, mid)
+        to_mid = gf.embedding(mid, L)
+    rng = random.Random(row * 100 + L.q)
+
+    def draw():
+        x = tuple(rng.randrange(q) for _ in range(m * b))
+        return x, tuple(join(emb, x[i * b:(i + 1) * b]) for i in range(m))
+
+    for _ in range(100):
+        (x, X), (y, Y) = draw(), draw()
+        assert small.evaluate_pair(x, y) == emb.trace(large.evaluate_pair(X, Y))
+        if row in (2, 3):
+            assert small.evaluate(x) == emb.trace(large.evaluate(X))
+        elif row in (9, 10):
+            assert small.evaluate(x) == half.trace(
+                to_mid.down(large.evaluate_pair(X, X)))
 
 
 # -- point counts and blow-ups ----------------------------------------------
@@ -207,6 +248,21 @@ def test_lift_up_names_a_witness_pair():
     assert {i, k} <= set(on_j.members)
 
 
+def test_lift_up_refuses_a_point_off_the_blow_up():
+    """Small point 4 of Q+(7,2) lies on no singular point of Q+(3,4); it is
+    named even when later such points (6, 8) and blow-up points come too."""
+    F4, F2 = gf.field(2, 2), gf.field(2)
+    fr = fieldred.reduce(2, forms.standard_form("Q+", 4, F4), F2)
+    m1 = fieldred.blow_up(fr).members
+    assert {4, 6, 8}.isdisjoint(m1)
+    msg = ("small point 4 lies on a non-singular GF(4)-point and cannot be "
+           "lifted")
+    for members in [(4,), tuple(sorted(set(m1[:10]) | {4, 6, 8}))]:
+        with pytest.raises(ValueError) as err:
+            fieldred.lift_up(fr, polar.PointSet(fr.small_space, members))
+        assert str(err.value) == msg
+
+
 def test_push_down_wrong_space():
     fr = _w19_down()
     with pytest.raises(ValueError):
@@ -216,22 +272,35 @@ def test_push_down_wrong_space():
 # -- the flattener ----------------------------------------------------------
 
 
+# (small field, b, m) for _Flattener: prime and non-prime small fields
+_FLATTENERS = [(gf.field(3), 2, 2), (gf.field(2), 3, 2), (gf.field(2), 2, 3),
+               (gf.field(2, 2), 2, 2), (gf.field(3), 3, 1), (gf.field(5), 2, 2)]
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_flattener_roundtrip(data):
-    fr = _w19_down()
-    L = fr.large_field
-    v = tuple(data.draw(st.integers(0, 8)) for _ in range(2))
-    flat = fr.flattener.flatten(v)
-    assert len(flat) == 4
-    assert fr.flattener.unflatten(flat) == v
+    """flatten agrees with the brute-force oracle row by row, and unflatten
+    undoes it, on arrays of code rows."""
+    S, b, m = data.draw(st.sampled_from(_FLATTENERS))
+    emb = gf.embedding(S, gf.field(S.p, S.f * b))
+    fl = fieldred._Flattener(emb, m)
+    n = data.draw(st.integers(1, 5))
+    v = np.array([[data.draw(st.integers(0, emb.large.q - 1)) for _ in range(m)]
+                  for _ in range(n)], dtype=np.int64)
+    flat = fl.flatten(v)
+    assert flat.shape == (n, m * b)
+    assert [tuple(r) for r in flat.tolist()] == [flatten(emb, r)
+                                                 for r in v.tolist()]
+    assert np.array_equal(fl.unflatten(flat), v)
 
 
 def test_flatten_is_additive():
     fr = _w19_down()
     L, S = fr.large_field, fr.small_field
     a, b = (3, 5), (7, 1)
-    sa, sb = fr.flattener.flatten(a), fr.flattener.flatten(b)
+    sa, sb = fr.flattener.flatten([a, b]).tolist()
     asum = tuple(L.add(x, y) for x, y in zip(a, b))
     ssum = tuple(S.add(x, y) for x, y in zip(sa, sb))
-    assert fr.flattener.flatten(asum) == ssum
+    assert tuple(fr.flattener.flatten([asum])[0].tolist()) == ssum
+    assert flatten(gf.embedding(S, L), asum) == ssum

@@ -120,6 +120,18 @@ def test_classify_branches_agree(qm52, data):
     assert np.all(via_m == via_c)
 
 
+def test_raw_counts_float64_branch():
+    """W(1,2903) is the smallest prime case with d*f*(p-1)^2 >= 2^24, so
+    _raw_counts accumulates in float64 there.  Each point is perpendicular
+    to itself only, so any k points form a k-tight set with h = (1, 0)."""
+    p = 2903
+    sp = polar.build(forms.standard_form("W", 2, gf.field(p)))
+    assert sp.d * (p - 1) ** 2 >= intriguing._F32_SAFE
+    for members in [(0,), tuple(range(0, sp.num_points, 2))]:
+        rep = classify(sp, polar.PointSet(sp, members))
+        assert (rep.tight_i, rep.h1, rep.h2) == (len(members), 1, 0)
+
+
 def test_intriguing_complement_parameters(q43):
     """The complement of an i-tight set is (theta - i)-tight."""
     gen = polar.maximal_ts_points(q43)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polarkit import forms, gf, polar
+from strategies import canonical
 
 # (kind, projective dim, q) -> (points, rank, ovoid number).  Point counts
 # follow (q^r - 1)/(q - 1) * theta_r; this table is the frozen cross-check.
@@ -88,8 +89,8 @@ def test_projective_vectors(q):
     vecs = list(polar.projective_vectors(F, 3))
     assert len(vecs) == q * q + q + 1
     assert vecs == sorted(vecs)
-    assert all(polar.canonical(F, v) == v for v in vecs)
-    assert {polar.canonical(F, tuple(F.mul(c, x) for x in v))
+    assert all(canonical(F, v) == v for v in vecs)
+    assert {canonical(F, tuple(F.mul(c, x) for x in v))
             for v in vecs for c in F.units()} == set(vecs)
 
 
@@ -98,7 +99,7 @@ def test_projective_vectors_across_scan_blocks():
     vecs = list(polar.projective_vectors(F, 14))   # 2^13 tails share lead 0
     assert vecs == sorted(set(vecs))
     assert len(vecs) == 2 ** 14 - 1
-    assert all(polar.canonical(F, v) == v for v in vecs)
+    assert all(canonical(F, v) == v for v in vecs)
 
 
 @pytest.mark.parametrize("p,d", [(2, 5), (3, 4), (5, 6), (7, 3), (13, 4)])
@@ -112,7 +113,7 @@ def test_canonical_codes_match_canonical(p, d):
     scaled = rows * rng.integers(1, p, size=(len(rows), 1)) % p
     both = np.concatenate([rows, scaled])
     want = [sum(x * p ** (d - 1 - i)
-                for i, x in enumerate(polar.canonical(F, tuple(r))))
+                for i, x in enumerate(canonical(F, tuple(r))))
             for r in both.tolist()]
     got = polar.canonical_codes(F, both)
     assert got.dtype == np.int64
@@ -224,6 +225,6 @@ def test_maximal_ts_points_match_the_span_oracle(kind, pdim, q):
     assert sp._points is None and sp._index is None
     F = sp.field
     span = forms.Subspace.span(F, sp.ts_basis, ambient=sp.d)
-    assert members == tuple(sorted({sp.index[polar.canonical(F, v)]
+    assert members == tuple(sorted({sp.index[canonical(F, v)]
                                     for v in span.vectors()}))
     assert sp.num_points == len(sp.points) == len(sp.points_np)
