@@ -62,6 +62,8 @@ def cmd_orbits(args):
     sp = _build_space(args)
     with open(args.gens) as fh:
         data = json.load(fh)
+    if not isinstance(data, (list, dict)):
+        raise ValueError("generator file is not a JSON object or list")
     gen_list = data if isinstance(data, list) else data.get("generators")
     if not gen_list:
         # no generators = the trivial group: every point is its own orbit
@@ -94,8 +96,13 @@ def cmd_classify(args):
     sp = _build_space(args)
     with open(args.set) as fh:
         data = json.load(fh)
-    members = data if isinstance(data, list) else data["indices"]
-    rep = intriguing.classify(sp, polar.PointSet(sp, tuple(members)))
+    if isinstance(data, dict):
+        if "indices" not in data:
+            raise ValueError("set file has no 'indices' entry")
+        data = data["indices"]
+    if not isinstance(data, list):
+        raise ValueError("set file is not a list of point indices")
+    rep = intriguing.classify(sp, polar.PointSet(sp, tuple(data)))
     if args.json:
         _emit(args, _report_dict(rep))
     else:
@@ -105,6 +112,8 @@ def cmd_classify(args):
 
 def cmd_reduce(args):
     large_kind, small_kind = fieldred.ROW_KINDS[args.row]
+    if args.b < 1:
+        raise ValueError(f"extension degree --b must be at least 1, got {args.b}")
     small = gf.field_of_order(args.q)
     large = gf.field_of_order(args.q ** args.b)
     form = forms.standard_form(large_kind, args.dim + 1, large)

@@ -15,7 +15,7 @@ subfield embedding ``g0 -> G^((q^b-1)/(q0-1))`` is an honest ring homomorphism
 to the lexicographically minimal primitive polynomial under the same ordering.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -306,7 +306,12 @@ class FiniteField:
         a = np.asarray(a, dtype=np.int64)
         if self.f == 1:
             return a[..., None]
-        return a[..., None] // self.basis_np % self.p
+        return self.digit_table[a]
+
+    @cached_property
+    def digit_table(self):
+        """Row a is the f little-endian base-p digits of code a: (q, f)."""
+        return np.arange(self.q, dtype=np.int64)[:, None] // self.basis_np % self.p
 
     def from_digits(self, x):
         """Element codes from digit arrays of shape (..., f), digits in [0, p)."""

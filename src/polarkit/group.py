@@ -173,8 +173,16 @@ def multiplier(form, g):
 
 
 class GeneratorSet:
-    """An immutable list of semisimilarities over one field and dimension,
-    closed under inversion (inverses are appended if absent)."""
+    """An immutable list of semisimilarities over one field and dimension.
+
+    elements is the given list closed under inversion: the inverses not
+    already present are appended in order, and a given duplicate stays.
+    It is what serialize writes and what callers index.  generators is the
+    given list in its given order with one element kept from each inverse
+    pair and one copy of any duplicate.  It generates the same group, and g
+    and g^-1 give the same orbit graph, so the orbit engine and the
+    certificate image only generators.
+    """
 
     def __init__(self, field, elements, label=""):
         elements = list(elements)
@@ -185,14 +193,19 @@ class GeneratorSet:
             if g.field is not field or g.dim != d:
                 raise ValueError("generators must share field and dimension")
         present = set(elements)
+        generators, kept = [], set()
         for g in list(elements):
             gi = g.inverse()
+            if g not in kept and gi not in kept:
+                generators.append(g)
+                kept.add(g)
             if gi not in present:
                 elements.append(gi)
                 present.add(gi)
         self.field = field
         self.dim = d
         self.elements = tuple(elements)
+        self.generators = tuple(generators)
         self.label = label
 
     def __len__(self):
@@ -217,6 +230,11 @@ class GeneratorSet:
 
     @classmethod
     def deserialize(cls, data, label=""):
+        for key in ("q", "d", "generators"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f"generator data has no {key!r} entry")
+        if not isinstance(data["generators"], list):
+            raise ValueError("'generators' is not a list")
         F = gf.field_of_order(data["q"])
         d = data["d"]
 
@@ -236,6 +254,8 @@ class GeneratorSet:
             if isinstance(item, list):
                 item = {"matrix": item}
             try:
+                if not isinstance(item, dict) or "matrix" not in item:
+                    raise ValueError("no 'matrix' entry")
                 M = [[decode(c) for c in row] for row in item["matrix"]]
                 if len(M) != d:
                     raise ValueError("matrix dimension disagrees with header")
@@ -304,15 +324,16 @@ def orbits(space, gens):
     """Exact orbit partition of the generated group on the space's points.
 
     Every generator is checked for form invariance first; a failure names the
-    offending index and no orbit work happens.  The generators are then
-    taken in order: each one's image of the whole point list becomes an
-    index array, and _close merges the components of the graph i -- g(i).
-    Work stops once a single orbit remains, which no later generator can
-    refine.  Deterministic: labels are canonical (smallest member index),
+    offending index and no orbit work happens.  gens.generators, one
+    element of each inverse pair, are then taken in order: each one's image
+    of the whole point list becomes an index array, and _close merges the
+    components of the graph i -- g(i), which g^-1 would only repeat.  Work
+    stops once a single orbit remains, which no later generator can refine.
+    Deterministic: labels are canonical (smallest member index),
     independent of generator order.
     """
     _validate_gens(space.form, gens.elements)
-    labels = _close(space.num_points, _point_images(space, gens))
+    labels = _close(space.num_points, _point_images(space, gens.generators))
     return OrbitPartition(space, tuple(labels.tolist()))
 
 
@@ -370,9 +391,9 @@ def vector_orbit_lists(gens):
     """The orbits of the generated group on the nonzero vectors of F^d.
 
     Each orbit is a list of vectors in lexicographic order; orbits are listed
-    by their first vector.  Same engine as orbits(): a vector's index is its
-    big-endian base-q code minus one.  No form validation (see
-    vector_orbits).
+    by their first vector.  Same engine as orbits(), over gens.generators: a
+    vector's index is its big-endian base-q code minus one.  No form
+    validation (see vector_orbits).
     """
     F, d = gens.field, gens.dim
     q = F.q
@@ -382,7 +403,7 @@ def vector_orbit_lists(gens):
     vecs = list(itertools.product(F.elements(), repeat=d))[1:]
     X = F.digit_rows(vecs).astype(np.float64)
     powvec = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    images = (_image_rows(g, X) @ powvec - 1 for g in gens)
+    images = (_image_rows(g, X) @ powvec - 1 for g in gens.generators)
     labels = _close(total, images)
     members = {}
     for v, label in zip(vecs, labels.tolist()):
@@ -484,28 +505,29 @@ def _certify(space, gs, order):
     """Certify that gs generates a group whose image on the space's points
     has the given order; return the product of the basic orbit lengths.
 
-    Each generator must be an isometry (multiplier 1, sigma power 0) of
+    Each element must be an isometry (multiplier 1, sigma power 0) of
     determinant 1, so the generated group lies in the special isometry
     group.  A random Schreier-Sims run (Seress, Permutation Group
-    Algorithms, 2003) on the point permutations then builds a base
-    and strong generators: every strong generator is a word in gs, so the
-    product of the basic orbit lengths is a lower bound on the order of the
-    generated image, and the run stops once it reaches `order`.  For Sp and
-    SU that is the order of the whole special isometry group's image; the
-    Eichler transformations lie in Omega, whose image has that order.  A
-    product above `order`, or one still short after _STALL consecutive
-    random elements sift to the identity, raises AssertionError.  For
-    d >= 3 the whole group is transitive on the points, so a certified set
-    is too and needs no orbit check of its own.  Random
-    elements come from product replacement with a fixed seed: the run is
-    deterministic.
+    Algorithms, 2003) on the point permutations of gs.generators then builds
+    a base and strong generators; in a finite group g^-1 is a power of g, so
+    the appended inverses add nothing.  Every strong generator is a word in
+    gs, so the product of the basic orbit lengths is a lower bound on the
+    order of the generated image, and the run stops once it reaches
+    `order`.  For Sp and SU that is the order of the whole special isometry
+    group's image; the Eichler transformations lie in Omega, whose image has
+    that order.  A product above `order`, or one still short after _STALL
+    consecutive random elements sift to the identity, raises
+    AssertionError.  For d >= 3 the whole group is transitive on the
+    points, so a certified set is too and needs no orbit check of its own.
+    Random elements come from product replacement with a fixed seed: the
+    run is deterministic.
     """
     F = space.field
     for i, (g, lam) in enumerate(zip(gs, _validate_gens(space.form, gs))):
         if lam != 1 or g.sigma_power or la.det(F, g.matrix) != 1:
             raise ValueError(f"generator {i} rejected: not a special isometry "
                              f"(multiplier {lam}, sigma power {g.sigma_power})")
-    perms = list(_point_images(space, gs))
+    perms = list(_point_images(space, gs.generators))
     n = space.num_points
     levels = [_Level(n, 0, perms)]
     found = len(levels[0].orbit)
@@ -540,39 +562,50 @@ def _certify(space, gs, order):
 
 class _Level:
     """One level of a stabiliser chain: a base point, the strong generators
-    that fix the earlier base points, and the basic orbit as a Schreier
-    vector (for each orbit point the point it was reached from and the
-    generator that took it there; -1 off the orbit)."""
+    that fix the earlier base points with their inverse permutations, and
+    the basic orbit as a Schreier vector (for each orbit point the point it
+    was reached from and the generator that took it there; -1 off the
+    orbit).  The orbit stays closed under the strong generators, and add
+    extends it in place."""
 
     def __init__(self, n, base, gens):
         self.base = base
-        self.gens = list(gens)
-        self.invs = [np.argsort(s) for s in self.gens]
-        self._grow(n)
+        self.gens, self.invs = [], []
+        self.parent = np.full(n, -1, dtype=np.int64)
+        self.via = np.full(n, -1, dtype=np.int64)
+        self.parent[base] = base
+        self.orbit = np.array([base], dtype=np.int64)
+        self._extend(gens)
 
     def add(self, g):
-        self.gens.append(g)
-        self.invs.append(np.argsort(g))
-        self._grow(len(g))
+        self._extend([g])
 
-    def _grow(self, n):
-        parent = np.full(n, -1, dtype=np.int64)
-        via = np.full(n, -1, dtype=np.int64)
-        parent[self.base] = self.base
-        frontier = np.array([self.base])
+    def _extend(self, new):
+        """Append the generators new.  The orbit so far is closed under the
+        earlier ones, so only new is applied to all of it; after that,
+        every generator is applied to the newly reached points only."""
+        k = len(self.gens)
+        for g in new:
+            inv = np.empty_like(g)
+            inv[g] = np.arange(len(g))
+            self.gens.append(g)
+            self.invs.append(inv)
+        parent, via = self.parent, self.via
+        movers = list(enumerate(self.gens))[k:]
+        frontier = self.orbit
         layers = [frontier]
-        while frontier.size:
+        while frontier.size and movers:
             nxt = []
-            for k, s in enumerate(self.gens):
+            for j, s in movers:
                 img = s[frontier]
-                new = parent[img] < 0
-                img = img[new]
-                parent[img] = frontier[new]
-                via[img] = k
+                fresh = parent[img] < 0
+                img = img[fresh]
+                parent[img] = frontier[fresh]
+                via[img] = j
                 nxt.append(img)
-            frontier = np.concatenate(nxt) if nxt else frontier[:0]
+            frontier = np.concatenate(nxt)
             layers.append(frontier)
-        self.parent, self.via = parent, via
+            movers = list(enumerate(self.gens))
         self.orbit = np.concatenate(layers)
 
 

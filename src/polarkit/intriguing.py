@@ -107,18 +107,30 @@ _COL_BLOCK = 32768
 _F32_SAFE = 2 ** 24
 
 
+def _count_dtype(d, f, p):
+    """float32 when it holds every dot product of a point's digits with a
+    pair-matrix column exactly, else float64.  Point rows are canonical, so
+    the leading coordinate is 1, one digit 1 among its f; the other d - 1
+    coordinates give f digits each, and every digit is at most p - 1.  The
+    largest dot product is (d - 1) f (p - 1)^2 + (p - 1).  Below 2^24 every
+    sum and the zero test's rint(S / p) * p up to S are exact in float32;
+    at 2^24 a product S + 1 would round to S."""
+    bound = (d - 1) * f * (p - 1) ** 2 + (p - 1)
+    return np.float32 if bound < _F32_SAFE else np.float64
+
+
 def _raw_counts(space, members):
     """|P^perp ∩ members| for every point P: the zero count of kappa(P, Q)
     over Q in the member list.  Each member's pair functional is a
     (d*f) x f GF(p) block (Form.pair_matrix), and kappa(P, Q) = 0 when all f
-    columns of its block vanish on P's digits.  Blocked matmuls; the
-    accumulated dot products are small integers, exactly representable in
-    float32 at desk scale, so the zero test is exact."""
+    columns of its block vanish on P's digits.  Blocked matmuls in the
+    dtype of _count_dtype, in which every accumulated dot product is an
+    exact integer, so the zero test is exact."""
     F = space.field
     p, f, n = F.p, F.f, space.num_points
     X = F.digit_rows(space.points_np)
     G = space.form.pair_matrix(space.points_np[members])
-    dtype = np.float32 if X.shape[1] * (p - 1) ** 2 < _F32_SAFE else np.float64
+    dtype = _count_dtype(space.d, f, p)
     Gf = np.ascontiguousarray(G, dtype=dtype)
     Xf = np.ascontiguousarray(X, dtype=dtype)
     counts = np.zeros(n, dtype=np.int64)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -257,15 +258,24 @@ def _greedy_ts_basis(form, points):
 
 @dataclass(frozen=True)
 class PointSet:
-    """A subset of a polar space's points, as a sorted tuple of indices."""
+    """A subset of a polar space's points, as a sorted tuple of indices.
+    Members must be ints (numpy integers are converted); anything else is
+    a ValueError naming it."""
 
     space: PolarSpace
     members: tuple
 
     def __post_init__(self):
-        ms = tuple(sorted(set(self.members)))
-        if ms != tuple(self.members):
-            object.__setattr__(self, "members", ms)
+        try:
+            ms = tuple(sorted(set(map(operator.index, self.members))))
+        except TypeError:
+            for i in self.members:   # name the first member that is no int
+                try:
+                    operator.index(i)
+                except TypeError:
+                    raise ValueError(f"point index {i!r} is not an int") from None
+            raise
+        object.__setattr__(self, "members", ms)
         if ms and (ms[0] < 0 or ms[-1] >= self.space.num_points):
             raise ValueError("point index out of range")
 

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from polarkit import forms, gf, group, polar
 
@@ -158,3 +160,85 @@ def test_a_level_that_does_not_grow_raises_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(group._Level, "add", lambda self, g: None)
     with pytest.raises(AssertionError, match="basic orbit of length 1"):
         group._certify(space, gs, group.point_image_order("Sp", 4, 3))
+
+
+def test_certify_images_one_element_of_each_inverse_pair(monkeypatch):
+    space = _space("Sp", 6, 3)
+    gs = group.classical_generators("Sp", 6, space.field, self_check=False)
+    drawn = []
+    images = group._point_images
+
+    def counting(space, gens):
+        for img in images(space, gens):
+            drawn.append(img)
+            yield img
+
+    monkeypatch.setattr(group, "_point_images", counting)
+    order = group.point_image_order("Sp", 6, 3)
+    assert group._certify(space, gs, order) == order
+    assert len(drawn) == len(gs.generators) == 11 < len(gs) == 22
+
+
+def _closure(base, perms):
+    """The orbit of base under perms, by breadth-first search over Python
+    sets: the reference for _Level's orbit."""
+    seen, frontier = {base}, [base]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in perms:
+                y = int(s[x])
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _check_level(lv, n, perms):
+    assert len(lv.gens) == len(perms)
+    assert all(s is t for s, t in zip(lv.gens, perms))
+    assert sorted(lv.orbit.tolist()) == sorted(_closure(lv.base, perms))
+    assert np.flatnonzero(lv.parent >= 0).tolist() == sorted(lv.orbit.tolist())
+    for s, inv in zip(lv.gens, lv.invs):
+        assert inv[s].tolist() == list(range(n))
+    for x in lv.orbit.tolist():
+        word, y = [], x
+        while y != lv.base:
+            assert len(word) < n, "the parent links of a point form a cycle"
+            word.append(int(lv.via[y]))
+            y = int(lv.parent[y])
+        for k in reversed(word):
+            y = int(lv.gens[k][y])
+        assert y == x
+
+
+@st.composite
+def _permutation_lists(draw):
+    """Permutations of range(n), some of them single transpositions or the
+    identity, so that orbits grow a little at a time."""
+    n = draw(st.integers(1, 30))
+    perms = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            p = draw(st.permutations(range(n)))
+        else:
+            p = list(range(n))
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            p[i], p[j] = p[j], p[i]
+        perms.append(np.array(p, dtype=np.int64))
+    return n, draw(st.integers(0, n - 1)), draw(st.integers(0, len(perms))), perms
+
+
+@settings(max_examples=200)
+@given(_permutation_lists())
+def test_level_extends_its_schreier_vector_like_a_fresh_closure(case):
+    """After construction and after each add, the basic orbit is the
+    breadth-first closure of the base, and each point's transversal word
+    maps the base to it."""
+    n, base, first, perms = case
+    lv = group._Level(n, base, perms[:first])
+    _check_level(lv, n, perms[:first])
+    for k in range(first, len(perms)):
+        lv.add(perms[k])
+        _check_level(lv, n, perms[:k + 1])

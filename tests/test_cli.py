@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from polarkit import cli, forms, gf, group
+from polarkit import cli, forms, gf, group, polar
 
 
 def run_cli(*argv):
@@ -118,6 +119,23 @@ def test_orbits_names_the_generator_and_entry_it_refuses(tmp_path, entry, sigma,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"generators": 5}, "generator data has no 'q' entry"),
+    ({"q": 3, "d": 4, "generators": 5}, "'generators' is not a list"),
+    ({"q": 3, "d": 4, "generators": [{"sigma_power": 0}]},
+     "generator 0: no 'matrix' entry"),
+    ({"q": 3, "d": 4, "generators": [7]}, "generator 0: no 'matrix' entry"),
+    (7, "generator file is not a JSON object or list"),
+])
+def test_orbits_names_what_a_malformed_file_lacks(tmp_path, data, message):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli("orbits", "--kind", "W", "--dim", "3", "--q", "3",
+                             "--gens", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_orbits_rejects_corrupted_generator(tmp_path, w33):
     gens = group.classical_generators("Sp", 4, w33.field, self_check=False)
     data = gens.serialize()
@@ -164,6 +182,29 @@ def test_classify_out_of_range(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("data,message", [
+    ([1.5, 3], "point index 1.5 is not an int"),
+    ([0, "3"], "point index '3' is not an int"),
+    ({"x": 1}, "set file has no 'indices' entry"),
+    ({"indices": 4}, "set file is not a list of point indices"),
+    (4, "set file is not a list of point indices"),
+])
+def test_classify_names_a_malformed_set(tmp_path, data, message):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli("classify", "--kind", "W", "--dim", "3", "--q", "3",
+                             "--set", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("members", [(np.int64(3), 1, np.int32(3)),
+                                     (np.int64(1), np.int64(3)), [1, 3]])
+def test_point_set_takes_numpy_integers(w33, members):
+    s = polar.PointSet(w33, members)
+    assert s.members == (1, 3) and all(type(i) is int for i in s.members)
+
+
 def test_reduce_row2():
     code, out, _ = run_cli("reduce", "--row", "2", "--q", "2", "--b", "2",
                            "--dim", "3")
@@ -186,6 +227,14 @@ def test_reduce_bad_alpha():
     code, _, err = run_cli("reduce", "--row", "1", "--q", "3", "--b", "2",
                            "--dim", "1", "--alpha", "9")
     assert code == 2 and "alpha" in err
+
+
+@pytest.mark.parametrize("b", ["-1", "0"])
+def test_reduce_refuses_an_extension_degree_below_one(b):
+    code, out, err = run_cli("reduce", "--row", "1", "--q", "3", "--b", b,
+                             "--dim", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: extension degree --b must be at least 1, got {b}\n"
 
 
 def test_construct_names():

@@ -198,6 +198,25 @@ def test_numpy_tables_match_scalar_arithmetic(q):
                                 for c in range(q)]
 
 
+@pytest.mark.parametrize("q", _TABLE_ORDERS)
+def test_digit_table_matches_the_arithmetic(q):
+    """Row a of the digit table is a's base-p digits by integer division and
+    its coefficient list; digits gathers from it on any shape."""
+    F = gf.field_of_order(q)
+    if F.f == 1:
+        assert F.digits(range(q)).tolist() == [[a] for a in range(q)]
+        return
+    table = F.digit_table
+    assert table.shape == (q, F.f) and table.dtype == np.int64
+    assert table.tolist() == [[a // F.p ** r % F.p for r in range(F.f)]
+                              for a in range(q)]
+    assert table.tolist() == [F.coeffs(a) for a in range(q)]
+    assert F.from_digits(table).tolist() == list(range(q))
+    codes = np.arange(2 * q).reshape(2, q) % q
+    assert F.digits(codes).tolist() == [[F.coeffs(a) for a in row]
+                                        for row in codes.tolist()]
+
+
 def _sympy_galois():
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy import factorint

@@ -199,6 +199,61 @@ def test_each_generator_matrix_is_inverted_once(monkeypatch, f3):
     assert len(calls) == 11
 
 
+def test_generators_keep_one_element_per_inverse_pair(f3):
+    """generators: the given order, an involution and a duplicate once, an
+    explicitly listed inverse dropped; elements keeps the given list and
+    appends the inverses that are missing."""
+    a, b = group.classical_generators("Sp", 4, f3, self_check=False).elements[:2]
+    minus = group.Semisimilarity(f3, [[2 if j == i else 0 for j in range(4)]
+                                      for i in range(4)])
+    assert minus.inverse() == minus and a.inverse() != a
+    gs = group.GeneratorSet(f3, [a, minus, b, a.inverse(), b, minus])
+    assert gs.generators == (a, minus, b)
+    assert gs.elements == (a, minus, b, a.inverse(), b, minus, b.inverse())
+    assert len(gs) == 7
+
+
+# sha256 of json.dumps(serialize(), sort_keys=True), first 16 hex digits,
+# and the element count, as written before GeneratorSet kept generators
+_SERIALIZED = {
+    ("Sp", 2, 9): (12, "839e79d81444a594"), ("Sp", 4, 2): (7, "0a2fedcbdbb94df4"),
+    ("Sp", 4, 3): (14, "17198b96eca4fbd7"), ("Sp", 4, 4): (14, "50371ac3bcb78a60"),
+    ("Sp", 4, 5): (14, "2f09b7d707b02ee8"), ("Sp", 4, 8): (21, "c51c925ffab29233"),
+    ("Sp", 4, 9): (28, "765b455dc71e0a23"), ("Sp", 6, 3): (22, "f1c56285ec0f4b3f"),
+    ("Sp", 6, 4): (22, "2c03e6874467f981"), ("Sp", 6, 5): (22, "3f7f2bfd4c31a272"),
+    ("Sp", 8, 2): (15, "09e8495f9e34d10d"), ("Sp", 8, 3): (30, "b91ad587aad936c4"),
+    ("SU", 2, 4): (3, "a89ce9d9ae5d334c"), ("SU", 3, 4): (10, "32627e2b695df505"),
+    ("SU", 4, 4): (13, "89b059d966efcfb6"), ("SU", 5, 4): (17, "d3480e1d1eec3fc2"),
+    ("SU", 6, 4): (21, "e4390bf014a9dfc3"), ("SU", 2, 9): (8, "e3fe5f613094a970"),
+    ("SU", 3, 9): (22, "4d5e4db56a62519d"), ("SU", 4, 9): (32, "bb63dae097e099cf"),
+    ("Omega", 3, 5): (8, "b0601a911116c1bf"), ("Omega", 5, 3): (32, "6976f831e028d7a2"),
+    ("Omega", 5, 5): (32, "ee4d7c8d4556c51b"), ("Omega", 7, 3): (72, "a5ad0a54a7b23166"),
+    ("Omega", 11, 3): (200, "e9b5f3355a6d44b3"),
+    ("OmegaPlus", 4, 3): (18, "abf1283c675dff01"),
+    ("OmegaPlus", 6, 2): (30, "b4ba7c9693d917a9"),
+    ("OmegaPlus", 6, 4): (60, "b619600064a16efb"),
+    ("OmegaPlus", 8, 3): (98, "c802c10b54407cf6"),
+    ("OmegaMinus", 6, 2): (30, "4c0a2db40d9ef14c"),
+    ("OmegaMinus", 6, 3): (50, "f5729bbd091c0f26"),
+    ("OmegaMinus", 8, 3): (98, "4e6ec25cc6b14ad1"),
+}
+
+
+@pytest.mark.parametrize("family,d,q", sorted(_SERIALIZED))
+def test_elements_keep_their_content_and_order(family, d, q):
+    """elements, and so saved files and words that index it, are as before;
+    generators holds one element of each inverse pair."""
+    import hashlib
+    gs = group.classical_generators(family, d, gf.field_of_order(q),
+                                    self_check=False)
+    text = json.dumps(gs.serialize(), sort_keys=True)
+    assert (len(gs.elements), hashlib.sha256(text.encode()).hexdigest()[:16]) \
+        == _SERIALIZED[family, d, q]
+    kept = set(gs.generators)
+    assert all(g in kept or g.inverse() in kept for g in gs.elements)
+    assert not any(g != g.inverse() and g.inverse() in kept for g in kept)
+
+
 def test_classical_generators_desk_scale_cap(f3):
     with pytest.raises(ValueError):
         group.classical_generators("Sp", 16, f3)
@@ -272,6 +327,25 @@ def test_orbits_match_bfs_on_intransitive_subsets(data):
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
                                max_size=3))
     gens = group.GeneratorSet(space.field, [pool[i] for i in picks])
+    want = _bfs_labels(space, gens)
+    assume(len(set(want)) > 1)
+    assert group.orbits(space, gens).labels == want
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_orbits_match_bfs_on_sets_that_list_inverse_pairs(data):
+    """Inverses listed next to their elements are dropped from generators,
+    and the labels still match the breadth-first closure over every
+    element."""
+    space, pool = _pool(*data.draw(st.sampled_from(_POOL_SPACES)))
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    listed = []
+    for g in picks:
+        listed += data.draw(st.permutations([g, g.inverse()]))
+    gens = group.GeneratorSet(space.field, listed)
+    assert len(gens.generators) <= len(picks)
+    assert set(gens.elements) == set(listed)
     want = _bfs_labels(space, gens)
     assume(len(set(want)) > 1)
     assert group.orbits(space, gens).labels == want

@@ -132,6 +132,38 @@ def test_raw_counts_float64_branch():
         assert (rep.tight_i, rep.h1, rep.h2) == (len(members), 1, 0)
 
 
+def test_count_dtype_switches_exactly_at_two_to_the_24():
+    """The largest dot product, (d - 1) f (p - 1)^2 + (p - 1), must stay
+    below 2^24 for float32.  Over GF(2) it is d - 1 + 1 = d."""
+    assert intriguing._count_dtype(2 ** 24 - 1, 1, 2) is np.float32
+    assert intriguing._count_dtype(2 ** 24, 1, 2) is np.float64
+    # W(1,p): p (p - 1), below 2^24 up to p = 4093 and above from p = 4099
+    assert intriguing._count_dtype(2, 1, 4093) is np.float32
+    assert intriguing._count_dtype(2, 1, 4099) is np.float64
+    assert 4093 * 4092 < intriguing._F32_SAFE <= 4099 * 4098
+
+
+def test_count_dtype_bound_is_the_largest_canonical_dot_product():
+    """Every canonical digit row of GF(q)^d against a column of p - 1's:
+    the largest product is the bound, over a few small d and q."""
+    for d, q in [(2, 3), (3, 4), (3, 5), (2, 9), (4, 2)]:
+        F = gf.field_of_order(q)
+        rows = F.digit_rows(list(polar.projective_vectors(F, d)))
+        top = int((rows * (F.p - 1)).sum(axis=1).max())
+        assert top == (d - 1) * F.f * (F.p - 1) ** 2 + (F.p - 1)
+
+
+def test_raw_counts_float64_branch_at_the_first_prime_that_needs_it():
+    """W(1,4099): 4099 * 4098 >= 2^24, the first prime space where float32
+    could not hold every dot product.  Each point is perpendicular to itself
+    only, so any k points form a k-tight set with h = (1, 0)."""
+    sp = polar.build(forms.standard_form("W", 2, gf.field(4099)))
+    assert intriguing._count_dtype(sp.d, 1, 4099) is np.float64
+    for members in [(0,), tuple(range(0, sp.num_points, 2))]:
+        rep = classify(sp, polar.PointSet(sp, members))
+        assert (rep.tight_i, rep.h1, rep.h2) == (len(members), 1, 0)
+
+
 def test_intriguing_complement_parameters(q43):
     """The complement of an i-tight set is (theta - i)-tight."""
     gen = polar.maximal_ts_points(q43)
@@ -267,3 +299,21 @@ def test_zsigmondy_input_validation():
         zsigmondy(2, 0)
     with pytest.raises(ValueError):
         zsigmondy(2, 64)      # over the 63-bit budget
+
+
+def test_cyclotomic_values_and_zsigmondy_match_sympy():
+    """sympy as an independent oracle, for 2 <= n <= 12 and k <= 30: the
+    cyclotomic value Phi_k(n), and the smallest prime p | n^k - 1 whose
+    multiplicative order of n mod p is k (Zsigmondy is checked where n^k
+    fits its 63-bit budget)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory import n_order
+    for n in range(2, 13):
+        for k in range(1, 31):
+            assert intriguing._cyclotomic_value(n, k) == int(
+                sympy.cyclotomic_poly(k, n))
+            if n ** k >= intriguing._ZS_BUDGET:
+                continue
+            primitive = [p for p in sympy.factorint(n ** k - 1)
+                         if n_order(n, p) == k]
+            assert zsigmondy(n, k) == min(primitive, default=None)

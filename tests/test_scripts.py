@@ -1,6 +1,6 @@
 """Smoke runs of the scripts in scripts/, each as a subprocess with the
 package's source on PYTHONPATH: exit status 0 and, where the script ends
-with a verdict, that line."""
+with a verdict, that line.  The benchmark's own tests run the same way."""
 
 import os
 import subprocess
@@ -24,3 +24,13 @@ def test_script_runs(script, args, line):
     assert out.returncode == 0, out.stderr
     if line is not None:
         assert line in out.stdout.splitlines()
+
+
+def test_benchmark_tests_pass():
+    """perfbench/tests check the tracing contract the benchmark relies on
+    (span names, one span per call, the workloads' closed forms) against
+    the source in src/; a change that breaks it fails here too."""
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          os.path.join("perfbench", "tests")],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
