@@ -217,7 +217,7 @@ def cmd_verify(args):
     for rep in reports:
         ok = ok and rep.match
         if args.json:
-            _emit(args, rep.serialize(with_time=False))
+            _emit(args, rep.serialize())
         else:
             status = "PASS" if rep.match else "FAIL"
             print(f"{rep.target_id:<{width}}  {status}  "

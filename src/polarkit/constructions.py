@@ -8,11 +8,10 @@ Four families, each returning exact objects that the classifier can check:
   square (char 3), a parabolic quadric in dimension 13;
 * ``dlength_partition`` -- coordinate-support classes of a diagonal or
   Hermitian-identity form, invariant under the full monomial group;
-* ``sl2_5_in_sl2_9`` -- a deterministic search for a copy of SL2(5) inside
+* ``sl2_5_in_sl2_9`` -- a frozen pair generating a copy of SL2(5) inside
   SL2(9) with two vector orbits of size 40.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,39 +385,33 @@ def _mat_order(F, M, cap=12):
     return None
 
 
-def _sl2_elements(F):
-    """All of SL2(q) in lexicographic order of the flattened code tuple."""
-    out = []
-    for a, b, c, d in itertools.product(range(F.q), repeat=4):
-        if F.sub(F.mul(a, d), F.mul(b, c)) == 1:
-            out.append([[a, b], [c, d]])
-    return out
+# a and b of sl2_5_in_sl2_9; tests/test_constructions.py finds them again by
+# a search over SL2(9) in lexicographic order of the flattened code tuples.
+_SL2_5_PAIR = (((0, 1), (2, 0)), ((0, 1), (2, 5)))
 
 
 def sl2_5_in_sl2_9():
-    """First pair (a of order 4, b of order 5) in lexicographic matrix order
-    such that <a, b> has exactly two orbits, of size 40 each, on the nonzero
-    vectors of GF(9)^2.  Such a pair generates a copy of SL2(5) (any proper
-    overgroup inside SL2(9) is transitive on the 80 vectors), and the search
-    is deterministic, so the output is reproducible without hard-coding
-    matrices.  Every 2x2 determinant-1 matrix is symplectic, so the result
-    is a valid generator set for the W(1,9) form.
+    """A copy of SL2(5) inside SL2(9): a of order 4 and b of order 5 with
+    exactly two orbits, of size 40 each, on the nonzero vectors of GF(9)^2.
+    Such a pair generates a copy of SL2(5) (any proper overgroup inside
+    SL2(9) is transitive on the 80 vectors).  The pair is the first one in
+    lexicographic matrix order, frozen, and its orders and orbits are
+    checked on every call.  Every 2x2 determinant-1 matrix is symplectic, so
+    the result is a valid generator set for the W(1,9) form.
     """
     F = gf.field(3, 2)
     wform = forms.standard_form("W", 2, F)
-    elems = _sl2_elements(F)
-    for a in elems:
-        if _mat_order(F, a) != 4:
-            continue
-        for b in elems:
-            if _mat_order(F, b) != 5:
-                continue
-            gset = group.GeneratorSet(
-                F, [group.Semisimilarity(F, a), group.Semisimilarity(F, b)],
-                label="SL2(5) < SL2(9)")
-            if group.vector_orbits(wform, gset) == (40, 40):
-                return gset
-    raise AssertionError("search exhausted: SL2(9) arithmetic is broken")
+    a, b = _SL2_5_PAIR
+    if (_mat_order(F, a), _mat_order(F, b)) != (4, 5):
+        raise AssertionError("SL2(9) arithmetic is broken: the frozen pair "
+                             "does not have orders 4 and 5")
+    gset = group.GeneratorSet(
+        F, [group.Semisimilarity(F, a), group.Semisimilarity(F, b)],
+        label="SL2(5) < SL2(9)")
+    if group.vector_orbits(wform, gset) != (40, 40):
+        raise AssertionError("SL2(9) arithmetic is broken: the frozen pair "
+                             "does not have two vector orbits of size 40")
+    return gset
 
 
 def sl2_5_reduced_sets():

@@ -15,7 +15,7 @@ subfield embedding ``g0 -> G^((q^b-1)/(q0-1))`` is an honest ring homomorphism
 to the lexicographically minimal primitive polynomial under the same ordering.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,37 +114,32 @@ class FiniteField:
             return self._search_polynomial()
 
     def _search_polynomial(self):
-        # lex-minimal primitive polynomial under the Conway ordering; no
-        # subfield-compatibility pass (embeddings then fall back to root search)
+        # the least primitive polynomial under the Conway ordering, walking the
+        # keys in increasing order; no subfield-compatibility pass (embeddings
+        # then fall back to root search)
         p, f = self.p, self.f
         import itertools
-        best = None
-        best_key = None
-        for tail in itertools.product(range(p), repeat=f):
-            poly = tuple(tail) + (1,)
-            if not _poly_is_primitive(poly, p, f):
-                continue
-            key = tuple(((-1) ** (f - i) * poly[i]) % p for i in range(f - 1, -1, -1))
-            if best is None or key < best_key:
-                best, best_key = poly, key
-        if best is None:
-            raise RuntimeError(f"no primitive polynomial found for GF({p}^{f})")
-        return best
+        for key in itertools.product(range(p), repeat=f):
+            poly = tuple((-1) ** (f - i) * key[f - 1 - i] % p for i in range(f)) + (1,)
+            if _poly_is_primitive(poly, p, f):
+                return poly
+        raise RuntimeError(f"no primitive polynomial found for GF({p}^{f})")
 
     def _build_tables(self):
         p, f, q = self.p, self.f, self.q
-        # exp/log via repeated multiplication by the generator in coefficient form
+        # exp/log by repeated multiplication by x in coefficient form: shift up,
+        # then reduce the top coefficient by the defining polynomial (for f = 1
+        # this is multiplication by the root -c0, the generator)
+        poly = self.defining_polynomial
         exp = [0] * (2 * (q - 1))
         log = [-1] * q
-        coeffs = [0] * f
-        coeffs[0] = 1
-        gen_c = self._code_to_coeffs(self.generator)
+        coeffs = [1] + [0] * (f - 1)
         for i in range(q - 1):
             code = self._coeffs_to_code(coeffs)
-            exp[i] = code
-            exp[i + q - 1] = code
+            exp[i] = exp[i + q - 1] = code
             log[code] = i
-            coeffs = self._coeff_mul(coeffs, gen_c)
+            top = coeffs[-1]
+            coeffs = [(c - top * r) % p for c, r in zip([0] + coeffs[:-1], poly)]
         if self._coeffs_to_code(coeffs) != 1:
             raise RuntimeError(f"generator of GF({p}^{f}) does not have order q-1")
         if any(l < 0 for l in log[1:]):
@@ -156,9 +151,11 @@ class FiniteField:
         for a in range(1, q):
             frob[a] = exp[(log[a] * p) % (q - 1)]
         self._frob = frob
-        # negation table
-        self._neg = [self._coeffs_to_code([(-c) % p for c in self._code_to_coeffs(a)])
-                     for a in range(q)]
+        # the codes p^r of the basis 1, g, ..., g^(f-1): the digit weights;
+        # row a of the digit table is the f little-endian base-p digits of a
+        self.basis_np = p ** np.arange(f, dtype=np.int64)
+        self.digit_table = D = np.arange(q, dtype=np.int64)[:, None] // self.basis_np % p
+        self._neg = ((-D % p) @ self.basis_np).tolist()
         # inverse table
         inv = [0] * q
         for a in range(1, q):
@@ -166,15 +163,9 @@ class FiniteField:
         self._inv = inv
         # addition: full table for small q, digitwise otherwise (XOR for p=2)
         if p != 2 and q <= _ADD_TABLE_CAP:
-            tbl = []
-            for a in range(q):
-                ca = self._code_to_coeffs(a)
-                row = bytearray(q) if q <= 256 else [0] * q
-                for b in range(q):
-                    cb = self._code_to_coeffs(b)
-                    row[b] = self._coeffs_to_code([(x + y) % p for x, y in zip(ca, cb)])
-                tbl.append(bytes(row) if q <= 256 else row)
-            self._add_tbl = tbl
+            tbl = (D[:, None] + D[None]) % p @ self.basis_np
+            self._add_tbl = ([bytes(row) for row in tbl.astype(np.uint8)]
+                             if q <= 256 else tbl.tolist())
         else:
             self._add_tbl = None
         # the same tables as arrays, for the bulk helpers below; exp_np is
@@ -185,24 +176,6 @@ class FiniteField:
         self.log_np = np.array([2 * (q - 1)] + log[1:], dtype=np.int64)
         self.inv_np = np.array(inv, dtype=np.int64)
         self.frob_np = np.array(frob, dtype=np.int64)
-        # the codes p^r of the basis 1, g, ..., g^(f-1): the digit weights
-        self.basis_np = p ** np.arange(f, dtype=np.int64)
-
-    def _coeff_mul(self, a, b):
-        p, f = self.p, self.f
-        prod = [0] * (2 * f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        red = self.defining_polynomial
-        for k in range(2 * f - 2, f - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(f):
-                    prod[k - f + i] = (prod[k - f + i] - c * red[i]) % p
-        return prod[:f]
 
     # -- element codecs ----------------------------------------------------
 
@@ -308,11 +281,6 @@ class FiniteField:
             return a[..., None]
         return self.digit_table[a]
 
-    @cached_property
-    def digit_table(self):
-        """Row a is the f little-endian base-p digits of code a: (q, f)."""
-        return np.arange(self.q, dtype=np.int64)[:, None] // self.basis_np % self.p
-
     def from_digits(self, x):
         """Element codes from digit arrays of shape (..., f), digits in [0, p)."""
         x = np.asarray(x, dtype=np.int64)
@@ -373,17 +341,8 @@ _FIELD_TOKEN = object()
 
 
 def _poly_is_primitive(poly, p, f):
-    q = p ** f
-    n = q - 1
-    if f == 1:
-        r = (-poly[0]) % p
-        if r == 0:
-            return False
-        o, v = 1, r
-        while v != 1:
-            v = v * r % p
-            o += 1
-        return o == n
+    # x^n = 1 and x^(n/r) != 1 modulo poly for each prime r of n = p^f - 1
+    n = p ** f - 1
 
     def pmulmod(a, b):
         res = [0] * (len(a) + len(b) - 1)
@@ -465,7 +424,6 @@ class SubfieldEmbedding:
         self.small = small
         self.large = large
         self.b = large.f // small.f
-        self.index = self.b
         img = large.exp[(large.q - 1) // (small.q - 1) * small.log[small.generator]] \
             if small.q > 2 else 1
         if not self._is_root(img):
@@ -494,9 +452,6 @@ class SubfieldEmbedding:
             return self._down[y]
         except KeyError:
             raise ValueError(f"element {y} of {self.large!r} is not in the subfield image") from None
-
-    def contains(self, y):
-        return y in self._down
 
     def trace(self, y):
         """Relative trace sum_{i<b} y^(q0^i), expressed in the small field."""

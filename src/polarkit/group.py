@@ -420,7 +420,7 @@ def vector_orbits(form, gens):
 # -- classical generator sets ----------------------------------------------
 
 
-_FAMILIES = ("Sp", "SU", "Omega", "OmegaPlus", "OmegaMinus", "GO1WrSym")
+_FAMILIES = ("Sp", "SU", "Omega", "OmegaPlus", "OmegaMinus")
 
 _KIND_TO_FAMILY = {
     FormKind.SYMPLECTIC: "Sp",
@@ -442,8 +442,7 @@ def classical_generators(family, d, field, self_check=True):
     _certify): every generator is an isometry of determinant 1, and a
     Schreier-Sims run on the point permutations proves that the generated
     group's image on the polar points has the closed-form order of the
-    family's projective group.  The reducible monomial family is not
-    checked.
+    family's projective group.
     """
     from . import forms as fm
     if isinstance(family, FormKind) or family not in _FAMILIES:
@@ -460,8 +459,6 @@ def classical_generators(family, d, field, self_check=True):
         gens = _unitary_transvections(form)
         if (d, field.q) == (3, 4):
             gens += _su32_fourier(field)
-    elif family == "GO1WrSym":
-        return _monomial_group(d, field)
     else:
         kind = {"Omega": FormKind.PARABOLIC, "OmegaPlus": FormKind.PLUS,
                 "OmegaMinus": FormKind.MINUS}[family]
@@ -763,35 +760,3 @@ def _eichler(form, u, v):
             e[j] = F.add(e[j], t)
         rows.append(tuple(e))
     return Semisimilarity(F, rows)
-
-
-def _monomial_group(d, field):
-    """The monomial group of the identity-Gram form: coordinate permutations
-    crossed with per-coordinate scalings of multiplier 1 (signs for odd q,
-    norm-one scalars for Hermitian square q)."""
-    F = field
-    gens = []
-    if d >= 2:
-        swap = [[0] * d for _ in range(d)]
-        swap[0][1] = swap[1][0] = 1
-        for i in range(2, d):
-            swap[i][i] = 1
-        gens.append(Semisimilarity(F, swap))
-        if d > 2:
-            cyc = [[0] * d for _ in range(d)]
-            for i in range(d):
-                cyc[i][(i + 1) % d] = 1
-            gens.append(Semisimilarity(F, cyc))
-    if F.f % 2 == 0:
-        q0 = F.p ** (F.f // 2)
-        eta = F.pow(F.generator, q0 - 1)  # norm-one scalar of order q0+1
-    elif F.p != 2:
-        eta = F.neg(1)
-    else:
-        raise ValueError("no nontrivial coordinate stabilizer for prime even q")
-    diag = la.identity(F, d)
-    diag = [list(r) for r in diag]
-    diag[0][0] = eta
-    gens.append(Semisimilarity(F, diag))
-    label = f"GO1WrSym({d},{F.q})"
-    return GeneratorSet(F, gens, label=label)

@@ -102,8 +102,10 @@ def _collinear_constant(space):
     return count
 
 
+# one block is _ROW_BLOCK x _COL_BLOCK cells, and a few temporaries of that
+# size are alive at once: 2048 x 4096 keeps _raw_counts near 200 MiB
 _ROW_BLOCK = 2048
-_COL_BLOCK = 32768
+_COL_BLOCK = 4096
 _F32_SAFE = 2 ** 24
 
 

@@ -29,12 +29,9 @@ class RunReport:
     match: bool
     wall_time: float
 
-    def serialize(self, with_time=False):
-        out = {"id": self.target_id, "match": self.match,
-               "expected": self.expected, "computed": self.computed}
-        if with_time:
-            out["wall_time"] = round(self.wall_time, 3)
-        return out
+    def serialize(self):
+        return {"id": self.target_id, "match": self.match,
+                "expected": self.expected, "computed": self.computed}
 
 
 # -- the desk-scale space corpus -------------------------------------------

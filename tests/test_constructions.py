@@ -175,6 +175,60 @@ def test_sl2_5_generators():
     assert group.vector_orbits(form, gset) == (40, 40)
 
 
+def _sl2_elements(F):
+    """All of SL2(q) in lexicographic order of the flattened code tuple."""
+    return [((a, b), (c, d)) for a, b, c, d in itertools.product(range(F.q), repeat=4)
+            if F.sub(F.mul(a, d), F.mul(b, c)) == 1]
+
+
+def _order(F, M, cap=12):
+    P, one = M, ((1, 0), (0, 1))
+    for k in range(1, cap + 1):
+        if P == one:
+            return k
+        P = tuple(tuple(F.add(F.mul(P[i][0], M[0][j]), F.mul(P[i][1], M[1][j]))
+                        for j in range(2)) for i in range(2))
+    return None
+
+
+def test_sl2_5_pair_is_the_first_found_by_search():
+    """The frozen pair is the first (a of order 4, b of order 5) in
+    lexicographic order of SL2(9) whose group has two vector orbits of
+    size 40."""
+    F = gf.field(3, 2)
+    wform = forms.standard_form("W", 2, F)
+    elems = _sl2_elements(F)
+    assert len(elems) == 720
+
+    def search():
+        for a in elems:
+            if _order(F, a) != 4:
+                continue
+            for b in elems:
+                if _order(F, b) != 5:
+                    continue
+                gset = group.GeneratorSet(
+                    F, [group.Semisimilarity(F, a), group.Semisimilarity(F, b)])
+                if group.vector_orbits(wform, gset) == (40, 40):
+                    return a, b
+
+    assert search() == constructions._SL2_5_PAIR
+    gset = constructions.sl2_5_in_sl2_9()
+    assert tuple(g.matrix for g in gset.generators) == constructions._SL2_5_PAIR
+
+
+@pytest.mark.parametrize("pair,match", [
+    ((((0, 1), (2, 5)), ((0, 1), (2, 5))), "orders 4 and 5"),
+    ((((0, 1), (2, 0)), ((0, 3), (7, 5))), "two vector orbits of size 40"),
+], ids=["orders", "orbits"])
+def test_sl2_5_checks_raise_on_a_wrong_pair(monkeypatch, pair, match):
+    """Both checks are raises: a pair of the wrong orders, and a pair of
+    orders 4 and 5 that generates all of SL2(9) (one orbit of 80)."""
+    monkeypatch.setattr(constructions, "_SL2_5_PAIR", pair)
+    with pytest.raises(AssertionError, match=match):
+        constructions.sl2_5_in_sl2_9()
+
+
 def test_sl2_5_reduced_sets_are_five_tight():
     fr, sets = constructions.sl2_5_reduced_sets()
     assert [len(s) for s in sets] == [20, 20]

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -104,7 +105,6 @@ def test_embedding_roundtrip(small, large):
     emb = gf.embedding(S, L)
     for a in S.elements():
         y = emb.up(a)
-        assert emb.contains(y)
         assert emb.down(y) == a
     # up is a ring homomorphism
     for a in S.elements():
@@ -146,8 +146,6 @@ def test_down_rejects_outsiders():
 @given(fields(orders=[4, 8, 9, 16, 25, 27]))
 def test_exp_basis_spans(F):
     """{g^0, ..., g^(f-1)} is an F_p-basis: its F_p-span hits every element."""
-    import itertools
-
     basis = [F.exp[j] for j in range(F.f)]
     span = set()
     for cs in itertools.product(range(F.p), repeat=F.f):
@@ -255,3 +253,81 @@ def test_products_match_sympy_polynomial_arithmetic(q):
             rem = gt.gf_rem(gt.gf_mul(big_endian(x), big_endian(y), F.p, ZZ),
                             poly, F.p, ZZ)
             assert F.mul(x, y) == F.from_coeffs([int(c) for c in reversed(rem)])
+
+
+# Fields outside the Conway table: every prime and prime power here takes
+# its polynomial from the search.
+_SEARCHED = [(17, 1), (509, 1), (2003, 1), (8191, 1), (65521, 1), (2, 11),
+             (2, 12), (2, 16), (3, 7), (3, 10), (5, 5), (11, 3), (13, 3),
+             (17, 2), (19, 2), (23, 2), (29, 2)]
+
+
+def _is_primitive(gt, factorint, ZZ, poly, p):
+    """x has order exactly p^f - 1 modulo poly (little-endian, monic)."""
+    big = [ZZ(c) for c in reversed(poly)]
+    n = p ** (len(poly) - 1) - 1
+    x = [ZZ(1), ZZ(0)]
+    return (gt.gf_pow_mod(x, n, big, p, ZZ) == [1]
+            and all(gt.gf_pow_mod(x, n // r, big, p, ZZ) != [1] for r in factorint(n)))
+
+
+def _conway_key(poly, p):
+    """The Conway ordering: coefficients from x^(f-1) down, with alternating
+    signs."""
+    f = len(poly) - 1
+    return tuple((-1) ** (f - i) * poly[i] % p for i in range(f - 1, -1, -1))
+
+
+@pytest.mark.parametrize("pf", _SEARCHED, ids=[f"{p}^{f}" for p, f in _SEARCHED])
+def test_searched_polynomials_are_the_least_primitive(pf):
+    """sympy as the oracle: the chosen polynomial is irreducible and
+    primitive and the generator is its root; for q up to 3,200 every monic
+    polynomial of smaller Conway key is not primitive."""
+    gt, factorint, ZZ = _sympy_galois()
+    p, f = pf
+    assert pf not in gf._CONWAY
+    F = gf.field(p, f)
+    poly = F.defining_polynomial
+    assert len(poly) == f + 1 and poly[-1] == 1
+    assert gt.gf_irreducible_p([ZZ(c) for c in reversed(poly)], p, ZZ)
+    assert _is_primitive(gt, factorint, ZZ, poly, p)
+    assert F.generator == (p if f > 1 else -poly[0] % p)
+    if p ** f > 3200:
+        return
+    key = _conway_key(poly, p)
+    smaller = [tail + (1,) for tail in itertools.product(range(p), repeat=f)
+               if _conway_key(tail + (1,), p) < key]
+    assert not any(_is_primitive(gt, factorint, ZZ, g, p) for g in smaller)
+
+
+@pytest.mark.parametrize("q", [17, 289, 529])
+def test_add_and_neg_match_sympy_on_searched_fields(q):
+    """Scalar add and neg against sympy's coefficient arithmetic: 17 and
+    289 read the addition table (bytes rows, then int lists), 529 is past
+    the table cap and adds digitwise."""
+    gt, _, ZZ = _sympy_galois()
+    F = gf.field_of_order(q)
+
+    def big_endian(x):
+        return gt.gf_strip([ZZ(c) for c in reversed(F.coeffs(x))])
+
+    def code(cs):
+        return F.from_coeffs([int(c) for c in reversed(cs)])
+
+    for x in F.elements():
+        assert F.neg(x) == code(gt.gf_neg(big_endian(x), F.p, ZZ))
+        for y in range(x % 7, q, 7):
+            assert F.add(x, y) == code(gt.gf_add(big_endian(x), big_endian(y), F.p, ZZ))
+
+
+@pytest.mark.parametrize("p,f", [(2, 16), (65521, 1)])
+def test_largest_fields_build_fast_with_exact_tables(p, f):
+    """A fresh build at the table cap (not the cached instance) finishes in
+    seconds; exp and log are inverse bijections."""
+    start = time.perf_counter()
+    F = gf.FiniteField(p, f, _token=gf._FIELD_TOKEN)
+    assert time.perf_counter() - start < 10
+    q = F.q
+    assert sorted(F.exp[:q - 1]) == list(range(1, q))
+    assert all(F.log[F.exp[i]] == i for i in range(q - 1))
+    assert all(F.exp[F.log[x]] == x for x in range(1, q))

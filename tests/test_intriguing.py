@@ -120,6 +120,19 @@ def test_classify_branches_agree(qm52, data):
     assert np.all(via_m == via_c)
 
 
+@pytest.mark.parametrize("kind,dim,q", [("Q-", 6, 2), ("W", 4, 4), ("H", 4, 9)])
+def test_raw_counts_in_small_blocks_match_collinearity(monkeypatch, kind, dim, q):
+    """Row and column blocks far smaller than the space and the member list,
+    with a column block that is not a multiple of f: every count is still
+    |P^perp ∩ M| by the collinear oracle."""
+    sp = polar.build(forms.standard_form(kind, dim, gf.field_of_order(q)))
+    monkeypatch.setattr(intriguing, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(intriguing, "_COL_BLOCK", 5)
+    members = list(range(0, sp.num_points, 3))
+    want = [sum(sp.collinear(i, j) for j in members) for i in range(sp.num_points)]
+    assert intriguing._raw_counts(sp, members).tolist() == want
+
+
 def test_raw_counts_float64_branch():
     """W(1,2903) is the smallest prime case with d*f*(p-1)^2 >= 2^24, so
     _raw_counts accumulates in float64 there.  Each point is perpendicular
