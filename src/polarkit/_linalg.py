@@ -10,7 +10,8 @@ matrix and expand_quadratic a (sesqui)linear form's values into GF(p)
 quadratic forms; mulmod multiplies such matrices exactly.  Over a prime
 field the expansions are the matrices themselves.  projective_blocks owns
 the canonical point order (first nonzero coordinate 1, then big-endian
-code order), and singular_blocks scans it for zeros of a form.  Small
+code order), and singular_points finds the zeros of a form in that order
+from a head/tail split of the coordinates.  Small
 products of code arrays that stay over GF(q) (mat_mul_np) take their
 products from the field's log tables and add them digit by digit (sum_np).
 """
@@ -247,14 +248,77 @@ def projective_blocks(F, d):
             yield block
 
 
-def singular_blocks(F, K, s=0):
-    """Each block of projective_blocks(F, d) with the mask of its rows v
-    where sum_ij v_i K_ij v_j^(p^s) = 0: Q(v) for the upper-triangular
-    coefficient matrix of a quadratic form (s = 0), kappa(v, v) for a Gram
-    matrix and the form's conjugation power."""
+_SCAN_CELLS = 2 ** 16   # (head, value digit, tail) cells per singular_points chunk
+_ZERO_TEST_SAFE = 2 ** 52
+
+
+def singular_points(F, K, s=0):
+    """The canonical vectors v of F^d (see projective_blocks) where
+    sum_ij v_i K_ij v_j^(p^s) = 0, in code order, as an (n, d) array of
+    element codes: Q(v) for the upper-triangular coefficient matrix of a
+    quadratic form (s = 0), kappa(v, v) for a Gram matrix and the form's
+    conjugation power.
+
+    v splits into a head h, its first dh = ceil(d/2) coordinates, and a
+    tail t, the other dl.  Over the GF(p) digits each of the f value
+    digits is Q(h) + Q(t) + h S t^T, S the head x tail block of M + M^T
+    for the quadratic forms M of expand_quadratic.  A canonical v is a zero
+    head with a canonical tail, or a canonical head with any tail; code
+    order lists the first kind, then each head in code order with its
+    tails in code order.  The form is evaluated once on the heads and once
+    on all q^dl tails; then each chunk of heads (_SCAN_CELLS cells of
+    value digits) takes one float64 product, whose rows [h S | Q(h) | e_c]
+    meet the columns [t | 1 | Q(t)] in value digit c, and one zero test.
+    A cell sums dl*f products below p^2 and two values below p; that must
+    stay below 2^52, else ValueError.  Then the cell V is exact and V / p
+    rounds to an integer exactly when p divides V.  Rows are built only
+    for the cells that pass, each the sum of a head and a tail."""
+    p, f, q, d = F.p, F.f, F.q, len(K)
+    dh = (d + 1) // 2
+    kh, kl = dh * f, (d - dh) * f
+    if kl * (p - 1) ** 2 + 2 * (p - 1) >= _ZERO_TEST_SAFE:
+        raise ValueError(f"singular_points: {d - dh} tail coordinates over "
+                         f"GF({q}) exceed the exact float64 range")
+    # X: the zero head and the canonical heads, padded with a zero tail,
+    # then every tail in code order, padded with a zero head
+    heads = [np.zeros((1, dh), dtype=np.int64), *projective_blocks(F, dh)]
+    nh, nt = sum(map(len, heads)), q ** (d - dh)
+    X = np.zeros((nh + nt, d), dtype=np.int64)
+    X[:nh, :dh] = np.concatenate(heads)
+    rem = np.arange(nt)
+    for col in range(d - 1, dh - 1, -1):
+        rem, X[nh:, col] = np.divmod(rem, q)
+    Xd = F.digit_rows(X)
     A = expand_quadratic(F, K, s)
-    for block in projective_blocks(F, len(K)):
-        yield block, ~form_values(F, A, F.digit_rows(block)).any(axis=1)
+    vals = np.concatenate([form_values(F, A, Xd[i:i + _SCAN_ROWS])
+                           for i in range(0, nh + nt, _SCAN_ROWS)])
+    M = A.reshape(d * f, d * f, f)
+    S = (M[:kh, kh:] + M[kh:, :kh].transpose(1, 0, 2)).transpose(0, 2, 1)
+    G = np.empty((nh, f, kl + 1 + f))
+    G[:, :, :kl] = (Xd[:nh, :kh] @ S.reshape(kh, f * kl) % p).reshape(nh, f, kl)
+    G[:, :, kl] = vals[:nh]
+    G[:, :, kl + 1:] = np.eye(f)
+    G = G.reshape(nh * f, kl + 1 + f)
+    U = np.concatenate((Xd[nh:, kh:], np.ones((nt, 1), dtype=np.int64),
+                        vals[nh:]), axis=1).T.astype(np.float64)
+    # zero head: the canonical tails (codes in [q^k, 2 q^k)) that are singular
+    singular = ~vals[nh:].any(axis=1)
+    ti = [nh + q ** k + np.flatnonzero(singular[q ** k:2 * q ** k])
+          for k in range(d - dh)]
+    hi = [np.zeros(sum(map(len, ti)), dtype=np.int64)]
+    step = max(1, _SCAN_CELLS // (nt * f))
+    for h0 in range(1, nh, step):
+        V = G[h0 * f:(h0 + step) * f] @ U
+        V /= p
+        cells = np.flatnonzero((np.rint(V) == V).reshape(-1, f, nt).all(axis=1))
+        h, t = np.divmod(cells, nt)
+        hi.append(h0 + h)
+        ti.append(nh + t)
+    points = X.take(np.concatenate(hi), axis=0)
+    ti = np.concatenate(ti)
+    for r in range(0, len(ti), _SCAN_ROWS):   # no second full-size array
+        points[r:r + _SCAN_ROWS] += X.take(ti[r:r + _SCAN_ROWS], axis=0)
+    return points
 
 
 def mulmod(A, B, p):

@@ -48,9 +48,6 @@ def parse_kind(s):
         raise ValueError(f"unknown form kind {s!r}") from None
 
 
-_SIGN_SCAN_CAP = 2_000_000
-
-
 class Form:
     """A nondegenerate form on GF(q)^d.
 
@@ -230,37 +227,41 @@ def _quadratic_sign(F, C, B=None):
 
     Odd q: discriminant test on the polarized Gram ((-1)^k det B a square iff
     hyperbolic; the factor 2^d between B and the halved Gram is a square).
-    Even q: count singular vectors — exact and basis-independent.
+    Even q: the Arf invariant.  Split off hyperbolic pairs (e, f) of the
+    polar form B, B(e, f) = 1, one at a time, projecting the other vectors
+    onto the perp of the pair; the form is hyperbolic iff
+    Tr_{GF(q)/GF(2)} of sum Q(e) Q(f) is 0.  O(d^3) field operations.
     """
     d = len(C)
     k = d // 2
+    if B is None:
+        B = tuple(tuple(F.add(C[i][j], C[j][i]) for j in range(d)) for i in range(d))
     if F.p != 2:
-        if B is None:
-            B = tuple(tuple(F.add(C[i][j], C[j][i]) for j in range(d)) for i in range(d))
         disc = la.det(F, B)
         m1 = F.neg(1)
         ref = disc
         for _ in range(k):
             ref = F.mul(ref, m1)
         return FormKind.PLUS if F.is_square(ref) else FormKind.MINUS
-    q = F.q
-    if q ** d > _SIGN_SCAN_CAP:
-        raise ValueError("even-characteristic sign determination too large")
-    count = _count_singular(F, C)
-    plus = (q ** (k - 1) + 1) * (q ** k - 1)
-    minus = (q ** k + 1) * (q ** (k - 1) - 1)
-    if count == plus:
-        return FormKind.PLUS
-    if count == minus:
-        return FormKind.MINUS
-    raise ValueError(f"singular-vector count {count} matches neither type")
-
-
-def _count_singular(F, C):
-    """The nonzero vectors v with v C v^T = 0: q - 1 for each singular
-    projective point, counted block by block by _linalg.singular_blocks."""
-    return (F.q - 1) * sum(int(np.count_nonzero(singular))
-                           for _, singular in la.singular_blocks(F, C))
+    rest = list(la.identity(F, d))
+    arf = 0
+    while rest:
+        e = rest.pop()
+        eB = la.vec_mat(F, e, B)   # B is symmetric in characteristic 2
+        j = next((j for j, w in enumerate(rest) if la.dot(F, w, eB)), None)
+        if j is None:
+            raise ValueError("degenerate quadratic form (polarized radical nonzero)")
+        partner = rest.pop(j)
+        f = la.scale(F, F.inv(la.dot(F, partner, eB)), partner)
+        fB = la.vec_mat(F, f, B)
+        rest = [la.add_vec(F, w, la.add_vec(F, la.scale(F, la.dot(F, w, fB), e),
+                                            la.scale(F, la.dot(F, w, eB), f)))
+                for w in rest]
+        arf = F.add(arf, F.mul(_eval_upper(F, C, e), _eval_upper(F, C, f)))
+    trace = 0
+    for i in range(F.f):
+        trace = F.add(trace, F.frobenius(arf, i))
+    return FormKind.PLUS if trace == 0 else FormKind.MINUS
 
 
 def standard_form(kind, d, field):
@@ -427,7 +428,7 @@ def classify_restriction(form, S):
     degenerate with its (singular) radical dimension.
 
     Sign of even-dimensional quadratic restrictions: discriminant for odd q,
-    singular-vector count for even q (restrictions here have dim <= 8).
+    Arf invariant for even q.
     """
     F = form.field
     k = S.dim
@@ -453,7 +454,7 @@ def classify_restriction(form, S):
             return RestrictionReport(None, k, None, rad_dim, False)
         if k % 2:
             return RestrictionReport(FormKind.PARABOLIC, k, k // 2, 0, False)
-        sign = _quadratic_sign(F, C, B if F.p != 2 else None)
+        sign = _quadratic_sign(F, C, B)
         witt = k // 2 if sign is FormKind.PLUS else k // 2 - 1
         return RestrictionReport(sign, k, witt, 0, False)
     gram = tuple(tuple(form.evaluate_pair(rows[i], rows[j]) for j in range(k))

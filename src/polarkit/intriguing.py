@@ -103,8 +103,9 @@ def _collinear_constant(space):
 
 
 # one block is _ROW_BLOCK x _COL_BLOCK cells, and a few temporaries of that
-# size are alive at once: 2048 x 4096 keeps _raw_counts near 200 MiB
-_ROW_BLOCK = 2048
+# size are alive at once: 512 x 4096 keeps them near 8 MiB each in float32,
+# 16 MiB in float64
+_ROW_BLOCK = 512
 _COL_BLOCK = 4096
 _F32_SAFE = 2 ** 24
 

@@ -20,6 +20,7 @@ from . import forms as fm
 from .forms import FormKind, Subspace
 
 POINT_CAP = 2_000_000
+SCAN_CAP = 100_000_000   # projective points of F^d that build scans
 
 #: exponent e with theta_j = q^(j-1+e) + 1, in units of sqrt(q) for Hermitian
 #: (stored as (numerator over 2) so Hermitian half-integers stay exact)
@@ -167,10 +168,12 @@ def build(form, cap=POINT_CAP, allow_grid=False):
     """Enumerate the polar space of a nondegenerate form.
 
     The points are the canonical singular vectors (see the point
-    representation below) in code order, found by one blocked scan
-    (_linalg.singular_blocks) for every field, which evaluates the form on
-    GF(p) digits.  The count is checked against the closed form and the
-    greedy rank against the parameter table.
+    representation below) in code order, found by one kernel for every
+    field, _linalg.singular_points, which splits each vector into a head
+    and a tail and evaluates the form on GF(p) digits.  Spaces over
+    POINT_CAP points (the cap argument) or SCAN_CAP projective points of
+    F^d are refused before the scan.  The count is checked against the
+    closed form and the greedy rank against the parameter table.
 
     The hyperbolic-quadric surface in projective 3-space (a grid, not a thick
     generalized quadrangle) degenerates most of the counting arguments here
@@ -183,8 +186,11 @@ def build(form, cap=POINT_CAP, allow_grid=False):
     expected = expected_point_count(kind, d, q)
     if expected > cap:
         raise ValueError(f"space too large: {expected} points exceeds cap {cap}")
-    scan = la.singular_blocks(form.field, form.data, form.sigma)
-    points = np.concatenate([block[singular] for block, singular in scan])
+    scanned = (q ** d - 1) // (q - 1)
+    if scanned > SCAN_CAP:
+        raise ValueError(f"space too large: scanning {scanned} projective points "
+                         f"exceeds cap {SCAN_CAP}")
+    points = la.singular_points(form.field, form.data, form.sigma)
     if len(points) != expected:
         raise AssertionError(
             f"enumerated {len(points)} points, formula gives {expected}")
@@ -236,7 +242,7 @@ def _greedy_ts_basis(form, points):
     dimension is the rank (all maximal TS subspaces share it)."""
     F, p, f = form.field, form.field.p, form.field.f
     n, d = points.shape
-    X = F.digit_rows(points)
+    X = F.digit_rows(points).astype(np.float64)   # mulmod's input type, once
     codes = points @ _powers(F.q, d)
     basis = []
     alive = np.ones(n, dtype=bool)

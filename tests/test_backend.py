@@ -11,9 +11,11 @@ forms in random coordinates (Hermitian ones included) and semilinear maps.
 import functools
 import itertools
 import math
+from unittest import mock
 
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
+import numpy as np
 
 from polarkit import _linalg as la
 from polarkit import fieldred, forms, gf, group, intriguing, polar
@@ -190,7 +192,51 @@ def test_singular_count_matches_the_full_space_loop(data):
     F = gf.field_of_order(q)
     C = tuple(tuple(data.draw(st.integers(0, q - 1)) if j >= i else 0
                     for j in range(d)) for i in range(d))
-    assert forms._count_singular(F, C) == count_singular_oracle(F, C)
+    assert (q - 1) * len(la.singular_points(F, C)) == count_singular_oracle(F, C)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_quadratic_sign_matches_the_singular_count(data):
+    """Nondegenerate C: the discriminant (odd q) or Arf invariant (even q)
+    names the type whose singular-vector count the full loop finds."""
+    q, d = data.draw(st.sampled_from(_SIGN_SHAPES))
+    F = gf.field_of_order(q)
+    C = tuple(tuple(data.draw(st.integers(0, q - 1)) if j >= i else 0
+                    for j in range(d)) for i in range(d))
+    assume(la.det(F, [[F.add(C[i][j], C[j][i]) for j in range(d)]
+                      for i in range(d)]) != 0)
+    k = d // 2
+    plus = (q ** (k - 1) + 1) * (q ** k - 1)
+    want = (forms.FormKind.PLUS if count_singular_oracle(F, C) == plus
+            else forms.FormKind.MINUS)
+    assert forms._quadratic_sign(F, C) is want
+
+
+# every nondegenerate kind for d = 1..6 whose oracle scan stays small
+_KERNEL_SPACES = [(q, kind, d) for q in ORDERS
+                  for kind in ("W", "Q", "Q+", "Q-", "H")
+                  for d in range(1, 7)
+                  if _valid(kind, d, gf.field_of_order(q)) and q ** d <= 5000]
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_singular_points_match_the_scan_oracle_across_chunks(data):
+    """Forms in random coordinates, Hermitian ones included, with the cell
+    budget and the row block cut down so that the heads, their form values
+    and the zero tests span several chunks."""
+    q, kind, d = data.draw(st.sampled_from(_KERNEL_SPACES))
+    F = gf.field_of_order(q)
+    form = _transformed(forms.standard_form(kind, d, F),
+                        _draw_invertible(data, F, d))
+    cells = data.draw(st.integers(1, 4 * q ** (d // 2) * F.f))
+    rows = data.draw(st.integers(1, 40))
+    with mock.patch.object(la, "_SCAN_CELLS", cells), \
+            mock.patch.object(la, "_SCAN_ROWS", rows):
+        got = la.singular_points(F, form.data, form.sigma)
+    assert got.dtype == np.int64
+    assert list(map(tuple, got.tolist())) == list(scan_oracle(form))
 
 
 # -- the digit expansion -------------------------------------------------------

@@ -46,6 +46,23 @@ def test_space_rejects_a_field_over_the_table_cap():
     assert err.startswith("error:") and "table backend" in err
 
 
+def test_space_rejects_an_oversized_scan():
+    """Q(2,65521) passes POINT_CAP with 65,522 points, but its scan would
+    cover q^2 + q + 1 projective points."""
+    code, out, err = run_cli("space", "--kind", "Q", "--dim", "2", "--q", "65521")
+    assert code == 2 and out == ""
+    assert err == ("error: space too large: scanning 4293066963 projective "
+                   "points exceeds cap 100000000\n")
+
+
+def test_space_even_q_sign_needs_no_scan():
+    """The sign of an even-q quadratic form is its Arf invariant, so Q+(21,2)
+    reaches the point cap instead of a sign-scan limit."""
+    code, out, err = run_cli("space", "--kind", "Q+", "--dim", "21", "--q", "2")
+    assert code == 2 and out == ""
+    assert err == "error: space too large: 2098175 points exceeds cap 2000000\n"
+
+
 def test_space_grid_refused_and_allowed():
     code, _, err = run_cli("space", "--kind", "Q+", "--dim", "3", "--q", "4")
     assert code == 2 and "grid" in err

@@ -4,6 +4,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from polarkit import _linalg as la
+from polarkit import forms, gf
 
 # k * (p - 1)^2 just below 2^53 for k = 4: the largest products mulmod accepts
 _EDGE_P = 47_453_133
@@ -43,3 +44,15 @@ def test_mulmod_at_the_edge_of_its_bound():
     want = [[sum(int(A[i, t]) * int(B[t, j]) for t in range(4)) % p
              for j in range(2)] for i in range(3)]
     assert la.mulmod(A, B, p).tolist() == want
+
+
+def test_singular_points_raises_past_its_bound(monkeypatch):
+    """W(3,3): a cell sums dl*f = 2 products of at most 2 * 2 and two values
+    of at most 2, so it reaches 12, and the bound must lie above that."""
+    F = gf.field(3)
+    K = forms.standard_form("W", 4, F).data
+    monkeypatch.setattr(la, "_ZERO_TEST_SAFE", 12)
+    with pytest.raises(ValueError, match="exact float64 range"):
+        la.singular_points(F, K)
+    monkeypatch.setattr(la, "_ZERO_TEST_SAFE", 13)
+    assert len(la.singular_points(F, K)) == 40

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from polarkit import forms, gf, polar
+from polarkit import constructions as cx
+from polarkit import fieldred, forms, gf, manifest, polar
 from strategies import canonical
 
 # (kind, projective dim, q) -> (points, rank, ovoid number).  Point counts
@@ -135,6 +137,17 @@ def test_cap():
         polar.build(form, cap=10)
 
 
+def test_scan_cap_is_checked_before_the_scan(monkeypatch):
+    """Q(2,q) has q + 1 points but q^2 + q + 1 projective points to scan."""
+    monkeypatch.setattr(polar, "SCAN_CAP", 30)
+    form = forms.standard_form("Q", 3, gf.field(5))
+    with pytest.raises(ValueError, match="scanning 31 projective points "
+                                         "exceeds cap 30"):
+        polar.build(form)
+    monkeypatch.setattr(polar, "SCAN_CAP", 31)
+    assert polar.build(form).num_points == 6
+
+
 def test_collinearity_matches_form(w33):
     form = w33.form
     for i in range(0, 40, 7):
@@ -228,3 +241,133 @@ def test_maximal_ts_points_match_the_span_oracle(kind, pdim, q):
     assert members == tuple(sorted({sp.index[canonical(F, v)]
                                     for v in span.vectors()}))
     assert sp.num_points == len(sp.points) == len(sp.points_np)
+
+
+# -- pinned point arrays -----------------------------------------------------
+
+# A SHA-1 of points_np and ts_basis for every space that the fast manifest
+# targets and the benchmark workloads (perfbench/workloads.py) build, keyed
+# by the space's name and a digest of its form's matrix.  Taken from the
+# full-space scan that preceded polar's head/tail kernel.
+PINNED = {
+    "H(2,9) f23a5e8774":
+        "b060c11f4d9616fbede1e58f2a8793d56c3b24a7",
+    "H(3,4) 391ba227b6":
+        "22eedf80751e7953577fa5d5612cc6ae793b495a",
+    "H(3,9) 391ba227b6":
+        "860a7d9c88e1df68e0c09e896a30540f0fcd89aa",
+    "H(4,4) 104745ec68":
+        "e4926d21968eaedaa5308cd93ce2ed3227acb04e",
+    "H(5,4) fcdbab1b3d":
+        "6e193e0068a20c726dcbf8fda02cb16120294be7",
+    "Q(4,3) 0e338f2e64":
+        "b15838a7f8b72945fbb30f8c1e79504313b342d0",
+    "Q(4,3) 104745ec68":
+        "3b788b28671834b228d7200ac8d9a2ab78031a1f",
+    "Q(6,3) 04e6680168":
+        "4b7436c303dc586765553f1c62836cc78e70c6c5",
+    "Q(6,3) de5634c397":
+        "55b77d701c1de7a217c2eaaf4bfd7fde8d88c4d6",
+    "Q(6,3) fc4ed074dd":
+        "a30e3d20083d3dee737c3455765937f15cd81dc8",
+    "W(1,9) 8a06c9bdbb":
+        "1fc7a650611d42a31e24657e2fc948555a0862ba",
+    "W(3,3) 727ff9d81d":
+        "a429c8740374fb2d0c1948d554ebe259fdc00823",
+    "W(3,3) d35ae814ec":
+        "a429c8740374fb2d0c1948d554ebe259fdc00823",
+    "W(3,5) bd4bdfa323":
+        "a6a920d8566a9df219ea0cdf332883aea09b5dff",
+    "W(3,8) 4de2ed869e":
+        "fbd44ca11dc37b855b6bec73c4d2bee8341a5bda",
+    "W(3,9) d35ae814ec":
+        "fa0403880406fba22b187fe5a30f0b725878bcf1",
+    "W(5,2) 524432fe9d":
+        "67afc02165b542574e85502d40d6a1bbc4bf8d26",
+    "W(5,3) 1fe9bee57d":
+        "73a3b3e350e3df248069793338906c3686737630",
+    "W(7,2) aee9582e3f":
+        "65e206b9ad6362dff73edf7bdde6a03eae27bce8",
+    "W(7,3) c0a3f45217":
+        "1ed093737b6e4243e6628976210a1d7581a23103",
+    "Q(10,3) 336f01db92":
+        "3c66e942e59234886f35581e9a973ece871f7a9c",
+    "Q(10,3) bf73da8938":
+        "5376fe539901721b62c2ff66de881778c9c5ba69",
+    "Q+(3,4) f644a0abe0":
+        "42f7a09fba3ce2e8b1f80d3954d4de6d7f946e2e",
+    "Q+(5,2) 647c96f8d7":
+        "6c8e851075ddf43895a83bd01154ab4092411d7a",
+    "Q+(5,4) 647c96f8d7":
+        "86fa7b8c2b4eac4b23f3d39eda29b928b595f739",
+    "Q+(7,2) 5e2d27bab1":
+        "02e0c48d0bceb62537c20dbf19c93ef0079beae4",
+    "Q+(7,2) d80b43edbf":
+        "48227632ee8f6f6f82712bbd110478648c4fafdf",
+    "Q+(7,3) 5e2d27bab1":
+        "be55fe45e20bd93fc44a175be9ca04c3a5556c6e",
+    "Q+(7,3) 893dd7c74c":
+        "8cdda7952e98f31b0059e797536c2979779cab4e",
+    "Q+(7,3) aec4f08576":
+        "a656063d5996e5eb3d9bb284f217d62bd4030b3b",
+    "Q-(5,2) 907c7f4645":
+        "f02624f381be261921b07b09be051c32164ff36e",
+    "Q-(5,3) 3f36927932":
+        "8ecb2c8a9217034c45eba59ae6fd167ac64fcc48",
+    "Q-(5,3) d03a8ba9fb":
+        "564e27a67c6eb528b1efd50c457909781a02fd8e",
+    "Q-(5,3) fcdbab1b3d":
+        "5b4834b30773a6cbf3e1869e8203d91ff049d903",
+    "Q-(5,4) d03a8ba9fb":
+        "bc26138bab08729078383363e05e0398214a5f20",
+    "Q-(7,3) 77f0c459f2":
+        "4ed9db13d8f8bce270263dd77fab6d0f3462ff69",
+    "Q-(7,4) 77f0c459f2":
+        "dbc64b3c504c5ed29079f5bb89ab54a29936524f",
+    "Q-(9,2) 8b5e25eefe":
+        "022927c0f6c898f1a3a9b9d08be84ed4948c644a",
+    "W(11,2) df6761e4db":
+        "e0121c919a4a7aed49e76dcbfda82164dd1d88fd",
+    "Q+(11,3) a259641363":
+        "b3bb626ff0189824d112544ce31f485b5b5ea332",
+    "Q-(11,2) eae644cb0f":
+        "decad9649f57b0363011f36fe4bcc9e3b9090e4a",
+}
+
+
+def _space_digest(space):
+    h = hashlib.sha1(np.ascontiguousarray(space.points_np, dtype=np.int64).tobytes())
+    h.update(repr(space.ts_basis).encode())
+    return h.hexdigest()
+
+
+def test_built_spaces_match_the_pinned_hashes(monkeypatch):
+    built = {}
+    build = polar.build
+
+    def recording_build(form, *args, **kwargs):
+        space = build(form, *args, **kwargs)
+        key = f"{space.name} {hashlib.sha1(repr(form.data).encode()).hexdigest()[:10]}"
+        built[key] = _space_digest(space)
+        return space
+
+    monkeypatch.setattr(polar, "build", recording_build)
+    for target in manifest.TARGETS:
+        if target.budget == "fast":
+            manifest.run_target(target)
+    # the workloads' orbit and generator jobs build standard forms, their
+    # reduction jobs go through fieldred.reduce
+    for kind, d, q in [("W", 6, 3), ("W", 8, 2), ("W", 4, 5), ("Q-", 8, 3),
+                       ("Q", 11, 3), ("H", 5, 4), ("Q-", 6, 4), ("Q+", 6, 4),
+                       ("Q-", 8, 4), ("H", 6, 4), ("Q+", 12, 3)]:
+        polar.build(forms.standard_form(kind, d, gf.field_of_order(q)))
+    for row, q, b, kind, m in [(1, 3, 2, "W", 4), (1, 2, 3, "W", 4),
+                               (3, 2, 2, "Q-", 6), (9, 2, 2, "H", 5),
+                               (10, 3, 2, "H", 4)]:
+        S = gf.field_of_order(q)
+        fieldred.reduce(row, forms.standard_form(kind, m, gf.field(S.p, S.f * b)), S)
+    cx.adjoint_sl3(3)
+    cx.dlength_partition("Q", 3, 5)
+    cx.q43_monomial_splits()
+    cx.dlength_partition("Q", 3, 11)
+    assert built == PINNED
