@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Survey the desk-scale polar spaces: counts, trivial parameters, residuals.
 
-Prints, for each space in the working corpus: the enumerated point count
+Prints, for each space of manifest.SPACE_CORPUS: the enumerated point count
 against the theta formula, the parameters of the full point set (always
 theta_r-tight and u-ovoid at once), the 1-tight greedy generator, and —
 where a nonsingular point with elliptic residual exists — the residual's
@@ -9,13 +9,7 @@ classification.  A quick way to eyeball that the machinery hangs together
 on every kind at once.
 """
 
-from polarkit import forms, gf, intriguing, polar
-
-CORPUS = [
-    ("W", 3, 3), ("W", 5, 2), ("Q", 4, 3), ("Q", 6, 3), ("Q+", 5, 2),
-    ("Q+", 7, 2), ("Q+", 7, 3), ("Q-", 5, 2), ("Q-", 5, 3), ("H", 3, 4),
-    ("H", 4, 4),
-]
+from polarkit import forms, intriguing, manifest, polar
 
 
 def describe(rep):
@@ -30,8 +24,8 @@ def describe(rep):
 
 
 def main():
-    for kind, pdim, q in CORPUS:
-        sp = polar.build(forms.standard_form(kind, pdim + 1, gf.field_of_order(q)))
+    for (kind, pdim, q), _ in manifest.SPACE_CORPUS:
+        sp = manifest.corpus_space(kind, pdim, q)
         u = (q ** sp.rank - 1) // (q - 1)
         assert sp.num_points == u * sp.ovoid_number
         print(f"{sp.name:<9} r={sp.rank} theta={sp.ovoid_number:<3}"

@@ -109,10 +109,8 @@ def rref(F, rows):
     return tuple(tuple(row) for row in R), tuple(pivots)
 
 
-def nullspace(F, rows, ncols=None):
-    """Canonical rref basis of {x : rows . x^T = 0}."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def nullspace(F, rows, ncols):
+    """Canonical rref basis of {x in F^ncols : rows . x^T = 0}."""
     R, pivots = rref(F, rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

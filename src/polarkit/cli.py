@@ -202,10 +202,6 @@ def _select_targets(args):
         chosen = [t for t in manifest.TARGETS if t.budget == suite]
     else:
         raise ValueError(f"unknown verification target {suite!r}")
-    if args.fast:
-        chosen = [t for t in chosen if t.budget == "fast"]
-    if args.slow:
-        chosen = [t for t in chosen if t.budget == "slow"]
     return chosen
 
 
@@ -295,10 +291,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run compiled-in verification targets")
     p.add_argument("suite", nargs="?", default="fast",
                    help="fast (default), slow, all, or a target id")
-    p.add_argument("--fast", action="store_true",
-                   help="keep only fast-budget targets")
-    p.add_argument("--slow", action="store_true",
-                   help="keep only slow-budget targets")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return ap

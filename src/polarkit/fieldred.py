@@ -180,18 +180,15 @@ def reduce(row, large_form, small_field, alpha=None):
 def _traced_form(row, large_form, emb, basis, dst_kind, alpha):
     L, S = emb.large, emb.small
     d = len(basis)
+
+    def traced(u, v):
+        return emb.trace(L.mul(alpha, large_form.evaluate_pair(basis[u], basis[v])))
+
     if row == 1:
-        gram = [[emb.trace(L.mul(alpha, large_form.evaluate_pair(basis[u],
-                                                                 basis[v])))
-                 for v in range(d)] for u in range(d)]
-        return fm.Form(FormKind.SYMPLECTIC, S, gram)
-    C = [[0] * d for _ in range(d)]
+        return fm.Form(FormKind.SYMPLECTIC, S,
+                       [[traced(u, v) for v in range(d)] for u in range(d)])
     if row in (2, 3):
-        for u in range(d):
-            C[u][u] = emb.trace(L.mul(alpha, large_form.evaluate(basis[u])))
-            for v in range(u + 1, d):
-                C[u][v] = emb.trace(L.mul(alpha,
-                    large_form.evaluate_pair(basis[u], basis[v])))
+        diag = [emb.trace(L.mul(alpha, large_form.evaluate(b))) for b in basis]
     else:  # rows 9, 10: Hermitian lengths through the half trace
         mid = gf.field(L.p, L.f // 2)
         mid_in_large = gf.embedding(mid, L)
@@ -199,13 +196,12 @@ def _traced_form(row, large_form, emb, basis, dst_kind, alpha):
         # alpha*kappa' stays Hermitian only for alpha fixed by the involution,
         # i.e. alpha in the index-2 midfield; .down raises otherwise.
         alpha_mid = mid_in_large.down(alpha)
-        for u in range(d):
-            val = large_form.evaluate(basis[u])   # kappa'(v,v), in GF(q^(b/2))
-            C[u][u] = small_in_mid.trace(mid.mul(alpha_mid,
-                                                 mid_in_large.down(val)))
-            for v in range(u + 1, d):
-                C[u][v] = emb.trace(L.mul(alpha,
-                    large_form.evaluate_pair(basis[u], basis[v])))
+        # kappa'(v,v) lies in GF(q^(b/2))
+        diag = [small_in_mid.trace(mid.mul(alpha_mid,
+                                           mid_in_large.down(large_form.evaluate(b))))
+                for b in basis]
+    C = [[diag[u] if u == v else traced(u, v) if u < v else 0 for v in range(d)]
+         for u in range(d)]
     form = fm.quadratic_form(S, C)
     if form.kind is not dst_kind:
         raise AssertionError(f"traced form has type {form.kind.value}, "

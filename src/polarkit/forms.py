@@ -68,13 +68,8 @@ class Form:
         self.dim = d
         self.data = data
         self.sigma = field.f // 2 if kind is FormKind.HERMITIAN else 0
+        self.bilinear_gram = _polarized(field, data) if kind.is_quadratic else data
         self._validate()
-        if kind.is_quadratic:
-            C = data
-            self.bilinear_gram = tuple(
-                tuple(field.add(C[i][j], C[j][i]) for j in range(d)) for i in range(d))
-        else:
-            self.bilinear_gram = data
 
     # -- validation --------------------------------------------------------
 
@@ -107,11 +102,10 @@ class Form:
                     raise ValueError("parabolic quadratic spaces are only supported for odd q")
             elif d % 2:
                 raise ValueError(f"{K.name} quadratic forms need even dimension")
-            B = tuple(tuple(F.add(M[i][j], M[j][i]) for j in range(d)) for i in range(d))
-            if la.det(F, B) == 0:
+            if la.det(F, self.bilinear_gram) == 0:
                 raise ValueError("degenerate quadratic form (polarized radical nonzero)")
             if d % 2 == 0:
-                sign = _quadratic_sign(F, M, B)
+                sign = _quadratic_sign(F, M)
                 want = FormKind.PLUS if K is FormKind.PLUS else FormKind.MINUS
                 if sign is not want:
                     raise ValueError(f"declared {K.name} but computed type is {sign.name}")
@@ -120,55 +114,34 @@ class Form:
 
     def evaluate(self, v):
         """Q(v) for quadratic kinds, kappa(v, v) otherwise."""
-        F = self.field
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         if self.kind.is_quadratic:
-            acc = 0
-            C = self.data
-            for i, x in enumerate(v):
-                if x:
-                    row = C[i]
-                    acc = F.add(acc, F.mul(x, F.mul(x, row[i])))
-                    for j in range(i + 1, self.dim):
-                        y = v[j]
-                        if y and row[j]:
-                            acc = F.add(acc, F.mul(row[j], F.mul(x, y)))
-            return acc
+            return _eval_upper(self.field, self.data, v)
         return self.evaluate_pair(v, v)
 
     def evaluate_pair(self, u, v):
-        """kappa(u, v); for quadratic kinds the polarized form B(u, v)."""
+        """kappa(u, v) = sum u_i G_ij v_j^sigma, G = bilinear_gram; for
+        quadratic kinds the polarized form B(u, v)."""
         F = self.field
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        if self.kind is FormKind.HERMITIAN:
-            s = self.sigma
-            acc = 0
-            G = self.data
-            for i, x in enumerate(u):
-                if x:
-                    for j, y in enumerate(v):
-                        if y and G[i][j]:
-                            acc = F.add(acc, F.mul(F.mul(x, G[i][j]), F.frobenius(y, s)))
-            return acc
-        B = self.bilinear_gram
+        if self.sigma:
+            v = [F.frobenius(y, self.sigma) for y in v]
         acc = 0
-        for i, x in enumerate(u):
+        for x, row in zip(u, self.bilinear_gram):
             if x:
-                row = B[i]
-                for j, y in enumerate(v):
-                    if y and row[j]:
-                        acc = F.add(acc, F.mul(x, F.mul(row[j], y)))
+                for y, g in zip(v, row):
+                    if y and g:
+                        acc = F.add(acc, F.mul(x, F.mul(g, y)))
         return acc
 
     def pair_functional(self, s):
         """Coefficients w with kappa(x, s) = sum_i x_i w_i (linear in x)."""
         F = self.field
-        if self.kind is FormKind.HERMITIAN:
-            sc = tuple(F.frobenius(y, self.sigma) for y in s)
-            return tuple(la.dot(F, self.data[i], sc) for i in range(self.dim))
-        return tuple(la.dot(F, self.bilinear_gram[i], s) for i in range(self.dim))
+        if self.sigma:
+            s = tuple(F.frobenius(y, self.sigma) for y in s)
+        return tuple(la.dot(F, row, s) for row in self.bilinear_gram)
 
     def pair_matrix(self, rows):
         """The pair functionals of the rows s_1..s_m in bulk: a GF(p) matrix
@@ -222,7 +195,13 @@ class Form:
         return f"Form({self.kind.value}, d={self.dim}, {self.field!r})"
 
 
-def _quadratic_sign(F, C, B=None):
+def _polarized(F, C):
+    """The polar Gram C + C^T of a quadratic form's coefficient matrix."""
+    d = len(C)
+    return tuple(tuple(F.add(C[i][j], C[j][i]) for j in range(d)) for i in range(d))
+
+
+def _quadratic_sign(F, C):
     """PLUS or MINUS for a nondegenerate even-dimensional quadratic form.
 
     Odd q: discriminant test on the polarized Gram ((-1)^k det B a square iff
@@ -234,8 +213,7 @@ def _quadratic_sign(F, C, B=None):
     """
     d = len(C)
     k = d // 2
-    if B is None:
-        B = tuple(tuple(F.add(C[i][j], C[j][i]) for j in range(d)) for i in range(d))
+    B = _polarized(F, C)
     if F.p != 2:
         disc = la.det(F, B)
         m1 = F.neg(1)
@@ -324,15 +302,8 @@ def diagonal_form(field, entries):
     """Q = sum a_i x_i^2 (odd q), classified to the correct quadratic kind."""
     if field.p == 2:
         raise ValueError("diagonal quadratic forms need odd characteristic")
-    d = len(entries)
-    C = [[0] * d for _ in range(d)]
-    for i, a in enumerate(entries):
-        C[i][i] = a
-    if d % 2:
-        kind = FormKind.PARABOLIC
-    else:
-        kind = _quadratic_sign(field, tuple(tuple(r) for r in C))
-    return Form(kind, field, C)
+    return quadratic_form(field, [[a if j == i else 0 for j in range(len(entries))]
+                                  for i, a in enumerate(entries)])
 
 
 def quadratic_form(field, upper):
@@ -439,7 +410,7 @@ def classify_restriction(form, S):
         C = tuple(tuple(form.evaluate(rows[i]) if i == j
                         else (form.evaluate_pair(rows[i], rows[j]) if i < j else 0)
                         for j in range(k)) for i in range(k))
-        B = tuple(tuple(F.add(C[i][j], C[j][i]) for j in range(k)) for i in range(k))
+        B = _polarized(F, C)
         ts = all(C[i][j] == 0 for i in range(k) for j in range(k))
         if ts:
             return RestrictionReport(None, k, k, k, True)
@@ -454,7 +425,7 @@ def classify_restriction(form, S):
             return RestrictionReport(None, k, None, rad_dim, False)
         if k % 2:
             return RestrictionReport(FormKind.PARABOLIC, k, k // 2, 0, False)
-        sign = _quadratic_sign(F, C, B)
+        sign = _quadratic_sign(F, C)
         witt = k // 2 if sign is FormKind.PLUS else k // 2 - 1
         return RestrictionReport(sign, k, witt, 0, False)
     gram = tuple(tuple(form.evaluate_pair(rows[i], rows[j]) for j in range(k))

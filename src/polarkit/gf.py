@@ -372,15 +372,22 @@ def _poly_is_primitive(poly, p, f):
 
     if ppow(n) != [1]:
         return False
-    m, facs, d = n, set(), 2
-    while d * d <= m:
-        while m % d == 0:
-            facs.add(d)
-            m //= d
+    return all(ppow(n // r) != [1] for r in prime_factors(n))
+
+
+def prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if m > 1:
-        facs.add(m)
-    return all(ppow(n // l) != [1] for l in facs)
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @lru_cache(maxsize=None)

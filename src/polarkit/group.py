@@ -420,20 +420,19 @@ def vector_orbits(form, gens):
 # -- classical generator sets ----------------------------------------------
 
 
-_FAMILIES = ("Sp", "SU", "Omega", "OmegaPlus", "OmegaMinus")
-
-_KIND_TO_FAMILY = {
-    FormKind.SYMPLECTIC: "Sp",
-    FormKind.HERMITIAN: "SU",
-    FormKind.PARABOLIC: "Omega",
-    FormKind.PLUS: "OmegaPlus",
-    FormKind.MINUS: "OmegaMinus",
+_FAMILY_KIND = {
+    "Sp": FormKind.SYMPLECTIC,
+    "SU": FormKind.HERMITIAN,
+    "Omega": FormKind.PARABOLIC,
+    "OmegaPlus": FormKind.PLUS,
+    "OmegaMinus": FormKind.MINUS,
 }
 
 
 def classical_generators(family, d, field, self_check=True):
     """Generators for the named isometry group on the standard form.
 
+    The family is a name of _FAMILY_KIND or anything parse_kind reads.
     Sp and SU get transvections along O(d) vectors with the parameter over
     a GF(p)-basis (see _symplectic_transvections, _unitary_transvections);
     the Omega families use Eichler transformations anchored at the first
@@ -445,28 +444,24 @@ def classical_generators(family, d, field, self_check=True):
     family's projective group.
     """
     from . import forms as fm
-    if isinstance(family, FormKind) or family not in _FAMILIES:
-        family = _KIND_TO_FAMILY.get(fm.parse_kind(family))
-        if family is None:
-            raise ValueError("unsupported family")
+    if family not in _FAMILY_KIND:
+        kind = fm.parse_kind(family)
+        family = next(name for name, k in _FAMILY_KIND.items() if k is kind)
+    kind = _FAMILY_KIND[family]
     if d > 14 or field.q > 9:
         raise ValueError("generator construction supported at desk scale only")
-    if family == "Sp":
-        form = fm.standard_form(FormKind.SYMPLECTIC, d, field)
+    form = fm.standard_form(kind, d, field)
+    if kind is FormKind.SYMPLECTIC:
         gens = _symplectic_transvections(form)
-    elif family == "SU":
-        form = fm.standard_form(FormKind.HERMITIAN, d, field)
+    elif kind is FormKind.HERMITIAN:
         gens = _unitary_transvections(form)
         if (d, field.q) == (3, 4):
             gens += _su32_fourier(field)
     else:
-        kind = {"Omega": FormKind.PARABOLIC, "OmegaPlus": FormKind.PLUS,
-                "OmegaMinus": FormKind.MINUS}[family]
-        form = fm.standard_form(kind, d, field)
         gens = _eichler_generators(form)
     gs = GeneratorSet(field, gens, label=f"{family}({d},{field.q})")
     if self_check:
-        allow_grid = family == "OmegaPlus" and d == 4
+        allow_grid = kind is FormKind.PLUS and d == 4
         _certify(pl.build(form, allow_grid=allow_grid), gs,
                  point_image_order(family, d, field.q))
     return gs
@@ -725,22 +720,18 @@ def _eichler_generators(form):
 
 
 def _first_hyperbolic_pair(form):
-    """(u, w) singular with B(u, w) = 1, from the standard model layout."""
+    """(e_i, e_j / B_ij) for the first (i, j) in row-major order with
+    Q(e_i) = Q(e_j) = 0 and B_ij != 0, read from Form.basis_values."""
     F, d = form.field, form.dim
-    for i in range(d):
-        ei = tuple(1 if k == i else 0 for k in range(d))
-        if form.evaluate(ei) != 0:
-            continue
-        for j in range(d):
-            if j == i:
-                continue
-            ej = tuple(1 if k == j else 0 for k in range(d))
-            if form.evaluate(ej) != 0:
-                continue
-            b = form.evaluate_pair(ei, ej)
-            if b != 0:
-                return ei, tuple(F.div(x, b) for x in ej)
-    raise ValueError("no hyperbolic pair among basis vectors (rank 0?)")
+    vals, zero, _ = form.basis_values
+    singular = zero[d * d:]
+    B = vals[:d * d].reshape(d, d)
+    hits = np.argwhere(singular[:, None] & singular & (B != 0))
+    if not len(hits):
+        raise ValueError("no hyperbolic pair among basis vectors (rank 0?)")
+    i, j = map(int, hits[0])
+    e = la.identity(F, d)
+    return e[i], tuple(F.div(x, int(B[i, j])) for x in e[j])
 
 
 def _eichler(form, u, v):

@@ -219,7 +219,7 @@ def zsigmondy(n, k):
     if n ** k >= _ZS_BUDGET:
         raise ValueError("n^k exceeds the 63-bit budget")
     phi = _cyclotomic_value(n, k)
-    for p in _prime_factors(k):
+    for p in gf.prime_factors(k):
         while phi % p == 0:
             phi //= p
     if phi == 1:
@@ -245,22 +245,8 @@ def _divisors(k):
     return out
 
 
-def _prime_factors(k):
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
 def _mobius(k):
-    fs = _prime_factors(k)
+    fs = gf.prime_factors(k)
     m = k
     for p in fs:
         if m % (p * p) == 0:

@@ -164,16 +164,16 @@ class PolarSpace:
 _BUILD = object()
 
 
-def build(form, cap=POINT_CAP, allow_grid=False):
+def build(form, allow_grid=False):
     """Enumerate the polar space of a nondegenerate form.
 
     The points are the canonical singular vectors (see the point
     representation below) in code order, found by one kernel for every
     field, _linalg.singular_points, which splits each vector into a head
     and a tail and evaluates the form on GF(p) digits.  Spaces over
-    POINT_CAP points (the cap argument) or SCAN_CAP projective points of
-    F^d are refused before the scan.  The count is checked against the
-    closed form and the greedy rank against the parameter table.
+    POINT_CAP points or SCAN_CAP projective points of F^d are refused
+    before the scan.  The count is checked against the closed form and the
+    greedy rank against the parameter table.
 
     The hyperbolic-quadric surface in projective 3-space (a grid, not a thick
     generalized quadrangle) degenerates most of the counting arguments here
@@ -184,8 +184,8 @@ def build(form, cap=POINT_CAP, allow_grid=False):
     if kind is FormKind.PLUS and d == 4 and not allow_grid:
         raise ValueError(f"{space_name(kind, d, q)} is a grid and is not supported")
     expected = expected_point_count(kind, d, q)
-    if expected > cap:
-        raise ValueError(f"space too large: {expected} points exceeds cap {cap}")
+    if expected > POINT_CAP:
+        raise ValueError(f"space too large: {expected} points exceeds cap {POINT_CAP}")
     scanned = (q ** d - 1) // (q - 1)
     if scanned > SCAN_CAP:
         raise ValueError(f"space too large: scanning {scanned} projective points "

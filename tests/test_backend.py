@@ -239,6 +239,57 @@ def test_singular_points_match_the_scan_oracle_across_chunks(data):
     assert list(map(tuple, got.tolist())) == list(scan_oracle(form))
 
 
+# -- the scalar form layer -----------------------------------------------------
+
+
+def quadratic_value_oracle(F, C, v):
+    """Q(v) = sum over i <= j of C_ij v_i v_j."""
+    acc = 0
+    for i in range(len(v)):
+        for j in range(i, len(v)):
+            acc = F.add(acc, F.mul(C[i][j], F.mul(v[i], v[j])))
+    return acc
+
+
+def pair_value_oracle(form, u, v):
+    """kappa(u, v) = sum u_i G_ij v_j^sigma, with G = C + C^T for quadratic
+    kinds and the stored Gram matrix otherwise, sigma = sqrt(q) for
+    Hermitian forms and the identity otherwise."""
+    F, M = form.field, form.data
+    s = F.f // 2 if form.kind is forms.FormKind.HERMITIAN else 0
+    acc = 0
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            g = F.add(M[i][j], M[j][i]) if form.kind.is_quadratic else M[i][j]
+            acc = F.add(acc, F.mul(x, F.mul(g, F.frobenius(y, s))))
+    return acc
+
+
+_FORM_SHAPES = [(q, kind, d) for q in ORDERS
+                for kind in ("W", "Q", "Q+", "Q-", "H") for d in range(1, 7)
+                if _valid(kind, d, gf.field_of_order(q))]
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_form_evaluation_matches_the_definitions(data):
+    """evaluate, evaluate_pair and pair_functional on drawn vectors, for
+    every kind in random coordinates, even q and Hermitian forms included."""
+    q, kind, d = data.draw(st.sampled_from(_FORM_SHAPES))
+    F = gf.field_of_order(q)
+    form = _transformed(forms.standard_form(kind, d, F),
+                        _draw_invertible(data, F, d))
+    vec = st.tuples(*[st.integers(0, q - 1)] * d)
+    u, v = data.draw(vec), data.draw(vec)
+    kappa = pair_value_oracle(form, u, v)
+    assert form.evaluate_pair(u, v) == kappa
+    w = form.pair_functional(v)
+    assert functools.reduce(F.add, map(F.mul, u, w), 0) == kappa
+    want = (quadratic_value_oracle(F, form.data, v) if form.kind.is_quadratic
+            else pair_value_oracle(form, v, v))
+    assert form.evaluate(v) == want
+
+
 # -- the digit expansion -------------------------------------------------------
 
 

@@ -275,11 +275,18 @@ def test_verify_single_target():
     assert code == 0 and "PASS" in out
 
 
+# sha256 of `polarkit verify fast --json` stdout, taken before the scalar
+# form rules were each written once in forms.py
+_VERIFY_FAST_SHA256 = "35a1371baecc9fffae432b9035990a402360aeac1a7cb10f7d79943747216f45"
+
+
 def test_verify_fast_suite_json_deterministic():
+    import hashlib
     code1, out1, _ = run_cli("verify", "fast", "--json")
     code2, out2, _ = run_cli("verify", "fast", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == _VERIFY_FAST_SHA256
     lines = out1.strip().splitlines()
     assert len(lines) == 13
     for line in lines:

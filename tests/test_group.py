@@ -254,6 +254,51 @@ def test_elements_keep_their_content_and_order(family, d, q):
     assert not any(g != g.inverse() and g.inverse() in kept for g in kept)
 
 
+def _first_hyperbolic_pair_oracle(form):
+    """The first basis pair (e_i, e_j), i != j, both singular with
+    B(e_i, e_j) = b != 0, by scalar evaluation: (e_i, e_j / b)."""
+    F, d = form.field, form.dim
+    for i in range(d):
+        ei = tuple(1 if k == i else 0 for k in range(d))
+        if form.evaluate(ei) != 0:
+            continue
+        for j in range(d):
+            if j == i:
+                continue
+            ej = tuple(1 if k == j else 0 for k in range(d))
+            if form.evaluate(ej) != 0:
+                continue
+            b = form.evaluate_pair(ei, ej)
+            if b != 0:
+                return ei, tuple(F.div(x, b) for x in ej)
+    raise AssertionError("no hyperbolic pair among basis vectors")
+
+
+@pytest.mark.parametrize("family,d,q", sorted(k for k in _SERIALIZED
+                                              if k[0].startswith("Omega")))
+def test_first_hyperbolic_pair_matches_the_scalar_loop(family, d, q):
+    form = forms.standard_form(group._FAMILY_KIND[family], d, gf.field_of_order(q))
+    got = group._first_hyperbolic_pair(form)
+    assert got == _first_hyperbolic_pair_oracle(form)
+    assert all(type(x) is int for v in got for x in v)
+
+
+@pytest.mark.parametrize("family,d,q,aliases", [
+    ("Sp", 4, 3, [forms.FormKind.SYMPLECTIC, "W", "sp"]),
+    ("SU", 3, 4, [forms.FormKind.HERMITIAN, "H"]),
+    ("Omega", 5, 3, [forms.FormKind.PARABOLIC, "Q"]),
+    ("OmegaPlus", 6, 2, [forms.FormKind.PLUS, "q+", "Q+"]),
+    ("OmegaMinus", 6, 3, [forms.FormKind.MINUS, "Q-", "elliptic"]),
+])
+def test_classical_generators_read_a_kind_as_its_family(family, d, q, aliases):
+    F = gf.field_of_order(q)
+    want = group.classical_generators(family, d, F, self_check=False)
+    for alias in aliases:
+        got = group.classical_generators(alias, d, F, self_check=False)
+        assert got.elements == want.elements
+        assert got.label == want.label == f"{family}({d},{q})"
+
+
 def test_classical_generators_desk_scale_cap(f3):
     with pytest.raises(ValueError):
         group.classical_generators("Sp", 16, f3)

@@ -131,10 +131,11 @@ def test_grid_refused():
     assert sp.num_points == (3 + 1) ** 2
 
 
-def test_cap():
+def test_cap(monkeypatch):
+    monkeypatch.setattr(polar, "POINT_CAP", 10)
     form = forms.standard_form("W", 4, gf.field(3))
     with pytest.raises(ValueError, match="cap"):
-        polar.build(form, cap=10)
+        polar.build(form)
 
 
 def test_scan_cap_is_checked_before_the_scan(monkeypatch):
