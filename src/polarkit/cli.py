@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from . import _linalg as la
 from . import constructions as cx
 from . import fieldred, forms, gf, group, intriguing, manifest, polar
 
@@ -67,22 +68,20 @@ def cmd_orbits(args):
     gen_list = data if isinstance(data, list) else data.get("generators")
     if not gen_list:
         # no generators = the trivial group: every point is its own orbit
-        labels = tuple(range(sp.num_points))
-        part = group.OrbitPartition(sp, labels)
+        gens = group.GeneratorSet(sp.field, [group.Semisimilarity(
+            sp.field, la.identity(sp.field, sp.d))])
+    elif isinstance(data, list):
+        raise ValueError("a bare generator list has no field metadata; "
+                         "use {q, d, generators}")
     else:
-        if isinstance(data, list):
-            raise ValueError("a bare generator list has no field metadata; "
-                             "use {q, d, generators}")
         gens = group.GeneratorSet.deserialize(data, label=args.gens)
-        part = group.orbits(sp, gens)
+    part = group.orbits(sp, gens)
     if args.json:
         _emit(args, {"orbit_sizes": list(part.orbit_sizes),
                      "n_orbits": part.n_orbits})
     else:
         print(f"orbits={part.n_orbits} sizes={list(part.orbit_sizes)}")
-    for label in part.orbit_labels:
-        s = part.orbit(label)
-        rep = intriguing.classify(sp, s)
+    for label, rep in zip(part.orbit_labels, intriguing.classify_orbits(part)):
         if args.json:
             d = _report_dict(rep)
             d["label"] = label
@@ -136,13 +135,12 @@ def cmd_reduce(args):
     return 0
 
 
-def _construct_partition(args, space, part):
+def _construct_partition(args, part):
     if args.json:
         _emit(args, {"orbit_sizes": list(part.orbit_sizes)})
     else:
-        print(f"{space.name}: orbit sizes {list(part.orbit_sizes)}")
-    for label in part.orbit_labels:
-        rep = intriguing.classify(space, part.orbit(label))
+        print(f"{part.space.name}: orbit sizes {list(part.orbit_sizes)}")
+    for rep in intriguing.classify_orbits(part):
         if args.json:
             _emit(args, _report_dict(rep))
         else:
@@ -153,10 +151,10 @@ def cmd_construct(args):
     name = args.name
     if name == "adjoint-sl3":
         am = cx.adjoint_sl3(args.q or 3)
-        _construct_partition(args, am.space, am.orbits)
+        _construct_partition(args, am.orbits)
     elif name == "extsq-sp6":
         em = cx.extsq_sp6(args.q or 3)
-        _construct_partition(args, em.space, em.orbits)
+        _construct_partition(args, em.orbits)
     elif name == "dlength":
         if not (args.kind and args.q and args.t):
             raise ValueError("dlength needs --kind, --q and --t")
@@ -171,8 +169,8 @@ def cmd_construct(args):
                 _print_report(rep, prefix=f"  length {w}: ")
     elif name == "q43-splits":
         sp = cx.q43_monomial_splits()
-        _construct_partition(args, sp["space"], sp["ovoid_split"])
-        _construct_partition(args, sp["space"], sp["tight_split"])
+        _construct_partition(args, sp["ovoid_split"])
+        _construct_partition(args, sp["tight_split"])
     elif name == "sl2-5":
         gset = cx.sl2_5_in_sl2_9()
         fr, sets = cx.sl2_5_reduced_sets()

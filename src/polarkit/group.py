@@ -11,8 +11,6 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -268,44 +266,44 @@ class GeneratorSet:
         return f"GeneratorSet({len(self.elements)} elements, d={self.dim}, q={self.field.q})"
 
 
-@dataclass(frozen=True)
 class OrbitPartition:
-    """Orbit labels per point; a label is the smallest point index in its orbit."""
+    """Orbit labels per point in one read-only int64 array; a label is the
+    smallest point index in its orbit.  Only orbits() builds one."""
 
-    space: object
-    labels: tuple
+    def __init__(self, space, labels, _token=None):
+        if _token is not _ORBITS:
+            raise TypeError("use group.orbits(space, gens)")
+        labels.setflags(write=False)
+        self.space = space
+        self.labels = labels
 
     @property
     def orbit_sizes(self):
-        from collections import Counter
-        return tuple(sorted(Counter(self.labels).values()))
+        return tuple(sorted(np.bincount(self.labels)[list(self.orbit_labels)].tolist()))
 
     @property
     def orbit_labels(self):
-        return tuple(sorted(set(self.labels)))
-
-    @cached_property
-    def _labels_np(self):
-        return np.array(self.labels, dtype=np.int64)
+        # the points that are their own label (np.unique imports numpy.ma)
+        return tuple(np.flatnonzero(self.labels == np.arange(len(self.labels))).tolist())
 
     def orbit(self, label):
         return PointSet(self.space,
-                        tuple(np.flatnonzero(self._labels_np == label).tolist()))
+                        tuple(np.flatnonzero(self.labels == label).tolist()))
 
     def orbit_sets(self):
         return [self.orbit(l) for l in self.orbit_labels]
 
-    def orbit_of_point(self, i):
-        return self.orbit(self.labels[i])
-
     @property
     def n_orbits(self):
-        return len(set(self.labels))
+        return len(self.orbit_labels)
 
     def serialize(self):
         return {"space_descriptor": self.space.descriptor(),
                 "orbit_sizes": list(self.orbit_sizes),
-                "labels": list(self.labels)}
+                "labels": self.labels.tolist()}
+
+
+_ORBITS = object()
 
 
 def _validate_gens(form, gens):
@@ -334,7 +332,7 @@ def orbits(space, gens):
     """
     _validate_gens(space.form, gens.elements)
     labels = _close(space.num_points, _point_images(space, gens.generators))
-    return OrbitPartition(space, tuple(labels.tolist()))
+    return OrbitPartition(space, labels, _token=_ORBITS)
 
 
 def _point_images(space, gens):

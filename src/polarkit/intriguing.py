@@ -37,12 +37,31 @@ def classify(space, M):
     if M.space is not space:
         raise ValueError("point set belongs to a different space")
     counts = _perp_counts(space, M)
-    n = space.num_points
-    size = len(M)
-    off_empty = size == n
-    inside = np.zeros(n, dtype=bool)
+    inside = np.zeros(space.num_points, dtype=bool)
     inside[np.array(M.members, dtype=np.int64)] = True
-    h1, h2 = _constant(counts[inside]), _constant(counts[~inside])
+    return _report(space, len(M), _constant(counts[inside]),
+                   _constant(counts[~inside]))
+
+
+def classify_orbits(partition):
+    """The IntriguingReport of every orbit, in label order.  Semisimilarities
+    map perps to perps, so |x^perp ∩ O| is one value on each orbit: count O
+    at the k labels only; h1 is O's own label's, h2 the rest's if equal."""
+    space, labels = partition.space, partition.labels
+    reps = np.array(partition.orbit_labels)
+    reports = []
+    for j, label in enumerate(reps):
+        members = np.flatnonzero(labels == label)
+        counts = _raw_counts(space, members, rows=reps)
+        reports.append(_report(space, len(members), int(counts[j]),
+                               _constant(np.delete(counts, j))))
+    return reports
+
+
+def _report(space, size, h1, h2):
+    """The report of a set of size points with perp counts h1 on it and h2
+    off it, each None if not constant (h2 unread for the whole space)."""
+    off_empty = size == space.num_points
     intr = h1 is not None and (off_empty or h2 is not None)
     tight_i = ovoid_m = None
     if intr:
@@ -122,16 +141,17 @@ def _count_dtype(d, f, p):
     return np.float32 if bound < _F32_SAFE else np.float64
 
 
-def _raw_counts(space, members):
-    """|P^perp ∩ members| for every point P: the zero count of kappa(P, Q)
-    over Q in the member list.  Each member's pair functional is a
-    (d*f) x f GF(p) block (Form.pair_matrix), and kappa(P, Q) = 0 when all f
-    columns of its block vanish on P's digits.  Blocked matmuls in the
-    dtype of _count_dtype, in which every accumulated dot product is an
+def _raw_counts(space, members, rows=slice(None)):
+    """|P^perp ∩ members| for every point P indexed by rows: the zero count
+    of kappa(P, Q) over Q in the member list.  Each member's pair functional
+    is a (d*f) x f GF(p) block (Form.pair_matrix), and kappa(P, Q) = 0 when
+    all f columns of its block vanish on P's digits.  Blocked matmuls in
+    the dtype of _count_dtype, in which every accumulated dot product is an
     exact integer, so the zero test is exact."""
     F = space.field
-    p, f, n = F.p, F.f, space.num_points
-    X = F.digit_rows(space.points_np)
+    p, f = F.p, F.f
+    X = F.digit_rows(space.points_np[rows])
+    n = len(X)
     G = space.form.pair_matrix(space.points_np[members])
     dtype = _count_dtype(space.d, f, p)
     Gf = np.ascontiguousarray(G, dtype=dtype)

@@ -87,10 +87,9 @@ def _t_trivial_sets():
 # -- constructions ----------------------------------------------------------
 
 
-def _orbit_summary(space, partition):
+def _orbit_summary(partition):
     out = []
-    for s in partition.orbit_sets():
-        rep = intriguing.classify(space, s)
+    for rep in intriguing.classify_orbits(partition):
         out.append({"size": rep.size, "tight_i": rep.tight_i,
                     "ovoid_m": rep.ovoid_m, "h1": rep.h1, "h2": rep.h2})
     return sorted(out, key=lambda r: r["size"])
@@ -106,7 +105,7 @@ def _t_adjoint_sl3_q3():
                 ],
                 "tight_sum": 28}
     am = cx.adjoint_sl3(3)
-    orbs = _orbit_summary(am.space, am.orbits)
+    orbs = _orbit_summary(am.orbits)
     computed = {"orbit_sizes": list(am.orbits.orbit_sizes),
                 "orbits": orbs,
                 "tight_sum": sum(o["tight_i"] or 0 for o in orbs)}
@@ -153,8 +152,8 @@ def _t_q43_splits():
     sp = cx.q43_monomial_splits()
     computed = {"lengths": list(dp.lengths),
                 "length_class_sizes": [len(s) for s in dp.classes.values()],
-                "ovoid_split": _orbit_summary(sp["space"], sp["ovoid_split"]),
-                "tight_split": _orbit_summary(sp["space"], sp["tight_split"])}
+                "ovoid_split": _orbit_summary(sp["ovoid_split"]),
+                "tight_split": _orbit_summary(sp["tight_split"])}
     return expected, computed
 
 
@@ -317,7 +316,7 @@ def _t_extsq_sp6_q3():
                 ],
                 "tight_sum": 730, "e01_in_small_orbit": True}
     em = cx.extsq_sp6(3)
-    orbs = _orbit_summary(em.space, em.orbits)
+    orbs = _orbit_summary(em.orbits)
     idx = cx.wedge_point(em, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
     computed = {"points": em.space.num_points,
                 "orbit_sizes": list(em.orbits.orbit_sizes),

@@ -240,23 +240,23 @@ def _greedy_ts_basis(form, points):
     span so far, by code (the span is tiny: at most theta-many points).
     Maximality is certified by exhausting all points; the resulting
     dimension is the rank (all maximal TS subspaces share it)."""
-    F, p, f = form.field, form.field.p, form.field.f
-    n, d = points.shape
-    X = F.digit_rows(points).astype(np.float64)   # mulmod's input type, once
-    codes = points @ _powers(F.q, d)
+    F, p = form.field, form.field.p
+    d = points.shape[1]
     basis = []
-    alive = np.ones(n, dtype=bool)
-    while alive.any():
-        i = int(np.argmax(alive))
-        basis.append(i)
+    live = points   # the points still alive, in code order
+    while len(live):
+        basis.append(tuple(live[0].tolist()))
         if 2 * len(basis) > d:   # also bounds the span enumeration below
             raise AssertionError("greedy totally singular basis exceeds d/2")
-        alive &= ~la.mulmod(X, form.pair_matrix(points[i:i + 1]), p).any(axis=1)
-        coeffs = np.array(list(itertools.product(range(p), repeat=len(basis) * f))[1:],
-                          dtype=np.int64)
-        span = F.code_rows(la.mulmod(coeffs, la.expand(F, points[basis]), p))
-        alive &= ~np.isin(codes, canonical_codes(F, span))
-    return tuple(map(tuple, points[basis].tolist()))
+        keep = ~la.mulmod(F.digit_rows(live), form.pair_matrix(live[:1]), p).any(axis=1)
+        coeffs = F.digit_rows(np.concatenate(list(la.projective_blocks(F, len(basis)))))
+        span = F.code_rows(la.mulmod(coeffs, la.expand(F, np.array(basis)), p))
+        # one coefficient vector per projective point, so the span's codes
+        # are distinct and assume_unique holds (np.unique imports numpy.ma)
+        keep &= ~np.isin(live @ _powers(F.q, d), canonical_codes(F, span),
+                         assume_unique=True)
+        live = live[keep]
+    return tuple(basis)
 
 
 # -- point sets ------------------------------------------------------------

@@ -252,8 +252,10 @@ def test_extsq_sp6_orbit_partition():
     sp = model.space
     assert sp.name == "Q(12,3)" and sp.num_points == 265720
     assert model.orbits.orbit_sizes == (3640, 262080)
-    by_size = {len(M): intriguing.classify(sp, M)
-               for M in model.orbits.orbit_sets()}
+    orbit_sets = model.orbits.orbit_sets()
+    by_size = {len(M): intriguing.classify(sp, M) for M in orbit_sets}
+    assert intriguing.classify_orbits(model.orbits) \
+        == [by_size[len(M)] for M in orbit_sets]
     assert by_size[3640].tight_i == 10        # q^2 + 1
     assert by_size[262080].tight_i == 720     # q^6 - q^2
     assert by_size[3640].h1 == 243 + 121 * 10
@@ -262,7 +264,7 @@ def test_extsq_sp6_orbit_partition():
     e0 = (1, 0, 0, 0, 0, 0)
     e1 = (0, 1, 0, 0, 0, 0)
     idx = constructions.wedge_point(model, e0, e1)
-    assert len(model.orbits.orbit_of_point(idx)) == 3640
+    assert len(model.orbits.orbit(model.orbits.labels[idx])) == 3640
 
 
 # -- property suite -----------------------------------------------------
@@ -302,13 +304,13 @@ def test_ovoids_meet_generators():
 def test_orbit_determinism():
     sp = _space("Q", 4, 3)
     gens = group.classical_generators("Omega", 5, sp.field)
-    baseline = group.orbits(sp, gens).labels
+    baseline = group.orbits(sp, gens).labels.tolist()
     rng = random.Random(5)
     for _ in range(3):
         shuffled = list(gens.elements)
         rng.shuffle(shuffled)
         again = group.orbits(sp, group.GeneratorSet(sp.field, shuffled))
-        assert again.labels == baseline
+        assert again.labels.tolist() == baseline
 
 
 def test_invariance_rejects_corruption():

@@ -293,6 +293,36 @@ def test_verify_fast_suite_json_deterministic():
         assert json.loads(line)["match"] is True
 
 
+# elements 2 and 16 of classical_generators("Omega", 5, GF(3)), frozen: their
+# group has three orbits on Q(4,3), a 1-, a 3- and a 6-tight set
+_OMEGA_PAIR = {"q": 3, "d": 5, "generators": [
+    {"matrix": [[[1], [0], [0], [0], [0]], [[0], [1], [0], [0], [0]],
+                [[0], [0], [1], [2], [0]], [[0], [0], [0], [1], [0]],
+                [[0], [1], [0], [0], [1]]], "sigma_power": 0},
+    {"matrix": [[[1], [0], [2], [0], [0]], [[2], [1], [2], [0], [2]],
+                [[0], [0], [1], [0], [0]], [[0], [0], [1], [1], [0]],
+                [[0], [0], [0], [0], [1]]], "sigma_power": 0}]}
+
+
+# sha256 of stdout, taken while every orbit was still classified over the
+# whole space
+@pytest.mark.parametrize("argv,sha", [
+    (("orbits", "--kind", "Q", "--dim", "4", "--q", "3", "--gens", "GENS", "--json"),
+     "4b0932835acef48c48e089604f9ea0ba8bc41d8ad72dc6fb380931ce7e88b271"),
+    (("construct", "adjoint-sl3", "--json"),
+     "cc929cd9130a8b39b11058339bf79f9e1ee8cbf868e8f6892f54e060f17f0da9"),
+    (("construct", "q43-splits", "--json"),
+     "13ff107711e32973cf87f9c5a8acb35dd51da66532f5da2914d6292c650e63d6"),
+], ids=["orbits-omega-pair", "construct-adjoint-sl3", "construct-q43-splits"])
+def test_orbit_reports_stdout_is_pinned(tmp_path, argv, sha):
+    import hashlib
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(_OMEGA_PAIR))
+    code, out, _ = run_cli(*(str(gens) if a == "GENS" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_verify_unknown_target():
     code, _, err = run_cli("verify", "does-not-exist")
     assert code == 2 and "unknown" in err

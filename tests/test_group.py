@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from polarkit import _linalg as la
-from polarkit import forms, gf, group, polar
+from polarkit import forms, gf, group, intriguing, polar
 
 
 def _identity(F, d):
@@ -120,7 +120,7 @@ def test_orbit_labels_are_canonical(q43):
     part1 = group.orbits(q43, gs)
     reversed_gens = group.GeneratorSet(q43.field, list(gs.elements)[::-1])
     part2 = group.orbits(q43, reversed_gens)
-    assert part1.labels == part2.labels
+    assert part1.labels.tolist() == part2.labels.tolist()
     for lab in part1.orbit_labels:
         assert min(part1.orbit(lab).members) == lab
 
@@ -311,6 +311,15 @@ def test_orbit_partition_serialize(w33):
     assert d["orbit_sizes"] == [40]
     assert len(d["labels"]) == 40
     assert d["space_descriptor"] == w33.descriptor()
+    assert json.loads(json.dumps(d)) == d   # labels are Python ints
+
+
+def test_orbit_partition_is_built_only_by_orbits(w33):
+    with pytest.raises(TypeError, match="group.orbits"):
+        group.OrbitPartition(w33, np.arange(40))
+    part = group.orbits(w33, group.GeneratorSet(w33.field, [_identity(w33.field, 4)]))
+    assert part.labels.dtype == np.int64 and not part.labels.flags.writeable
+    assert part.n_orbits == 40 and part.orbit_labels == tuple(range(40))
 
 
 # -- differential checks against test-only oracles -------------------------
@@ -340,7 +349,7 @@ def _bfs_labels(space, gens):
                         labels[j] = seed
                         nxt.append(j)
             frontier = nxt
-    return tuple(labels)
+    return labels
 
 
 def _frobenius(F, d):
@@ -349,13 +358,14 @@ def _frobenius(F, d):
 
 
 _POOL_SPACES = [("W", 4, 3, "Sp"), ("Q", 5, 5, "Omega"), ("W", 4, 4, "Sp"),
-                ("H", 4, 4, "SU"), ("Q+", 6, 4, "OmegaPlus")]
+                ("H", 4, 4, "SU"), ("Q+", 6, 4, "OmegaPlus"), ("H", 3, 9, "SU")]
 
 
 @functools.lru_cache(maxsize=None)
 def _pool(kind, d, q, family):
-    """A space and a pool of its semisimilarities; over GF(4) the pool holds
-    the Frobenius map and its products with isometries (semilinear)."""
+    """A space and a pool of its semisimilarities; over GF(4) and GF(9) the
+    pool holds the Frobenius map and its products with isometries
+    (semilinear)."""
     F = gf.field_of_order(q)
     space = polar.build(forms.standard_form(kind, d, F))
     pool = list(group.classical_generators(family, d, F, self_check=False))
@@ -374,7 +384,7 @@ def test_orbits_match_bfs_on_intransitive_subsets(data):
     gens = group.GeneratorSet(space.field, [pool[i] for i in picks])
     want = _bfs_labels(space, gens)
     assume(len(set(want)) > 1)
-    assert group.orbits(space, gens).labels == want
+    assert group.orbits(space, gens).labels.tolist() == want
 
 
 @settings(max_examples=40)
@@ -393,7 +403,46 @@ def test_orbits_match_bfs_on_sets_that_list_inverse_pairs(data):
     assert set(gens.elements) == set(listed)
     want = _bfs_labels(space, gens)
     assume(len(set(want)) > 1)
-    assert group.orbits(space, gens).labels == want
+    assert group.orbits(space, gens).labels.tolist() == want
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_classify_orbits_matches_classify_on_intransitive_subsets(data):
+    """classify_orbits reads every orbit's report off the counts at one
+    point per orbit; classify counts at every point of the space, here on
+    orbits taken from the breadth-first labels."""
+    space, pool = _pool(*data.draw(st.sampled_from(_POOL_SPACES)))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=3))
+    gens = group.GeneratorSet(space.field, [pool[i] for i in picks])
+    want = _bfs_labels(space, gens)
+    assume(len(set(want)) > 1)
+    orbit_sets = [polar.PointSet(space, tuple(i for i, l in enumerate(want) if l == label))
+                  for label in sorted(set(want))]
+    assert intriguing.classify_orbits(group.orbits(space, gens)) \
+        == [intriguing.classify(space, M) for M in orbit_sets]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_classify_orbits_of_the_trivial_group_on_a_line(q):
+    """Each point of W(1,q) is its own perp, so every singleton is 1-tight
+    with h1 = 1 and h2 = 0."""
+    F = gf.field_of_order(q)
+    space = polar.build(forms.standard_form("W", 2, F))
+    part = group.orbits(space, group.GeneratorSet(F, [_identity(F, 2)]))
+    want = [intriguing.IntriguingReport(1, 1, 0, True, tight_i=1)] * (q + 1)
+    assert intriguing.classify_orbits(part) == want
+    assert [intriguing.classify(space, M) for M in part.orbit_sets()] == want
+
+
+def test_classify_orbits_of_the_trivial_group_on_w33(w33):
+    """A point of W(3,3) is collinear with 12 of the other 39, so no
+    singleton is intriguing."""
+    part = group.orbits(w33, group.GeneratorSet(w33.field, [_identity(w33.field, 4)]))
+    reports = intriguing.classify_orbits(part)
+    assert reports == [intriguing.classify(w33, M) for M in part.orbit_sets()]
+    assert {(r.size, r.h1, r.h2, r.is_intriguing) for r in reports} == {(1, 1, None, False)}
 
 
 def _union_find_labels(n, images):
@@ -466,7 +515,7 @@ def test_orbits_stop_once_transitive(monkeypatch, spec):
 
     monkeypatch.setattr(group, "_point_images", counting)
     part = group.orbits(space, gens)
-    assert part.labels == (0,) * space.num_points == _bfs_labels(space, gens)
+    assert part.labels.tolist() == [0] * space.num_points == _bfs_labels(space, gens)
     assert 0 < len(drawn) < len(gens)
 
 
