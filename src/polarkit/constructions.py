@@ -326,7 +326,7 @@ def dlength_partition(kind, q, t):
     weights = np.count_nonzero(space.points_np, axis=1)
     classes = {w: polar.PointSet(space,
                                  tuple(np.flatnonzero(weights == w).tolist()))
-               for w in np.unique(weights).tolist()}
+               for w in np.flatnonzero(np.bincount(weights)).tolist()}
     return DlengthPartition(space=space, lengths=tuple(sorted(classes)),
                             classes=classes)
 

@@ -225,7 +225,7 @@ def _small_points_under(fr, rows):
         scale = la.expand(L, np.diag([eta] * fr.large_space.d))
         E = la.mulmod(scale, fr.flattener.digit_matrix, L.p)
         found.append(fr.small_space.locate(S.code_rows(la.mulmod(X, E, L.p))))
-    return PointSet(fr.small_space, tuple(np.unique(np.concatenate(found)).tolist()))
+    return PointSet(fr.small_space, tuple(np.concatenate(found).tolist()))
 
 
 def blow_up(fr):

@@ -31,14 +31,15 @@ class IntriguingReport:
 def classify(space, M):
     """Exact IntriguingReport for a point set, by computing |P^perp ∩ M| for
     every point P of the space (streamed in exact float32/float64 blocks over
-    the GF(p) digits of the points, for every field)."""
+    the GF(p) digits of the points, or of a table over the span of M's pair
+    functionals when that is smaller; see _raw_counts)."""
     if len(M) == 0:
         raise ValueError("cannot classify the empty set")
     if M.space is not space:
         raise ValueError("point set belongs to a different space")
-    counts = _perp_counts(space, M)
     inside = np.zeros(space.num_points, dtype=bool)
     inside[np.array(M.members, dtype=np.int64)] = True
+    counts = _perp_counts(space, inside)
     return _report(space, len(M), _constant(counts[inside]),
                    _constant(counts[~inside]))
 
@@ -88,18 +89,14 @@ def _constant(values):
     return None
 
 
-def _perp_counts(space, M):
+def _perp_counts(space, inside):
     # For a set covering more than half the space, count against the
     # complement instead and subtract: |x^perp ∩ M| = c - |x^perp ∩ M^c|
     # with c the (point-independent) collinearity constant.
-    n = space.num_points
-    members = list(M.members)
-    if 2 * len(members) > n:
-        inside = np.zeros(n, dtype=bool)
-        inside[members] = True
-        comp = np.flatnonzero(~inside).tolist()
-        return _collinear_constant(space) - _raw_counts(space, comp)
-    return _raw_counts(space, members)
+    if 2 * np.count_nonzero(inside) > len(inside):
+        return (_collinear_constant(space)
+                - _raw_counts(space, np.flatnonzero(~inside)))
+    return _raw_counts(space, np.flatnonzero(inside))
 
 
 def _collinear_constant(space):
@@ -126,36 +123,103 @@ def _collinear_constant(space):
 # 16 MiB in float64
 _ROW_BLOCK = 512
 _COL_BLOCK = 4096
+# the fewest cells (rows x member columns) that fill more than one block; a
+# count within one block gains less from the span than _span's elimination
+# costs on the many small calls of a verify run
+_REDUCE_CELLS = _ROW_BLOCK * _COL_BLOCK + 1
 _F32_SAFE = 2 ** 24
 
 
-def _count_dtype(d, f, p):
-    """float32 when it holds every dot product of a point's digits with a
-    pair-matrix column exactly, else float64.  Point rows are canonical, so
-    the leading coordinate is 1, one digit 1 among its f; the other d - 1
-    coordinates give f digits each, and every digit is at most p - 1.  The
-    largest dot product is (d - 1) f (p - 1)^2 + (p - 1).  Below 2^24 every
-    sum and the zero test's rint(S / p) * p up to S are exact in float32;
-    at 2^24 a product S + 1 would round to S."""
-    bound = (d - 1) * f * (p - 1) ** 2 + (p - 1)
-    return np.float32 if bound < _F32_SAFE else np.float64
+def _point_dot_bound(d, f, p):
+    """The largest dot product of a canonical point's digits with a column
+    of GF(p) digits.  The leading coordinate is 1, one digit 1 among its f;
+    the other d - 1 coordinates give f digits each, every digit at most
+    p - 1: (d - 1) f (p - 1)^2 + (p - 1)."""
+    return (d - 1) * f * (p - 1) ** 2 + (p - 1)
+
+
+def _count_dtype(top):
+    """float32 when it holds every dot product up to top exactly, else
+    float64.  Below 2^24 every sum and the zero test's rint(S / p) * p up to
+    S are exact in float32; at 2^24 a product S + 1 would round to S."""
+    return np.float32 if top < _F32_SAFE else np.float64
 
 
 def _raw_counts(space, members, rows=slice(None)):
     """|P^perp ∩ members| for every point P indexed by rows: the zero count
     of kappa(P, Q) over Q in the member list.  Each member's pair functional
-    is a (d*f) x f GF(p) block (Form.pair_matrix), and kappa(P, Q) = 0 when
-    all f columns of its block vanish on P's digits.  Blocked matmuls in
-    the dtype of _count_dtype, in which every accumulated dot product is an
-    exact integer, so the zero test is exact."""
+    is a (d*f) x f GF(p) block of G = Form.pair_matrix, and kappa(P, Q) = 0
+    when all f columns of its block vanish on P's digits x.
+
+    When the direct count has at least _REDUCE_CELLS cells, it first tries
+    the span of the functionals (_span): R, the K x (d*f) rref of the row
+    space of G^T over GF(p), with pivot columns piv.  Every row of G^T is
+    its entries at piv times R, so G = R^T G[piv] mod p, and x G vanishes
+    exactly where y G[piv] does, with y = x R^T mod p in GF(p)^K.  So the
+    count depends on y alone: _zero_counts runs once on all p^K vectors of
+    GF(p)^K, and each point reads its y's entry of that table.  _span gives
+    up once p^K would reach the number of rows, so the table is always the
+    smaller count.  Otherwise _zero_counts runs on the point digits."""
     F = space.field
     p, f = F.p, F.f
     X = F.digit_rows(space.points_np[rows])
     n = len(X)
     G = space.form.pair_matrix(space.points_np[members])
-    dtype = _count_dtype(space.d, f, p)
+    top = _point_dot_bound(space.d, f, p)
+    span = _span(G, p, n) if n * G.shape[1] >= _REDUCE_CELLS else None
+    if span is None:
+        return _zero_counts(X, G, f, p, top)
+    R, piv = span
+    K = len(piv)
+    powers = p ** np.arange(K, dtype=np.int64)
+    grid = np.arange(p ** K, dtype=np.int64)[:, None] // powers % p
+    table = _zero_counts(grid, G[piv], f, p, K * (p - 1) ** 2)
+    # x R^T is a point row against GF(p) columns, so it is exact in
+    # _count_dtype(top), and so is its reduction mod p by _linalg.mulmod's
+    # argument (with 2^24 for 2^53 in float32); float32 blocks take about
+    # half the time of mulmod's float64 ones
+    dtype = _count_dtype(top)
+    Rt = R.T.astype(dtype)
+    counts = np.empty(n, dtype=np.int64)
+    for r0 in range(0, n, _ROW_BLOCK):
+        S = X[r0:r0 + _ROW_BLOCK].astype(dtype) @ Rt
+        S -= np.floor(S / p) * p
+        counts[r0:r0 + len(S)] = table[S.astype(np.int64) @ powers]
+    return counts
+
+
+def _span(G, p, n):
+    """(R, piv): the rref R of the row space of G^T over GF(p) and its pivot
+    columns, or None as soon as a pivot would bring p^K to n."""
+    A = G.T
+    R = np.zeros((0, G.shape[0]), dtype=np.int64)
+    piv = []
+    for c in range(G.shape[0]):
+        A = A[A.any(axis=1)]
+        if not len(A):
+            break
+        nz = np.flatnonzero(A[:, c])
+        if not nz.size:
+            continue
+        if p ** (len(piv) + 1) >= n:
+            return None
+        row = A[nz[0]] * pow(int(A[nz[0], c]), -1, p) % p
+        A = (A - np.outer(A[:, c], row)) % p
+        R = np.vstack(((R - np.outer(R[:, c], row)) % p, row))
+        piv.append(c)
+    return R, piv
+
+
+def _zero_counts(X, G, f, p, top):
+    """For each row x of X, the number of f-column blocks of G on which
+    x G vanishes mod p.  Blocked matmuls in _count_dtype(top), top bounding
+    every dot product of a row of X with a column of G, so every
+    accumulated dot product is an exact integer and the zero test is
+    exact."""
+    dtype = _count_dtype(top)
     Gf = np.ascontiguousarray(G, dtype=dtype)
     Xf = np.ascontiguousarray(X, dtype=dtype)
+    n = len(X)
     counts = np.zeros(n, dtype=np.int64)
     pinv = dtype(1.0) / dtype(p)
     cols = _COL_BLOCK // f * f

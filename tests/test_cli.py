@@ -323,6 +323,24 @@ def test_orbit_reports_stdout_is_pinned(tmp_path, argv, sha):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+# sha256 of `polarkit classify --json` stdout for the standard generator of
+# Q+(11,3), taken while every perp count was made point by point; the count
+# now runs through the 3^6-row table of the generator's span
+_QPLUS_11_3_GENERATOR_SHA256 = (
+    "6cc8a38d3ef8472dfdf94cfa4e4c5c57bb3f88035f089b8d2794c36b2ae6a4bd")
+
+
+def test_classify_generator_stdout_is_pinned(tmp_path):
+    import hashlib
+    sp = polar.build(forms.standard_form("Q+", 12, gf.field(3)))
+    path = tmp_path / "generator.json"
+    path.write_text(json.dumps(list(polar.maximal_ts_points(sp).members)))
+    code, out, _ = run_cli("classify", "--kind", "Q+", "--dim", "11", "--q", "3",
+                           "--set", str(path), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _QPLUS_11_3_GENERATOR_SHA256
+
+
 def test_verify_unknown_target():
     code, _, err = run_cli("verify", "does-not-exist")
     assert code == 2 and "unknown" in err

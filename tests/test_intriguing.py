@@ -133,6 +133,102 @@ def test_raw_counts_in_small_blocks_match_collinearity(monkeypatch, kind, dim, q
     assert intriguing._raw_counts(sp, members).tolist() == want
 
 
+def _span_spy(monkeypatch):
+    """Record what every _span call returns: (R, piv), or None once the
+    elimination stopped."""
+    calls = []
+    span = intriguing._span
+
+    def spy(*args):
+        calls.append(span(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(intriguing, "_span", spy)
+    return calls
+
+
+def _points_in_span(space, vectors):
+    """The indices of the points of the space lying in the span of the
+    vectors, by listing the subspace."""
+    S = forms.Subspace.span(space.field, vectors, ambient=space.d)
+    return sorted(space.index[v] for v in S.vectors()
+                  if next(x for x in v if x) == 1 and v in space.index)
+
+
+@pytest.mark.parametrize("kind,dim,q", [
+    ("W", 6, 3), ("Q", 7, 3), ("Q+", 8, 2), ("Q-", 8, 2), ("H", 4, 4),
+    ("H", 5, 4), ("Q-", 6, 4), ("W", 4, 9), ("H", 3, 9), ("W", 4, 8)])
+def test_span_reduced_counts_match_the_direct_kernel(monkeypatch, kind, dim, q):
+    """Sets inside the spans of 1-3 random points, and random halves of
+    them, counted by the direct kernel (every call here is under the cell
+    gate) and again with the gate at zero, so that every call tries the
+    reduction to the span: over all points, over a random half of the
+    points given as rows, and for the empty member list (K = 0)."""
+    sp = polar.build(forms.standard_form(kind, dim, gf.field_of_order(q)))
+    n, f = sp.num_points, sp.field.f
+    rng = np.random.default_rng(dim * 1000 + q)
+    sets = []
+    for k in (1, 2, 3) * 2:
+        picks = rng.choice(n, size=k, replace=False)
+        members = _points_in_span(sp, [sp.points[i] for i in picks])
+        half = rng.choice(members, size=max(1, len(members) // 2), replace=False)
+        sets += [members, sorted(half.tolist())]
+    rows = np.sort(rng.choice(n, size=n // 2, replace=False))
+    direct = []
+    for members in sets:
+        assert n * len(members) * f < intriguing._REDUCE_CELLS
+        direct.append(intriguing._raw_counts(sp, members))
+    calls = _span_spy(monkeypatch)
+    monkeypatch.setattr(intriguing, "_REDUCE_CELLS", 0)
+    for members, want in zip(sets, direct):
+        assert intriguing._raw_counts(sp, members).tolist() == want.tolist()
+        assert (intriguing._raw_counts(sp, members, rows=rows).tolist()
+                == want[rows].tolist())
+    assert len(calls) == 2 * len(sets)
+    assert any(span is not None for span in calls)
+    assert intriguing._raw_counts(sp, []).tolist() == [0] * n
+    assert len(calls[-1][1]) == 0
+
+
+def test_span_reduction_taken_for_a_generator_and_stopped_on_a_full_span(
+        monkeypatch):
+    """The Q+(11,3) generator spans 6 of 12 dimensions: 3^6 = 729 grid rows
+    against 88,816 points, so classify takes the reduction.  The length-3
+    class of the diagonal Q(10,3) spans all 11, and the elimination stops
+    at its 10th pivot, since 3^10 >= 29,524 points."""
+    calls = _span_spy(monkeypatch)
+    sp = polar.build(forms.standard_form("Q+", 12, gf.field(3)))
+    rep = classify(sp, polar.maximal_ts_points(sp))
+    assert (rep.size, rep.h1, rep.h2, rep.tight_i) == (364, 364, 121, 1)
+    [(R, piv)] = calls
+    assert len(piv) == 6 and R.shape == (6, 12)
+    calls.clear()
+    dp = constructions.dlength_partition("Q", 3, 11)
+    rep = classify(dp.space, dp.classes[3])
+    assert (rep.size, rep.h1, rep.h2) == (660, 273, None)
+    assert calls == [None]
+
+
+def test_no_numpy_ma_import():
+    """np.unique without return_counts imports numpy.ma, about 1 MiB of RSS
+    for the rest of the process; none of these paths may load it."""
+    import subprocess
+    import sys
+    code = """
+import sys
+from polarkit import constructions, fieldred, forms, gf, intriguing, polar
+constructions.dlength_partition("Q", 3, 5)
+fr = fieldred.reduce(1, forms.standard_form("W", 4, gf.field(3, 2)), gf.field(3))
+intriguing.classify(fr.small_space, fieldred.blow_up(fr))
+sp = polar.build(forms.standard_form("Q", 11, gf.field(3)))
+intriguing.classify(sp, polar.maximal_ts_points(sp))
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_raw_counts_float64_branch():
     """W(1,2903) is the smallest prime case with d*f*(p-1)^2 >= 2^24, so
     _raw_counts accumulates in float64 there.  Each point is perpendicular
@@ -146,14 +242,23 @@ def test_raw_counts_float64_branch():
 
 
 def test_count_dtype_switches_exactly_at_two_to_the_24():
-    """The largest dot product, (d - 1) f (p - 1)^2 + (p - 1), must stay
-    below 2^24 for float32.  Over GF(2) it is d - 1 + 1 = d."""
-    assert intriguing._count_dtype(2 ** 24 - 1, 1, 2) is np.float32
-    assert intriguing._count_dtype(2 ** 24, 1, 2) is np.float64
+    """The largest dot product must stay below 2^24 for float32.  For
+    canonical point rows it is (d - 1) f (p - 1)^2 + (p - 1), over GF(2)
+    d - 1 + 1 = d; for grid rows, any vector of GF(p)^K, K (p - 1)^2."""
+    point, dtype = intriguing._point_dot_bound, intriguing._count_dtype
+    assert dtype(intriguing._F32_SAFE - 1) is np.float32
+    assert dtype(intriguing._F32_SAFE) is np.float64
+    assert dtype(point(2 ** 24 - 1, 1, 2)) is np.float32
+    assert dtype(point(2 ** 24, 1, 2)) is np.float64
     # W(1,p): p (p - 1), below 2^24 up to p = 4093 and above from p = 4099
-    assert intriguing._count_dtype(2, 1, 4093) is np.float32
-    assert intriguing._count_dtype(2, 1, 4099) is np.float64
+    assert dtype(point(2, 1, 4093)) is np.float32
+    assert dtype(point(2, 1, 4099)) is np.float64
     assert 4093 * 4092 < intriguing._F32_SAFE <= 4099 * 4098
+    # grid rows: K = 2^24 - 1 and 2^24 over GF(2); K = 1 at (p - 1)^2, below
+    # 2^24 = 4096^2 up to p = 4093 and above from p = 4099
+    for K, p, want in [(2 ** 24 - 1, 2, np.float32), (2 ** 24, 2, np.float64),
+                       (1, 4093, np.float32), (1, 4099, np.float64)]:
+        assert dtype(K * (p - 1) ** 2) is want
 
 
 def test_count_dtype_bound_is_the_largest_canonical_dot_product():
@@ -163,7 +268,7 @@ def test_count_dtype_bound_is_the_largest_canonical_dot_product():
         F = gf.field_of_order(q)
         rows = F.digit_rows(list(polar.projective_vectors(F, d)))
         top = int((rows * (F.p - 1)).sum(axis=1).max())
-        assert top == (d - 1) * F.f * (F.p - 1) ** 2 + (F.p - 1)
+        assert top == intriguing._point_dot_bound(d, F.f, F.p)
 
 
 def test_raw_counts_float64_branch_at_the_first_prime_that_needs_it():
@@ -171,10 +276,24 @@ def test_raw_counts_float64_branch_at_the_first_prime_that_needs_it():
     could not hold every dot product.  Each point is perpendicular to itself
     only, so any k points form a k-tight set with h = (1, 0)."""
     sp = polar.build(forms.standard_form("W", 2, gf.field(4099)))
-    assert intriguing._count_dtype(sp.d, 1, 4099) is np.float64
+    assert intriguing._count_dtype(
+        intriguing._point_dot_bound(sp.d, 1, 4099)) is np.float64
     for members in [(0,), tuple(range(0, sp.num_points, 2))]:
         rep = classify(sp, polar.PointSet(sp, members))
         assert (rep.tight_i, rep.h1, rep.h2) == (len(members), 1, 0)
+
+
+def test_span_table_in_float64_at_the_first_prime_that_needs_it(monkeypatch):
+    """W(1,4099): a point's functional spans K = 1 dimension, a 4099-row
+    grid against 4100 points, and (p - 1)^2 >= 2^24 puts the table in
+    float64.  Each point is perpendicular to itself only."""
+    sp = polar.build(forms.standard_form("W", 2, gf.field(4099)))
+    assert intriguing._count_dtype(4098 ** 2) is np.float64
+    calls = _span_spy(monkeypatch)
+    monkeypatch.setattr(intriguing, "_REDUCE_CELLS", 0)
+    counts = intriguing._raw_counts(sp, [5])
+    assert len(calls[-1][1]) == 1
+    assert counts.tolist() == [int(i == 5) for i in range(sp.num_points)]
 
 
 def test_intriguing_complement_parameters(q43):
