@@ -66,7 +66,7 @@ def cmd_orbits(args):
     if not isinstance(data, (list, dict)):
         raise ValueError("generator file is not a JSON object or list")
     gen_list = data if isinstance(data, list) else data.get("generators")
-    if not gen_list:
+    if gen_list == []:
         # no generators = the trivial group: every point is its own orbit
         gens = group.GeneratorSet(sp.field, [group.Semisimilarity(
             sp.field, la.identity(sp.field, sp.d))])

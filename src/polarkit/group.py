@@ -109,8 +109,10 @@ class Semisimilarity:
 
 
 def _integer(name, x):
-    """x as an int; ValueError naming it if it is not one (floats and
-    strings are refused, numpy integers accepted)."""
+    """x as an int; ValueError naming it if it is not one (floats, strings
+    and bools are refused, numpy integers accepted)."""
+    if isinstance(x, bool):
+        raise ValueError(f"{name} {x!r} is a bool, not an int")
     try:
         return operator.index(x)
     except TypeError:
@@ -124,11 +126,8 @@ def _element_codes(F, matrix):
     for i, row in enumerate(matrix):
         codes = []
         for j, x in enumerate(row):
-            try:
-                x = operator.index(x)
-            except TypeError:
-                raise ValueError(f"matrix entry ({i}, {j}) {x!r} is not an "
-                                 "int") from None
+            if type(x) is not int:
+                x = _integer(f"matrix entry ({i}, {j})", x)
             if not 0 <= x < F.q:
                 raise ValueError(f"matrix entry ({i}, {j}) = {x} is out of "
                                  f"range for q={F.q}")
@@ -228,7 +227,7 @@ class GeneratorSet:
 
     @classmethod
     def deserialize(cls, data, label=""):
-        for key in ("q", "d", "generators"):
+        for key in ("generators", "q", "d"):
             if not isinstance(data, dict) or key not in data:
                 raise ValueError(f"generator data has no {key!r} entry")
         if not isinstance(data["generators"], list):

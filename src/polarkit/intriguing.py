@@ -29,19 +29,52 @@ class IntriguingReport:
 
 
 def classify(space, M):
-    """Exact IntriguingReport for a point set, by computing |P^perp ∩ M| for
-    every point P of the space (streamed in exact float32/float64 blocks over
-    the GF(p) digits of the points, or of a table over the span of M's pair
-    functionals when that is smaller; see _raw_counts)."""
+    """Exact IntriguingReport for a point set, from |P^perp ∩ M| at the
+    points P of the space.  One _counter is set up for the whole space and
+    read one _ROW_BLOCK of points at a time: the points of M first, then
+    the rest, so at most one block holds points of both sides.
+
+    Each side stops at the first block that shows it a second count, and
+    its entry in the report is None: M's side then skips to the rest, and
+    the rest ends the count.  A side read to its end had one count at every
+    point, so every value reported is exact over its whole side.  A set
+    covering more than half the space is counted against its complement,
+    |P^perp ∩ M| = c - |P^perp ∩ M^c| with c the (point-independent)
+    collinearity constant; a side is constant in one count when it is in
+    the other.  The whole space has no complement to count: h1 is c."""
     if len(M) == 0:
         raise ValueError("cannot classify the empty set")
     if M.space is not space:
         raise ValueError("point set belongs to a different space")
-    inside = np.zeros(space.num_points, dtype=bool)
-    inside[np.array(M.members, dtype=np.int64)] = True
-    counts = _perp_counts(space, inside)
-    return _report(space, len(M), _constant(counts[inside]),
-                   _constant(counts[~inside]))
+    n, m = space.num_points, len(M)
+    if m == n:
+        return _report(space, n, _collinear_constant(space), None)
+    members = np.array(M.members, dtype=np.int64)
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    order = np.concatenate((members, np.flatnonzero(~inside)))
+    if 2 * m > n:
+        c, sign, cols = _collinear_constant(space), -1, order[m:]
+    else:
+        c, sign, cols = 0, 1, order[:m]
+    count = _counter(space, cols, order)
+    # the least and greatest count read so far on M and off M
+    lo, hi = [math.inf, math.inf], [-math.inf, -math.inf]
+    r0 = 0
+    while r0 < n:
+        counts = count(r0)
+        k = min(max(m - r0, 0), len(counts))    # the block's points of M
+        for side, part in enumerate((counts[:k], counts[k:])):
+            if part.size:
+                lo[side] = min(lo[side], int(part.min()))
+                hi[side] = max(hi[side], int(part.max()))
+        r0 += len(counts)
+        if hi[1] > lo[1]:
+            break
+        if r0 < m and hi[0] > lo[0]:
+            r0 = m
+    return _report(space, m, *(c + sign * a if a == b else None
+                               for a, b in zip(lo, hi)))
 
 
 def classify_orbits(partition):
@@ -87,16 +120,6 @@ def _constant(values):
     if values.size and values.min() == values.max():
         return int(values[0])
     return None
-
-
-def _perp_counts(space, inside):
-    # For a set covering more than half the space, count against the
-    # complement instead and subtract: |x^perp ∩ M| = c - |x^perp ∩ M^c|
-    # with c the (point-independent) collinearity constant.
-    if 2 * np.count_nonzero(inside) > len(inside):
-        return (_collinear_constant(space)
-                - _raw_counts(space, np.flatnonzero(~inside)))
-    return _raw_counts(space, np.flatnonzero(inside))
 
 
 def _collinear_constant(space):
@@ -146,46 +169,70 @@ def _count_dtype(top):
 
 
 def _raw_counts(space, members, rows=slice(None)):
-    """|P^perp ∩ members| for every point P indexed by rows: the zero count
-    of kappa(P, Q) over Q in the member list.  Each member's pair functional
-    is a (d*f) x f GF(p) block of G = Form.pair_matrix, and kappa(P, Q) = 0
-    when all f columns of its block vanish on P's digits x.
+    """|P^perp ∩ members| for every point P indexed by rows: every block of
+    one _counter over those rows, concatenated."""
+    rows = np.arange(space.num_points)[rows]
+    return _blocks(_counter(space, members, rows), len(rows))
 
-    When the direct count has at least _REDUCE_CELLS cells, it first tries
-    the span of the functionals (_span): R, the K x (d*f) rref of the row
-    space of G^T over GF(p), with pivot columns piv.  Every row of G^T is
-    its entries at piv times R, so G = R^T G[piv] mod p, and x G vanishes
-    exactly where y G[piv] does, with y = x R^T mod p in GF(p)^K.  So the
-    count depends on y alone: _zero_counts runs once on all p^K vectors of
-    GF(p)^K, and each point reads its y's entry of that table.  _span gives
-    up once p^K would reach the number of rows, so the table is always the
-    smaller count.  Otherwise _zero_counts runs on the point digits."""
+
+def _blocks(count, n):
+    """count(r0) for r0 = 0, _ROW_BLOCK, ... below n, concatenated."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [count(r0) for r0 in range(0, n, _ROW_BLOCK)])
+
+
+def _counter(space, members, rows):
+    """count(r0): |P^perp ∩ members| for the points P at the indices
+    rows[r0:r0 + _ROW_BLOCK].  This is the zero count of kappa(P, Q) over Q
+    in the member list.  Each member's pair functional is a (d*f) x f GF(p)
+    block of G = Form.pair_matrix, and kappa(P, Q) = 0 when all f columns
+    of its block vanish on P's digits x.  The set-up runs here, once for all
+    n = len(rows) rows: G, the path, the table of the span path, and the
+    float copy of G in _count_dtype.  Each count(r0) then costs one block.
+
+    When the direct count has at least _REDUCE_CELLS cells (n rows by G's
+    columns), the set-up first tries the span of the functionals (_span): R,
+    the K x (d*f) rref of the row space of G^T over GF(p), with pivot
+    columns piv.  Every row of G^T is its entries at piv times R, so G =
+    R^T G[piv] mod p, and x G vanishes exactly where y G[piv] does, with
+    y = x R^T mod p in GF(p)^K.  So the count depends on y alone: the
+    set-up runs _zero_counter on all p^K vectors of GF(p)^K, and each point
+    reads its y's entry of that table.  _span gives up once p^K would reach
+    n, so the table is always the smaller count.  Otherwise count runs
+    _zero_counter on the points' digits."""
     F = space.field
     p, f = F.p, F.f
-    X = F.digit_rows(space.points_np[rows])
-    n = len(X)
     G = space.form.pair_matrix(space.points_np[members])
-    top = _point_dot_bound(space.d, f, p)
+    dtype = _count_dtype(_point_dot_bound(space.d, f, p))
+    n = len(rows)
+
+    def digits(r0):
+        block = np.take(space.points_np, rows[r0:r0 + _ROW_BLOCK], axis=0)
+        return F.digit_rows(block).astype(dtype)
+
     span = _span(G, p, n) if n * G.shape[1] >= _REDUCE_CELLS else None
     if span is None:
-        return _zero_counts(X, G, f, p, top)
+        zeros = _zero_counter(np.ascontiguousarray(G, dtype=dtype), f, p)
+        return lambda r0: zeros(digits(r0))
     R, piv = span
     K = len(piv)
     powers = p ** np.arange(K, dtype=np.int64)
-    grid = np.arange(p ** K, dtype=np.int64)[:, None] // powers % p
-    table = _zero_counts(grid, G[piv], f, p, K * (p - 1) ** 2)
-    # x R^T is a point row against GF(p) columns, so it is exact in
-    # _count_dtype(top), and so is its reduction mod p by _linalg.mulmod's
-    # argument (with 2^24 for 2^53 in float32); float32 blocks take about
-    # half the time of mulmod's float64 ones
-    dtype = _count_dtype(top)
+    grid_dtype = _count_dtype(K * (p - 1) ** 2)
+    grid = (np.arange(p ** K, dtype=np.int64)[:, None] // powers % p
+            ).astype(grid_dtype)
+    zeros = _zero_counter(np.ascontiguousarray(G[piv], dtype=grid_dtype), f, p)
+    table = _blocks(lambda r0: zeros(grid[r0:r0 + _ROW_BLOCK]), len(grid))
+    # x R^T is a point row against GF(p) columns, so it is exact in dtype,
+    # and so is its reduction mod p by _linalg.mulmod's argument (with 2^24
+    # for 2^53 in float32); float32 blocks take about half the time of
+    # mulmod's float64 ones
     Rt = R.T.astype(dtype)
-    counts = np.empty(n, dtype=np.int64)
-    for r0 in range(0, n, _ROW_BLOCK):
-        S = X[r0:r0 + _ROW_BLOCK].astype(dtype) @ Rt
+
+    def count(r0):
+        S = digits(r0) @ Rt
         S -= np.floor(S / p) * p
-        counts[r0:r0 + len(S)] = table[S.astype(np.int64) @ powers]
-    return counts
+        return table[S.astype(np.int64) @ powers]
+    return count
 
 
 def _span(G, p, n):
@@ -210,31 +257,36 @@ def _span(G, p, n):
     return R, piv
 
 
-def _zero_counts(X, G, f, p, top):
-    """For each row x of X, the number of f-column blocks of G on which
-    x G vanishes mod p.  Blocked matmuls in _count_dtype(top), top bounding
-    every dot product of a row of X with a column of G, so every
-    accumulated dot product is an exact integer and the zero test is
-    exact."""
-    dtype = _count_dtype(top)
-    Gf = np.ascontiguousarray(G, dtype=dtype)
-    Xf = np.ascontiguousarray(X, dtype=dtype)
-    n = len(X)
-    counts = np.zeros(n, dtype=np.int64)
-    pinv = dtype(1.0) / dtype(p)
+def _zero_counter(G, f, p):
+    """zeros(X): for each row x of a block X of at most _ROW_BLOCK rows, the
+    number of f-column blocks of G on which x G vanishes mod p.  X and G
+    share a float dtype, _count_dtype of a bound on every dot product of a
+    row of X with a column of G, so the matmuls, _COL_BLOCK columns at a
+    time, accumulate exact integers and the zero test is exact.  The
+    block-sized temporaries are made once here: made afresh for every
+    block, they cost their page faults again on every call."""
     cols = _COL_BLOCK // f * f
-    for r0 in range(0, n, _ROW_BLOCK):
-        A = Xf[r0:r0 + _ROW_BLOCK]
-        acc = np.zeros(len(A), dtype=np.int64)
+    size = _ROW_BLOCK * min(cols, G.shape[1])
+    S, T = np.empty((2, size), dtype=G.dtype)
+    eq, zero = np.empty(size, dtype=bool), np.empty(size // f, dtype=bool)
+    pinv = G.dtype.type(1.0) / G.dtype.type(p)
+
+    def zeros(X):
+        counts = np.zeros(len(X), dtype=np.int64)
         for c0 in range(0, G.shape[1], cols):
-            S = A @ Gf[:, c0:c0 + cols]
-            T = np.multiply(S, pinv)
-            np.rint(T, out=T)
-            T *= p
-            zero = (S == T).reshape(len(A), S.shape[1] // f, f).all(axis=2)
-            acc += np.count_nonzero(zero, axis=1)
-        counts[r0:r0 + len(A)] = acc
-    return counts
+            Gc = G[:, c0:c0 + cols]
+            n, w = len(X), Gc.shape[1]
+            s, t = S[:n * w].reshape(n, w), T[:n * w].reshape(n, w)
+            np.matmul(X, Gc, out=s)
+            np.multiply(s, pinv, out=t)
+            np.rint(t, out=t)
+            t *= p
+            z = zero[:n * w // f].reshape(n, w // f)
+            np.equal(s, t, out=eq[:n * w].reshape(n, w))
+            eq[:n * w].reshape(n, w // f, f).all(axis=2, out=z)
+            counts += np.count_nonzero(z, axis=1)
+        return counts
+    return zeros
 
 
 # -- feasibility -----------------------------------------------------------

@@ -265,15 +265,20 @@ def _greedy_ts_basis(form, points):
 @dataclass(frozen=True)
 class PointSet:
     """A subset of a polar space's points, as a sorted tuple of indices.
-    Members must be ints (numpy integers are converted); anything else is
-    a ValueError naming it."""
+    Members must be ints (numpy integers are converted); anything else,
+    a bool included, is a ValueError naming it."""
 
     space: PolarSpace
     members: tuple
 
     def __post_init__(self):
+        kinds = set(map(type, self.members))
+        if bool in kinds:   # operator.index would take it as 0 or 1
+            i = next(i for i in self.members if type(i) is bool)
+            raise ValueError(f"point index {i!r} is a bool, not an int")
         try:
-            ms = tuple(sorted(set(map(operator.index, self.members))))
+            ms = tuple(sorted(set(self.members if kinds <= {int}
+                                  else map(operator.index, self.members))))
         except TypeError:
             for i in self.members:   # name the first member that is no int
                 try:

@@ -95,6 +95,18 @@ def test_orbits_empty_generator_file(tmp_path):
     assert "orbits=40" in out
 
 
+def test_orbits_explicit_empty_generator_list(tmp_path):
+    """An explicit "generators": [] is the trivial group too, with or
+    without the field header."""
+    for data in ({"generators": []}, {"q": 3, "d": 4, "generators": []}):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli("orbits", "--kind", "W", "--dim", "3", "--q", "3",
+                               "--gens", str(path))
+        assert code == 0
+        assert "orbits=40" in out
+
+
 def test_orbits_hand_written_file(tmp_path):
     # bare matrices with int codes, no sigma_power wrapper
     g = [[0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1]]
@@ -121,6 +133,10 @@ def test_orbits_rejects_out_of_range_code(tmp_path):
     (-1, 0, "generator 1: matrix entry (2, 2) = -1 is out of range for q=3"),
     ([4], 0, "generator 1: coefficient list [4] is not a list of ints in range(3)"),
     (1, "x", "generator 1: sigma_power 'x' is not an int"),
+    (True, 0, "generator 1: matrix entry (2, 2) True is a bool, not an int"),
+    ([True], 0, "generator 1: coefficient list [True] is not a list of ints "
+                "in range(3)"),
+    (1, False, "generator 1: sigma_power False is a bool, not an int"),
 ])
 def test_orbits_names_the_generator_and_entry_it_refuses(tmp_path, entry, sigma,
                                                          message):
@@ -143,6 +159,9 @@ def test_orbits_names_the_generator_and_entry_it_refuses(tmp_path, entry, sigma,
      "generator 0: no 'matrix' entry"),
     ({"q": 3, "d": 4, "generators": [7]}, "generator 0: no 'matrix' entry"),
     (7, "generator file is not a JSON object or list"),
+    ({"indices": 5}, "generator data has no 'generators' entry"),
+    ({"q": 3, "d": 4}, "generator data has no 'generators' entry"),
+    ({"q": 3, "d": 4, "generators": None}, "'generators' is not a list"),
 ])
 def test_orbits_names_what_a_malformed_file_lacks(tmp_path, data, message):
     path = tmp_path / "gens.json"
@@ -205,6 +224,8 @@ def test_classify_out_of_range(tmp_path):
     ({"x": 1}, "set file has no 'indices' entry"),
     ({"indices": 4}, "set file is not a list of point indices"),
     (4, "set file is not a list of point indices"),
+    ([True, 2], "point index True is a bool, not an int"),
+    ([3, False, 5], "point index False is a bool, not an int"),
 ])
 def test_classify_names_a_malformed_set(tmp_path, data, message):
     path = tmp_path / "set.json"
@@ -339,6 +360,22 @@ def test_classify_generator_stdout_is_pinned(tmp_path):
                            "--set", str(path), "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _QPLUS_11_3_GENERATOR_SHA256
+
+
+# sha256 of `polarkit construct dlength --kind Q --q 3 --t 9 --json` stdout,
+# taken while every perp count covered the whole space: Q(8,3) has 3280
+# points in 7 row blocks, and none of its three length classes is constant
+# off the class, so each side's stop shows in these bytes
+_DLENGTH_Q83_SHA256 = (
+    "5f4ae0b2a975d39115e0943f594b7c59f812b908864501073ee25cc7af9cd30e")
+
+
+def test_dlength_stdout_is_pinned():
+    import hashlib
+    code, out, _ = run_cli("construct", "dlength", "--kind", "Q", "--q", "3",
+                           "--t", "9", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DLENGTH_Q83_SHA256
 
 
 def test_verify_unknown_target():

@@ -209,6 +209,134 @@ def test_span_reduction_taken_for_a_generator_and_stopped_on_a_full_span(
     assert calls == [None]
 
 
+def _full_count_report(space, members):
+    """The report from every point's count: the oracle for classify's early
+    exit."""
+    inside = np.zeros(space.num_points, dtype=bool)
+    inside[members] = True
+    counts = intriguing._raw_counts(space, members)
+    return intriguing._report(space, len(members),
+                              intriguing._constant(counts[inside]),
+                              intriguing._constant(counts[~inside]))
+
+
+def _drawn_sets(space, rng):
+    """A generator and its complement (intriguing), the perp of a point
+    (constant off the set only) and its complement (more than half the
+    space, constant on the set only), the full set, random thirds and two
+    thirds, and a generator with one more point (neither side constant)."""
+    n = space.num_points
+    gen = list(polar.maximal_ts_points(space).members)
+    x = int(rng.integers(n))
+    perp = [j for j in range(n) if space.collinear(x, j)]
+    others = sorted(set(range(n)) - set(gen))
+    return [gen, others, perp, sorted(set(range(n)) - set(perp)),
+            list(range(n)),
+            sorted(rng.choice(n, size=n // 3, replace=False).tolist()),
+            sorted(rng.choice(n, size=2 * n // 3, replace=False).tolist()),
+            sorted(gen + [int(rng.choice(others))])]
+
+
+@pytest.mark.parametrize("kind,dim,q", [
+    ("W", 6, 3), ("Q", 7, 3), ("Q-", 8, 3), ("H", 4, 4), ("W", 4, 9),
+    ("Q", 9, 3)])
+def test_early_exit_reports_match_the_full_count(monkeypatch, kind, dim, q):
+    """classify stops reading a side at its first block with a second count.
+    Its report must equal the one from every point's count: with the real
+    blocks, with 7-row blocks (so exits fall inside a stream and inside the
+    block that holds both sides), and with the span path tried on every
+    count."""
+    sp = polar.build(forms.standard_form(kind, dim, gf.field_of_order(q)))
+    sets = _drawn_sets(sp, np.random.default_rng(dim * 100 + q))
+    want = [_full_count_report(sp, members) for members in sets]
+    kinds = {(r.h1 is not None, r.h2 is not None) for r in want}
+    assert {(True, True), (True, False), (False, True), (False, False)} <= kinds
+    assert any(2 * len(members) > sp.num_points and r.h1 is None
+               for members, r in zip(sets, want))
+    for patch in ({}, {"_ROW_BLOCK": 7}, {"_REDUCE_CELLS": 0},
+                  {"_ROW_BLOCK": 7, "_REDUCE_CELLS": 0}):
+        with monkeypatch.context() as m:
+            for name, value in patch.items():
+                m.setattr(intriguing, name, value)
+            got = [classify(sp, polar.PointSet(sp, tuple(members)))
+                   for members in sets]
+        assert got == want, patch
+
+
+def test_early_exit_on_the_length_classes_of_the_diagonal_q83(monkeypatch):
+    """Q(8,3): 3280 points, 7 row blocks, and three length classes, each
+    constant on the class and not off it."""
+    dp = constructions.dlength_partition("Q", 3, 9)
+    sp = dp.space
+    sets = [list(dp.classes[w].members) for w in dp.lengths]
+    want = [_full_count_report(sp, members) for members in sets]
+    assert [(r.h1, r.h2) for r in want] == [(117, None), (891, None), (85, None)]
+    for block in (512, 7):
+        monkeypatch.setattr(intriguing, "_ROW_BLOCK", block)
+        assert [classify(sp, dp.classes[w]) for w in dp.lengths] == want
+
+
+def _rows_spy(monkeypatch):
+    """Record the number of rows of every block a _counter counts."""
+    rows = []
+    counter = intriguing._counter
+
+    def spy(*args):
+        count = counter(*args)
+
+        def counted(r0):
+            counts = count(r0)
+            rows.append(len(counts))
+            return counts
+        return counted
+
+    monkeypatch.setattr(intriguing, "_counter", spy)
+    return rows
+
+
+def test_early_exit_counts_few_rows_of_a_set_that_is_not_intriguing(
+        monkeypatch):
+    """The length-3 class of the diagonal Q(10,3) is constant on the class
+    and shows a second count off it within a few blocks, so it counts under
+    a quarter of the 29,524 points.  The Q+(11,3) generator is intriguing,
+    so both of its sides are read to the end: every point once."""
+    rows = _rows_spy(monkeypatch)
+    dp = constructions.dlength_partition("Q", 3, 11)
+    rep = classify(dp.space, dp.classes[3])
+    assert (rep.size, rep.h1, rep.h2) == (660, 273, None)
+    assert 660 < sum(rows) < 29524 / 4
+    rows.clear()
+    sp = polar.build(forms.standard_form("Q+", 12, gf.field(3)))
+    rep = classify(sp, polar.maximal_ts_points(sp))
+    assert rep.tight_i == 1
+    assert sum(rows) == sp.num_points == 88816
+
+
+def test_a_space_within_one_block_takes_one_kernel_call_per_count(monkeypatch):
+    """W(5,3) has 364 points, under one row block: classify runs the kernel
+    once, and once more for the collinearity check of a set covering more
+    than half the space, as a single count of every point did."""
+    calls = []
+    counter = intriguing._zero_counter
+
+    def spy(*args):
+        zeros = counter(*args)
+
+        def counted(X):
+            calls.append(len(X))
+            return zeros(X)
+        return counted
+
+    monkeypatch.setattr(intriguing, "_zero_counter", spy)
+    sp = polar.build(forms.standard_form("W", 6, gf.field(3)))
+    gen = polar.maximal_ts_points(sp)
+    classify(sp, polar.PointSet(sp, gen.members[:5]))
+    assert calls == [364]
+    calls.clear()
+    classify(sp, gen.complement())
+    assert calls == [364, 364]
+
+
 def test_no_numpy_ma_import():
     """np.unique without return_counts imports numpy.ma, about 1 MiB of RSS
     for the rest of the process; none of these paths may load it."""
