@@ -101,7 +101,7 @@ def cmd_classify(args):
         data = data["indices"]
     if not isinstance(data, list):
         raise ValueError("set file is not a list of point indices")
-    rep = intriguing.classify(sp, polar.PointSet(sp, tuple(data)))
+    rep = intriguing.classify(sp, polar.PointSet(sp, data))
     if args.json:
         _emit(args, _report_dict(rep))
     else:
@@ -147,16 +147,24 @@ def _construct_partition(args, part):
             _print_report(rep, prefix="  ")
 
 
+# the optional flags each construction reads
+_CONSTRUCT_FLAGS = {"adjoint-sl3": ("q",), "extsq-sp6": ("q",),
+                    "dlength": ("kind", "q", "t"), "q43-splits": (), "sl2-5": ()}
+
+
 def cmd_construct(args):
     name = args.name
+    for flag in ("q", "kind", "t"):
+        if getattr(args, flag) is not None and flag not in _CONSTRUCT_FLAGS[name]:
+            raise ValueError(f"construct {name} does not take --{flag}")
     if name == "adjoint-sl3":
-        am = cx.adjoint_sl3(args.q or 3)
+        am = cx.adjoint_sl3(3 if args.q is None else args.q)
         _construct_partition(args, am.orbits)
     elif name == "extsq-sp6":
-        em = cx.extsq_sp6(args.q or 3)
+        em = cx.extsq_sp6(3 if args.q is None else args.q)
         _construct_partition(args, em.orbits)
     elif name == "dlength":
-        if not (args.kind and args.q and args.t):
+        if None in (args.kind, args.q, args.t):
             raise ValueError("dlength needs --kind, --q and --t")
         dp = cx.dlength_partition(args.kind, args.q, args.t)
         for w, pset in dp.classes.items():
@@ -184,8 +192,6 @@ def cmd_construct(args):
                 _emit(args, _report_dict(rep))
             else:
                 _print_report(rep, prefix="  on W(3,3): ")
-    else:
-        raise ValueError(f"unknown construction {name!r}")
     return 0
 
 

@@ -309,6 +309,8 @@ def dlength_partition(kind, q, t):
     form actually is in dimension t.
     """
     kind = forms.parse_kind(kind)
+    if t < 1:
+        raise ValueError(f"a length partition needs t >= 1 coordinates, got {t}")
     F = gf.field_of_order(q)
     if kind is FormKind.SYMPLECTIC:
         raise ValueError("no coordinate decomposition preserves a symplectic form")
@@ -323,9 +325,10 @@ def dlength_partition(kind, q, t):
                 f"the diagonal form on {t} coordinates over GF({q}) is "
                 f"{form.kind.value}, not {kind.value}")
     space = polar.build(form)
+    if not space.num_points:
+        raise ValueError(f"{space.name} has no points to partition")
     weights = np.count_nonzero(space.points_np, axis=1)
-    classes = {w: polar.PointSet(space,
-                                 tuple(np.flatnonzero(weights == w).tolist()))
+    classes = {w: polar.PointSet(space, np.flatnonzero(weights == w))
                for w in np.flatnonzero(np.bincount(weights)).tolist()}
     return DlengthPartition(space=space, lengths=tuple(sorted(classes)),
                             classes=classes)
@@ -442,5 +445,5 @@ def sl2_5_reduced_sets():
     sets = []
     for orbit in group.vector_orbit_lists(gset):
         idx = fr.small_space.locate(fr.flattener.flatten(orbit))
-        sets.append(polar.PointSet(fr.small_space, tuple(idx.tolist())))
+        sets.append(polar.PointSet(fr.small_space, idx))
     return fr, sets

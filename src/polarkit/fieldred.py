@@ -225,7 +225,7 @@ def _small_points_under(fr, rows):
         scale = la.expand(L, np.diag([eta] * fr.large_space.d))
         E = la.mulmod(scale, fr.flattener.digit_matrix, L.p)
         found.append(fr.small_space.locate(S.code_rows(la.mulmod(X, E, L.p))))
-    return PointSet(fr.small_space, tuple(np.concatenate(found).tolist()))
+    return PointSet(fr.small_space, np.concatenate(found))
 
 
 def blow_up(fr):
@@ -238,7 +238,7 @@ def push_down(fr, large_set):
     """The GF(q)-points lying on the given GF(q^b)-points."""
     if large_set.space is not fr.large_space:
         raise ValueError("point set does not live in the large space")
-    return _small_points_under(fr, fr.large_space.points_np[list(large_set.members)])
+    return _small_points_under(fr, fr.large_space.points_np[large_set.members])
 
 
 def lift_up(fr, small_set):
@@ -255,7 +255,7 @@ def lift_up(fr, small_set):
     if small_set.space is not fr.small_space:
         raise ValueError("point set does not live in the small space")
     L, form = fr.large_field, fr.large_space.form
-    members = np.array(small_set.members, dtype=np.int64)
+    members = small_set.members
     V = fr.flattener.unflatten(fr.small_space.points_np[members])
     A = la.expand_quadratic(L, form.data, form.sigma)
     nonsingular = la.form_values(L, A, L.digit_rows(V)).any(axis=1)
@@ -264,11 +264,13 @@ def lift_up(fr, small_set):
             f"small point {members[np.argmax(nonsingular)]} lies on a "
             f"non-singular GF({L.q})-point and cannot be lifted")
     large = fr.large_space.locate(V)
-    lifted = PointSet(fr.large_space, tuple(large.tolist()))
-    missing = sorted(set(push_down(fr, lifted).members)
-                     - set(small_set.members))
-    if missing:
-        k = missing[0]
+    lifted = PointSet(fr.large_space, large)
+    down = push_down(fr, lifted).members
+    inside = np.zeros(fr.small_space.num_points, dtype=bool)
+    inside[members] = True
+    missing = down[~inside[down]]
+    if missing.size:
+        k = int(missing[0])
         j = fr.large_space.locate(
             fr.flattener.unflatten(fr.small_space.points_np[k:k + 1]))[0]
         raise ValueError(

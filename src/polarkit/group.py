@@ -232,8 +232,8 @@ class GeneratorSet:
                 raise ValueError(f"generator data has no {key!r} entry")
         if not isinstance(data["generators"], list):
             raise ValueError("'generators' is not a list")
-        F = gf.field_of_order(data["q"])
-        d = data["d"]
+        F = gf.field_of_order(_integer("header entry 'q'", data["q"]))
+        d = _integer("header entry 'd'", data["d"])
 
         def decode(c):
             # entries are coefficient lists as written by serialize(), but a
@@ -286,8 +286,7 @@ class OrbitPartition:
         return tuple(np.flatnonzero(self.labels == np.arange(len(self.labels))).tolist())
 
     def orbit(self, label):
-        return PointSet(self.space,
-                        tuple(np.flatnonzero(self.labels == label).tolist()))
+        return PointSet(self.space, np.flatnonzero(self.labels == label))
 
     def orbit_sets(self):
         return [self.orbit(l) for l in self.orbit_labels]

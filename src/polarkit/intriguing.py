@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gf
 from . import polar as pl
+from .forms import Subspace
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def classify(space, M):
     n, m = space.num_points, len(M)
     if m == n:
         return _report(space, n, _collinear_constant(space), None)
-    members = np.array(M.members, dtype=np.int64)
+    members = M.members
     inside = np.zeros(n, dtype=bool)
     inside[members] = True
     order = np.concatenate((members, np.flatnonzero(~inside)))
@@ -128,12 +129,14 @@ def _collinear_constant(space):
     The lines on x in x^perp are the points of the residual space P' =
     x^perp / x, of the same kind in dimension d - 2 and rank r - 1, and each
     carries q points besides x.  At rank 1 the residual is empty (its theta
-    is not an integer there).  Point 0 is counted directly as a cross-check.
+    is not an integer there).  Point 0 is counted directly as a cross-check:
+    its perp, polar.perp_residual, is one blocked product over the space.
     """
     residual = (pl.expected_point_count(space.kind, space.d - 2, space.q)
                 if space.rank > 1 else 0)
     count = 1 + space.q * residual
-    sample = int(_raw_counts(space, [0]).sum())
+    x = Subspace.span(space.field, space.points_np[:1].tolist())
+    sample = len(pl.perp_residual(space, x))
     if sample != count:
         raise AssertionError(
             f"point 0 is collinear with {sample} points, the closed form "

@@ -193,7 +193,7 @@ def _t_sl25_to_w33():
                       "ovoid_m": rep1.ovoid_m, "h1": rep1.h1, "h2": rep1.h2})
     std = forms.standard_form("W", 4, fr.small_field)
     computed = {"sets": reps, "alpha_one_sets": reps1,
-                "disjoint": not set(sets[0].members) & set(sets[1].members),
+                "disjoint": not any(i in sets[1] for i in sets[0].members),
                 "tight_sum": sum(r["tight_i"] or 0 for r in reps),
                 "gram_is_standard": fr.small_space.form.data == std.data}
     return expected, computed

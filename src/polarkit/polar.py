@@ -262,73 +262,117 @@ def _greedy_ts_basis(form, points):
 # -- point sets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """A subset of a polar space's points, as a sorted tuple of indices.
-    Members must be ints (numpy integers are converted); anything else,
-    a bool included, is a ValueError naming it."""
+    """A subset of a polar space's points, as one sorted, duplicate-free,
+    read-only int64 array of indices.
+
+    members may be an integer array (not bool) of one dimension, or any
+    other iterable of ints, numpy integers included; anything else, a bool
+    included, is a ValueError naming it.  Members that are not strictly
+    increasing are marked on a mask over the space's points and read back
+    in order, which sorts and deduplicates them without np.unique (it
+    imports numpy.ma) or a sort (its first call maps the sort's code into
+    memory, about 0.2 MiB).  Two sets are equal when they share the space
+    object and their members."""
 
     space: PolarSpace
-    members: tuple
+    members: np.ndarray
 
     def __post_init__(self):
-        kinds = set(map(type, self.members))
-        if bool in kinds:   # operator.index would take it as 0 or 1
-            i = next(i for i in self.members if type(i) is bool)
-            raise ValueError(f"point index {i!r} is a bool, not an int")
-        try:
-            ms = tuple(sorted(set(self.members if kinds <= {int}
-                                  else map(operator.index, self.members))))
-        except TypeError:
-            for i in self.members:   # name the first member that is no int
-                try:
-                    operator.index(i)
-                except TypeError:
-                    raise ValueError(f"point index {i!r} is not an int") from None
-            raise
-        object.__setattr__(self, "members", ms)
-        if ms and (ms[0] < 0 or ms[-1] >= self.space.num_points):
+        ms = self.members
+        if isinstance(ms, np.ndarray):
+            if ms.dtype.kind not in "iu":   # a bool array is kind "b"
+                raise ValueError(f"point indices of dtype {ms.dtype} are not ints")
+            if ms.ndim != 1:
+                raise ValueError(f"point indices form a {ms.ndim}-d array, not 1-d")
+            # a copy; uint64 indices from 2^63 wrap negative and fail the
+            # range check below
+            ms = ms.astype(np.int64)
+        else:
+            ms = _index_array(list(ms))
+        n = self.space.num_points
+        if len(ms) and (ms.min() < 0 or ms.max() >= n):
             raise ValueError("point index out of range")
+        if len(ms) > 1 and not (ms[1:] > ms[:-1]).all():
+            inside = np.zeros(n, dtype=bool)
+            inside[ms] = True
+            ms = np.flatnonzero(inside)
+        ms.setflags(write=False)
+        object.__setattr__(self, "members", ms)
 
     def __len__(self):
         return len(self.members)
 
     def __contains__(self, i):
-        import bisect
-        j = bisect.bisect_left(self.members, i)
-        return j < len(self.members) and self.members[j] == i
+        j = np.searchsorted(self.members, i)
+        return bool(j < len(self.members) and self.members[j] == i)
+
+    def __eq__(self, other):
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return (self.space is other.space
+                and np.array_equal(self.members, other.members))
+
+    def __hash__(self):
+        return hash((self.space, self.members.tobytes()))
 
     def complement(self):
-        inside = set(self.members)
-        return PointSet(self.space, tuple(i for i in range(self.space.num_points)
-                                          if i not in inside))
+        outside = np.ones(self.space.num_points, dtype=bool)
+        outside[self.members] = False
+        return PointSet(self.space, np.flatnonzero(outside))
 
     def vectors(self):
-        points = self.space.points
-        return tuple(points[i] for i in self.members)
+        """The members' points as tuples of int codes, in index order."""
+        return tuple(map(tuple, self.space.points_np[self.members].tolist()))
 
     def serialize(self):
         return {"space_descriptor": self.space.descriptor(),
-                "indices": list(self.members)}
+                "indices": self.members.tolist()}
 
     def __repr__(self):
         return f"PointSet({self.space.name}, {len(self.members)} points)"
 
 
+def _index_array(members):
+    """A list of point indices as an int64 array.  A bool is refused, plain
+    ints are taken as they are and anything else through operator.index;
+    the first member that is no int is named."""
+    kinds = set(map(type, members))
+    if bool in kinds:   # operator.index would take it as 0 or 1
+        i = next(i for i in members if type(i) is bool)
+        raise ValueError(f"point index {i!r} is a bool, not an int")
+    if not kinds <= {int}:
+        for i in members:
+            try:
+                operator.index(i)
+            except TypeError:
+                raise ValueError(f"point index {i!r} is not an int") from None
+        members = list(map(operator.index, members))
+    try:
+        return np.array(members, dtype=np.int64)
+    except OverflowError:   # beyond int64, so beyond every space
+        raise ValueError("point index out of range") from None
+
+
 def full_set(space):
-    return PointSet(space, tuple(range(space.num_points)))
+    return PointSet(space, np.arange(space.num_points))
 
 
 def perp_residual(space, W):
-    """The points of the space lying in W^perp (the whole space for W = 0)."""
+    """The points of the space lying in W^perp (the whole space for W = 0):
+    one mulmod per _linalg._SCAN_ROWS points, so its float temporaries stay
+    block-sized."""
     if W.ambient != space.d:
         raise ValueError("subspace ambient dimension mismatch")
     if W.dim == 0:
         return full_set(space)
-    F = space.field
-    ok = ~la.mulmod(F.digit_rows(space.points_np), space.form.pair_matrix(W.rows),
-                    F.p).any(axis=1)
-    return PointSet(space, tuple(np.flatnonzero(ok).tolist()))
+    F, points = space.field, space.points_np
+    G = space.form.pair_matrix(W.rows)
+    ok = [np.zeros(0, dtype=bool)] + [
+        ~la.mulmod(F.digit_rows(points[r:r + la._SCAN_ROWS]), G, F.p).any(axis=1)
+        for r in range(0, len(points), la._SCAN_ROWS)]
+    return PointSet(space, np.flatnonzero(np.concatenate(ok)))
 
 
 def maximal_ts_points(space):
@@ -340,8 +384,7 @@ def maximal_ts_points(space):
     basis = la.expand(F, space.ts_basis)
     images = [F.code_rows(la.mulmod(F.digit_rows(block), basis, F.p))
               for block in la.projective_blocks(F, len(space.ts_basis))]
-    members = space.locate(np.concatenate(images))
-    return PointSet(space, tuple(np.sort(members).tolist()))
+    return PointSet(space, space.locate(np.concatenate(images)))
 
 
 def nonsingular_point_with_residual(space, sign):

@@ -162,6 +162,14 @@ def test_orbits_names_the_generator_and_entry_it_refuses(tmp_path, entry, sigma,
     ({"indices": 5}, "generator data has no 'generators' entry"),
     ({"q": 3, "d": 4}, "generator data has no 'generators' entry"),
     ({"q": 3, "d": 4, "generators": None}, "'generators' is not a list"),
+    ({"q": "3", "d": 4, "generators": [[[1]]]}, "header entry 'q' '3' is not an int"),
+    ({"q": 3.0, "d": 4, "generators": [[[1]]]}, "header entry 'q' 3.0 is not an int"),
+    ({"q": True, "d": 4, "generators": [[[1]]]},
+     "header entry 'q' True is a bool, not an int"),
+    ({"q": 3, "d": "4", "generators": [[[1]]]}, "header entry 'd' '4' is not an int"),
+    ({"q": 3, "d": 4.0, "generators": [[[1]]]}, "header entry 'd' 4.0 is not an int"),
+    ({"q": 3, "d": False, "generators": [[[1]]]},
+     "header entry 'd' False is a bool, not an int"),
 ])
 def test_orbits_names_what_a_malformed_file_lacks(tmp_path, data, message):
     path = tmp_path / "gens.json"
@@ -240,7 +248,7 @@ def test_classify_names_a_malformed_set(tmp_path, data, message):
                                      (np.int64(1), np.int64(3)), [1, 3]])
 def test_point_set_takes_numpy_integers(w33, members):
     s = polar.PointSet(w33, members)
-    assert s.members == (1, 3) and all(type(i) is int for i in s.members)
+    assert s.members.tolist() == [1, 3] and s.members.dtype == np.int64
 
 
 def test_reduce_row2():
@@ -282,6 +290,34 @@ def test_construct_names():
     code, out, _ = run_cli("construct", "sl2-5")
     assert code == 0
     assert "tight_i=5" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("sl2-5", "--q", "7"), "construct sl2-5 does not take --q"),
+    (("q43-splits", "--q", "5"), "construct q43-splits does not take --q"),
+    (("adjoint-sl3", "--kind", "W", "--t", "7"),
+     "construct adjoint-sl3 does not take --kind"),
+    (("adjoint-sl3", "--t", "7"), "construct adjoint-sl3 does not take --t"),
+    (("extsq-sp6", "--q", "0", "--kind", "H"),
+     "construct extsq-sp6 does not take --kind"),
+    (("extsq-sp6", "--q", "0"), "only q=3 is within the desk budget"),
+    (("adjoint-sl3", "--q", "0"), "0 is not a prime power"),
+    (("dlength", "--kind", "Q", "--q", "3"), "dlength needs --kind, --q and --t"),
+    (("dlength", "--kind", "Q", "--q", "3", "--t", "0"),
+     "a length partition needs t >= 1 coordinates, got 0"),
+    (("dlength", "--kind", "Q", "--q", "3", "--t", "-2"),
+     "a length partition needs t >= 1 coordinates, got -2"),
+    (("dlength", "--kind", "Q", "--q", "3", "--t", "1"),
+     "Q(0,3) has no points to partition"),
+    (("dlength", "--kind", "Q-", "--q", "3", "--t", "2"),
+     "Q-(1,3) has no points to partition"),
+])
+def test_construct_refuses_flags_it_does_not_read(argv, message):
+    """Each construction reads only its own optional flags, and a flag
+    given as 0 counts as given."""
+    code, out, err = run_cli("construct", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_construct_dlength():
@@ -344,6 +380,28 @@ def test_orbit_reports_stdout_is_pinned(tmp_path, argv, sha):
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+# sha256 of stdout, taken while a point set was a sorted tuple of Python
+# ints: the whole space of Q(10,3) classified from a file of all 29,524
+# indices, M1 of the row-9 blow-up of H(4,4) to Q-(9,2), and the 40
+# singleton orbits of the trivial group on W(3,3)
+@pytest.mark.parametrize("argv,sha", [
+    (("classify", "--kind", "Q", "--dim", "10", "--q", "3", "--set", "SET", "--json"),
+     "3a8f566ee6bd4c20c73bcd06030bd6c19a5ac6be5a61032b12c8f7e941733f95"),
+    (("reduce", "--row", "9", "--q", "2", "--b", "2", "--dim", "4", "--json"),
+     "521304e75d643fb7fb367d9b6e08485511acff54340b52462d1adb4a56299add"),
+    (("orbits", "--kind", "W", "--dim", "3", "--q", "3", "--gens", "GENS", "--json"),
+     "e9020d056b781c29e2453b4ffb1c6de7e14d4b79f8fabf1f8d2e6deebb2b432e"),
+], ids=["classify-whole-q10-3", "reduce-row9-blow-up", "orbits-trivial-w33"])
+def test_point_set_stdout_is_pinned(tmp_path, argv, sha):
+    import hashlib
+    files = {"SET": tmp_path / "set.json", "GENS": tmp_path / "gens.json"}
+    files["SET"].write_text(json.dumps(list(range(29524))))
+    files["GENS"].write_text("[]")
+    code, out, _ = run_cli(*(str(files[a]) if a in files else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 # sha256 of `polarkit classify --json` stdout for the standard generator of
 # Q+(11,3), taken while every perp count was made point by point; the count
 # now runs through the 3^6-row table of the generator's span
@@ -355,7 +413,7 @@ def test_classify_generator_stdout_is_pinned(tmp_path):
     import hashlib
     sp = polar.build(forms.standard_form("Q+", 12, gf.field(3)))
     path = tmp_path / "generator.json"
-    path.write_text(json.dumps(list(polar.maximal_ts_points(sp).members)))
+    path.write_text(json.dumps(polar.maximal_ts_points(sp).members.tolist()))
     code, out, _ = run_cli("classify", "--kind", "Q+", "--dim", "11", "--q", "3",
                            "--set", str(path), "--json")
     assert code == 0

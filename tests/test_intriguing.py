@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from polarkit import _linalg as la
 from polarkit import constructions, fieldred, forms, gf, group, intriguing, polar
 from polarkit.intriguing import FeasibilityQuery, classify, feasibility, zsigmondy
 
@@ -314,8 +315,9 @@ def test_early_exit_counts_few_rows_of_a_set_that_is_not_intriguing(
 
 def test_a_space_within_one_block_takes_one_kernel_call_per_count(monkeypatch):
     """W(5,3) has 364 points, under one row block: classify runs the kernel
-    once, and once more for the collinearity check of a set covering more
-    than half the space, as a single count of every point did."""
+    once, as a single count of every point did.  The collinearity check of
+    a set covering more than half the space runs through perp_residual, not
+    the kernel; test_collinearity_cross_check_still_raises covers it."""
     calls = []
     counter = intriguing._zero_counter
 
@@ -334,7 +336,39 @@ def test_a_space_within_one_block_takes_one_kernel_call_per_count(monkeypatch):
     assert calls == [364]
     calls.clear()
     classify(sp, gen.complement())
-    assert calls == [364, 364]
+    assert calls == [364]
+
+
+def test_collinearity_cross_check_still_raises(monkeypatch):
+    """The closed form of |x^perp ∩ P| is checked against a direct count of
+    point 0's perp whenever classify uses it.  With the residual's point
+    count off by one, classify must raise on a set covering more than half
+    the space and on the whole space, and leave smaller sets alone."""
+    sp = polar.build(forms.standard_form("W", 6, gf.field(3)))
+    gen = polar.maximal_ts_points(sp)
+    count = polar.expected_point_count
+    monkeypatch.setattr(polar, "expected_point_count",
+                        lambda kind, d, q: count(kind, d, q) + 1)
+    for M in (gen.complement(), polar.full_set(sp)):
+        with pytest.raises(AssertionError, match="point 0 is collinear with "
+                                                 "121 points, the closed form "
+                                                 "gives 124"):
+            classify(sp, M)
+    assert classify(sp, gen).tight_i == 1
+
+
+def test_perp_residual_over_several_blocks_matches_the_kernel():
+    """Q+(9,3) has 9,922 points, three _linalg._SCAN_ROWS blocks of
+    perp_residual: its members are exactly the points the perp-count
+    kernel finds collinear with the subspace's points."""
+    sp = polar.build(forms.standard_form("Q+", 10, gf.field(3)))
+    assert sp.num_points > 2 * la._SCAN_ROWS
+    for picks in ([0], [0, sp.num_points - 1], [5, 6000]):
+        W = forms.Subspace.span(sp.field, [sp.points[i] for i in picks])
+        counts = intriguing._raw_counts(sp, picks)
+        want = np.flatnonzero(counts == len(picks))
+        assert polar.perp_residual(sp, W).members.tolist() == want.tolist()
+    assert len(polar.perp_residual(sp, W)) < sp.num_points
 
 
 def test_no_numpy_ma_import():
@@ -350,6 +384,12 @@ fr = fieldred.reduce(1, forms.standard_form("W", 4, gf.field(3, 2)), gf.field(3)
 intriguing.classify(fr.small_space, fieldred.blow_up(fr))
 sp = polar.build(forms.standard_form("Q", 11, gf.field(3)))
 intriguing.classify(sp, polar.maximal_ts_points(sp))
+intriguing.classify(sp, polar.full_set(sp))
+intriguing.classify(sp, polar.maximal_ts_points(sp).complement())
+polar.PointSet(sp, [5, 3, 3, 1, 5])
+polar.PointSet(sp, list(range(100, 0, -1)) * 2)
+constructions.q43_monomial_splits()["tight_split"].orbit_sets()
+polar.perp_residual(sp, forms.Subspace.span(sp.field, [sp.points[0]]))
 print("numpy.ma" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -169,7 +169,7 @@ def test_point_canonicalization(q43):
 
 def test_point_set_normalizes(w33):
     M = polar.PointSet(w33, (5, 3, 3, 1))
-    assert M.members == (1, 3, 5)
+    assert M.members.tolist() == [1, 3, 5]
     assert len(M) == 3
 
 
@@ -178,12 +178,76 @@ def test_point_set_bounds(w33):
         polar.PointSet(w33, (0, 40))
 
 
+@pytest.mark.parametrize("members", [
+    [5, 3, 3, 1, 5],
+    np.array([5, 3, 3, 1], dtype=np.int8),
+    np.array([3, 5, 1, 1, 5], dtype=np.int32),
+    np.array([1, 5, 3, 3], dtype=np.uint64),
+    np.array([1, 3, 5]),
+    (1, 3, 3, 5),
+    np.array([1, 1, 3, 5, 5]),
+], ids=["list", "int8", "int32", "uint64", "sorted-int64", "sorted-duplicates",
+        "sorted-duplicates-int64"])
+def test_point_set_sorts_and_deduplicates(w33, members):
+    M = polar.PointSet(w33, members)
+    assert M.members.tolist() == [1, 3, 5] and M.members.dtype == np.int64
+    assert len(M) == 3
+
+
+@pytest.mark.parametrize("members,message", [
+    (np.array([True, False]), "point indices of dtype bool are not ints"),
+    ([0, True], "point index True is a bool, not an int"),
+    (np.array([1.0, 2.0]), "point indices of dtype float64 are not ints"),
+    (np.array([[1, 2], [3, 4]]), "point indices form a 2-d array, not 1-d"),
+    (np.array(3), "point indices form a 0-d array, not 1-d"),
+    ([0, 40], "point index out of range"),
+    ((-1, 3), "point index out of range"),
+    (np.array([3, 40]), "point index out of range"),
+    (np.array([3, -1], dtype=np.int8), "point index out of range"),
+    (np.array([2 ** 63, 1], dtype=np.uint64), "point index out of range"),
+    ([2 ** 70], "point index out of range"),
+])
+def test_point_set_refuses(w33, members, message):
+    with pytest.raises(ValueError) as exc:
+        polar.PointSet(w33, members)
+    assert str(exc.value) == message
+
+
+def test_point_set_members_are_a_read_only_copy(w33):
+    given = np.array([1, 3, 5])
+    M = polar.PointSet(w33, given)
+    given[0] = 7
+    assert M.members.tolist() == [1, 3, 5] and given.flags.writeable
+    with pytest.raises(ValueError):
+        M.members[0] = 2
+    assert not polar.full_set(w33).members.flags.writeable
+
+
+def test_point_set_reads_like_a_set(w33):
+    import json
+    M = polar.PointSet(w33, [5, 3, 1])
+    assert json.loads(json.dumps(M.serialize())) == {
+        "space_descriptor": w33.descriptor(), "indices": [1, 3, 5]}
+    assert 3 in M and np.int64(5) in M
+    assert 4 not in M and 40 not in M and -1 not in M and 0 not in M
+    assert M.complement().members.tolist() == [
+        i for i in range(40) if i not in (1, 3, 5)]
+    assert M.vectors() == tuple(w33.points[i] for i in (1, 3, 5))
+    assert all(type(x) is int for v in M.vectors() for x in v)
+    same = polar.PointSet(w33, (1, 3, 5))
+    assert M == same and hash(M) == hash(same) and len({M, same}) == 1
+    assert M != polar.PointSet(w33, (1, 3)) and M != M.complement()
+    assert M != (1, 3, 5)
+    twin = polar.build(forms.standard_form("W", 4, gf.field(3)))
+    assert M != polar.PointSet(twin, (1, 3, 5))
+
+
 def test_complement(w33):
     M = polar.PointSet(w33, tuple(range(15)))
     C = M.complement()
     assert len(C) == 25
     assert not set(M.members) & set(C.members)
-    assert polar.full_set(w33).complement().members == ()
+    assert polar.full_set(w33).complement().members.tolist() == []
 
 
 # -- derived configurations -------------------------------------------------
@@ -191,7 +255,7 @@ def test_complement(w33):
 
 def test_perp_residual_of_zero_is_everything(q43):
     Z = forms.Subspace.zero(q43.field, q43.d)
-    assert polar.perp_residual(q43, Z).members == tuple(range(40))
+    assert polar.perp_residual(q43, Z).members.tolist() == list(range(40))
 
 
 def test_perp_residual_counts(q43, qm52):
@@ -239,8 +303,8 @@ def test_maximal_ts_points_match_the_span_oracle(kind, pdim, q):
     assert sp._points is None and sp._index is None
     F = sp.field
     span = forms.Subspace.span(F, sp.ts_basis, ambient=sp.d)
-    assert members == tuple(sorted({sp.index[canonical(F, v)]
-                                    for v in span.vectors()}))
+    assert members.tolist() == sorted({sp.index[canonical(F, v)]
+                                       for v in span.vectors()})
     assert sp.num_points == len(sp.points) == len(sp.points_np)
 
 
