@@ -7,8 +7,9 @@ are tiny (d <= 16), so everything is straightforward Gaussian elimination.
 Bulk work writes GF(q)^d as GF(p)^(d*f) through the base-p digits of the
 codes (FiniteField.digits).  expand turns a semilinear map into its GF(p)
 matrix and expand_quadratic a (sesqui)linear form's values into GF(p)
-quadratic forms; mulmod multiplies such matrices exactly.  Over a prime
-field the expansions are the matrices themselves.  projective_blocks owns
+quadratic forms; mulmod multiplies such matrices exactly, in row blocks
+of at most _SCAN_CELLS cells.  Over a prime field the expansions are the
+matrices themselves.  projective_blocks owns
 the canonical point order (first nonzero coordinate 1, then big-endian
 code order), and singular_points finds the zeros of a form in that order
 from a head/tail split of the coordinates.  Small
@@ -226,7 +227,7 @@ def form_values(F, A, X):
     return (Y * X[:, :, None]).sum(axis=1) % p
 
 
-_SCAN_ROWS = 2 ** 12   # vectors per scan block, to bound memory
+_SCAN_ROWS = 2 ** 12   # rows per block (scans, locate, point images), to bound memory
 
 
 def projective_blocks(F, d):
@@ -246,7 +247,8 @@ def projective_blocks(F, d):
             yield block
 
 
-_SCAN_CELLS = 2 ** 16   # (head, value digit, tail) cells per singular_points chunk
+_SCAN_CELLS = 2 ** 16   # cells per singular_points chunk (head, value digit,
+                        # tail) and per mulmod row block (row, column)
 _ZERO_TEST_SAFE = 2 ** 52
 
 
@@ -320,22 +322,36 @@ def singular_points(F, K, s=0):
 
 
 def mulmod(A, B, p):
-    """Exact (A @ B) % p via float64 BLAS.
+    """Exact (A @ B) % p via float64 BLAS, as int64: A is (n, k) or (k,)
+    and B (k, m).
 
     Inputs must be reduced mod p, and the inner dimension k (d*f for the
     expanded matrices of GF(p^f)^d) must satisfy
-    k*(p-1)^2 < 2^53, else ValueError.  Then every accumulated dot product S
-    is an exactly represented integer below 2^53.  The reduction is
-    S - floor(S/p)*p.  The rounded quotient fl(S/p) is no lower than the
-    integer floor(S/p) (rounding is monotone) and within S/p * 2^-53 < 1/p
-    above S/p, which is itself at least 1/p below the next integer.  So
-    floor(fl(S/p)) is the exact quotient, and the product and the
-    difference are exact too.
+    k*(p-1)^2 < 2^53, else ValueError, raised before any product.  Then
+    every accumulated dot product S is an exactly represented integer below
+    2^53.  The reduction is S - floor(S/p)*p.  The rounded quotient fl(S/p)
+    is no lower than the integer floor(S/p) (rounding is monotone) and
+    within S/p * 2^-53 < 1/p above S/p, which is itself at least 1/p below
+    the next integer.  So floor(fl(S/p)) is the exact quotient, and the
+    product and the difference are exact too.
+
+    The rows of A go through in blocks of at most _SCAN_CELLS cells, a
+    block's cells being its rows times max(k, m), so that the float64
+    temporaries stay cache-sized: each block is cast by the product (no
+    copy when A is float64 already), reduced and written into one int64
+    output.  B is cast once.
     """
     k = A.shape[-1]
     if k * (p - 1) ** 2 >= _F64_SAFE:
         raise ValueError(f"mulmod: inner dimension {k} with p={p} exceeds "
                          "the exact float64 range")
-    S = np.asarray(A, dtype=np.float64) @ np.asarray(B, dtype=np.float64)
-    S -= np.floor(S / p) * p
-    return S.astype(np.int64)
+    if A.ndim == 1:
+        return mulmod(A[None], B, p)[0]
+    B = np.asarray(B, dtype=np.float64)
+    out = np.empty((len(A), B.shape[1]), dtype=np.int64)
+    step = _SCAN_CELLS // max(B.shape) or 1
+    for r in range(0, len(A), step):
+        S = A[r:r + step] @ B   # an integer block is cast to float64 here
+        S -= np.floor(S / p) * p
+        out[r:r + step] = S
+    return out

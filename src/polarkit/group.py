@@ -337,20 +337,36 @@ def _point_images(space, gens):
     """Each generator's image of the point list as an index array, lazily.
 
     Every semilinear map of GF(q)^d is GF(p)-linear on the digits
-    (la.expand), so one exact mulmod moves all points, and
-    PolarSpace.locate finds the images by binary search in the point codes
-    (it raises on an image outside the space).
+    (la.expand), so exact mulmods move the points, and PolarSpace.locate
+    finds the images by binary search in the point codes (it raises on an
+    image outside the space).  The work streams in blocks of at most
+    la._SCAN_ROWS image rows: on a space of n <= la._SCAN_ROWS points a
+    block is _SCAN_ROWS // n whole generators, their expanded matrices side
+    by side in one product; on a larger space it is a slice of one
+    generator.  A block is imaged when its first generator is drawn, so a
+    caller that stops early (orbits, once transitive) leaves later blocks
+    undone.
     """
-    X = space.field.digit_rows(space.points_np).astype(np.float64)
-    for g in gens:
-        yield space.locate(_image_rows(g, X))
+    F, n = space.field, space.num_points
+    X = F.digit_rows(space.points_np).astype(np.float64)
+    gens = list(gens)
+    step, rows = max(1, la._SCAN_ROWS // n), min(n, la._SCAN_ROWS)
+    for i in range(0, len(gens), step):
+        chunk = gens[i:i + step]
+        E = np.concatenate([la.expand(F, g.matrix, g.sigma_power)
+                            for g in chunk], axis=1)
+        out = np.empty((len(chunk), n), dtype=np.int64)
+        for r in range(0, n, rows):
+            found = space.locate(_image_rows(F, X[r:r + rows], E))
+            out[:, r:r + rows] = found.reshape(-1, len(chunk)).T
+        yield from out
 
 
-def _image_rows(g, X):
-    """The element-code rows of the images under g of the GF(p) digit rows
-    X (float64, so that mulmod does not convert them for every g)."""
-    F = g.field
-    return F.code_rows(la.mulmod(X, la.expand(F, g.matrix, g.sigma_power), F.p))
+def _image_rows(F, X, E):
+    """The element-code rows of the images of the GF(p) digit rows X under
+    c semilinear maps, E their expanded matrices side by side: row i*c + j
+    is row i under map j.  X is float64, so that mulmod casts nothing."""
+    return F.code_rows(la.mulmod(X, E, F.p)).reshape(-1, E.shape[0] // F.f)
 
 
 def _close(n, images):
@@ -399,7 +415,8 @@ def vector_orbit_lists(gens):
     vecs = list(itertools.product(F.elements(), repeat=d))[1:]
     X = F.digit_rows(vecs).astype(np.float64)
     powvec = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    images = (_image_rows(g, X) @ powvec - 1 for g in gens.generators)
+    images = (_image_rows(F, X, la.expand(F, g.matrix, g.sigma_power))
+              @ powvec - 1 for g in gens.generators)
     labels = _close(total, images)
     members = {}
     for v, label in zip(vecs, labels.tolist()):

@@ -129,12 +129,17 @@ class PolarSpace:
 
     def locate(self, rows):
         """The indices of the points spanned by nonzero rows of element codes
-        (shape (n, d)); raises if a row spans a point outside the space."""
-        codes = canonical_codes(self.field, rows)
-        j = np.minimum(np.searchsorted(self.codes, codes), self.num_points - 1)
-        if not np.array_equal(self.codes[j], codes):
-            raise AssertionError("image point missing from space")
-        return j
+        (shape (n, d)); raises if a row spans a point outside the space.
+        The rows are canonicalised and binary-searched in the point codes
+        _linalg._SCAN_ROWS at a time, so the temporaries stay block-sized."""
+        out = np.empty(len(rows), dtype=np.int64)
+        for r in range(0, len(rows), la._SCAN_ROWS):
+            codes = canonical_codes(self.field, rows[r:r + la._SCAN_ROWS])
+            j = np.minimum(np.searchsorted(self.codes, codes), self.num_points - 1)
+            if not np.array_equal(self.codes[j], codes):
+                raise AssertionError("image point missing from space")
+            out[r:r + la._SCAN_ROWS] = j
+        return out
 
     def theta_j(self, j):
         return theta(self.kind, self.d, self.q, j)
@@ -361,8 +366,9 @@ def full_set(space):
 
 def perp_residual(space, W):
     """The points of the space lying in W^perp (the whole space for W = 0):
-    one mulmod per _linalg._SCAN_ROWS points, so its float temporaries stay
-    block-sized."""
+    one mulmod per _linalg._SCAN_ROWS points, so the digit rows stay
+    block-sized too; mulmod casts each block to float64 (and cuts it
+    further when a row has more than _SCAN_CELLS / _SCAN_ROWS cells)."""
     if W.ambient != space.d:
         raise ValueError("subspace ambient dimension mismatch")
     if W.dim == 0:

@@ -11,11 +11,13 @@ forms in random coordinates (Hermitian ones included) and semilinear maps.
 import functools
 import itertools
 import math
+import operator
 from unittest import mock
 
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
 from polarkit import _linalg as la
 from polarkit import fieldred, forms, gf, group, intriguing, polar
@@ -374,18 +376,44 @@ _IMAGE_SPACES = [s for s in SPACES if s[1] in ("W", "H") or s[0] <= 9]
 @settings(max_examples=60)
 @given(st.data())
 def test_point_images_match_apply_point_by_point(data):
+    """Drawn semisimilarities in random coordinates, streamed with the block
+    cut down so that several share a block or one spans several."""
     space, A = _draw_space(data, _IMAGE_SPACES)
     F = space.field
     pool = _semisimilarities(space.q, space.kind.value, space.d)
-    word = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-    g = word[0]
-    for h in word[1:]:
-        g = g * h
     change = group.Semisimilarity(F, A)
-    g = change * g * change.inverse()       # a semisimilarity of space.form
-    group.multiplier(space.form, g)
-    (got,) = group._point_images(space, [g])
-    assert got.tolist() == point_images_oracle(space, g)
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        word = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        g = functools.reduce(operator.mul, word)
+        g = change * g * change.inverse()   # a semisimilarity of space.form
+        group.multiplier(space.form, g)
+        gens.append(g)
+    rows = data.draw(st.integers(1, 3 * space.num_points))
+    with mock.patch.object(la, "_SCAN_ROWS", rows):
+        got = list(group._point_images(space, gens))
+    assert [img.tolist() for img in got] == [point_images_oracle(space, g)
+                                             for g in gens]
+
+
+@pytest.mark.parametrize("q,kind,d,rows", [
+    (3, "W", 4, 100),    # 40 points: two generators a block, then one
+    (3, "W", 4, 7),      # each generator over six blocks, the last partial
+    (4, "H", 4, 135),    # 45 points over GF(4): three generators a block
+    (4, "H", 4, 16),
+    (9, "W", 4, 1700),   # 820 points over GF(9): two generators a block
+    (9, "W", 4, 300)])
+def test_streamed_point_images_match_the_oracle(q, kind, d, rows):
+    """Streamed images of isometries and of semilinear maps (sigma != 0),
+    against the scalar oracle, across every block shape."""
+    pool = _semisimilarities(q, kind, d)
+    gens = pool[:2] + [g for g in pool if g.sigma_power][:2] + pool[2:3]
+    space = polar.build(forms.standard_form(kind, d, gf.field_of_order(q)))
+    assert any(g.sigma_power for g in gens) == (q > 3)
+    with mock.patch.object(la, "_SCAN_ROWS", rows):
+        got = list(group._point_images(space, gens))
+    assert [img.tolist() for img in got] == [point_images_oracle(space, g)
+                                             for g in gens]
 
 
 # -- field reduction -------------------------------------------------------------

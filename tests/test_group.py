@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,35 @@ def test_point_images_raise_on_a_point_leaving_the_space(q43):
     gens = group.GeneratorSet(q43.field, [group.Semisimilarity(q43.field, swap)])
     with pytest.raises(AssertionError, match="image point missing from space"):
         list(group._point_images(q43, gens))
+
+
+@pytest.mark.parametrize("rows,bad", [(20, "slice"), (80, "generator")])
+def test_point_images_raise_when_only_the_last_block_leaves(monkeypatch, q43,
+                                                             rows, bad):
+    """The streamed images check every block, not only the first.  The map
+    x2 += x0 keeps Q(x) = x0^2 + x1 x2 + x3 x4 exactly where x0 x1 = 0, so
+    on the 40 points of Q(4,3) it sends only points 22 and up off the
+    quadric: with 20 rows a block they all lie in the second, last block.
+    With 80 rows a block, two of the 40-point images share a block, and the
+    bad map comes third, alone in the last block."""
+    F = q43.field
+    shear = group.Semisimilarity(F, [[1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                                     [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    n = q43.num_points
+    off = [i for i, v in enumerate(q43.points) if q43.form.evaluate(shear.apply(v))]
+    assert off == list(range(22, n))
+    gens = [shear]
+    if bad == "slice":
+        assert (n - 1) // rows * rows == rows < 22
+    else:
+        gens = list(group.classical_generators("Omega", 5, F, self_check=False)
+                    .generators[:2]) + gens
+    monkeypatch.setattr(la, "_SCAN_ROWS", rows)
+    images = group._point_images(q43, gens)
+    for _ in gens[:-1]:
+        next(images)
+    with pytest.raises(AssertionError, match="image point missing from space"):
+        next(images)
 
 
 def test_vector_orbits_of_full_group(f9):
@@ -517,6 +547,59 @@ def test_orbits_stop_once_transitive(monkeypatch, spec):
     part = group.orbits(space, gens)
     assert part.labels.tolist() == [0] * space.num_points == _bfs_labels(space, gens)
     assert 0 < len(drawn) < len(gens)
+
+
+@pytest.mark.parametrize("rows", [16, 120, 4096])
+def test_orbits_image_only_the_blocks_they_draw(monkeypatch, rows):
+    """A block's generators are expanded when its first image is drawn, and
+    orbits stops drawing once transitive.  On W(3,3), 40 points, 16 rows
+    a block is a slice of one generator, so exactly the generators drawn
+    are expanded; 120 and 4096 rows put 3 and all 7 in a block, so the
+    generators expanded are those of the blocks drawn from: at most one
+    block's generators beyond those drawn."""
+    space, pool = _pool("W", 4, 3, "Sp")
+    gens = group.GeneratorSet(space.field, pool)
+    n, drawn, expanded = space.num_points, [], []
+    images, expand = group._point_images, la.expand
+
+    def counting(space, gens):
+        for img in images(space, gens):
+            drawn.append(img)
+            yield img
+
+    def spy(F, M, s=0):
+        expanded.append(M)
+        return expand(F, M, s)
+
+    monkeypatch.setattr(la, "_SCAN_ROWS", rows)
+    monkeypatch.setattr(group, "_point_images", counting)
+    monkeypatch.setattr(la, "expand", spy)
+    part = group.orbits(space, gens)
+    assert part.labels.tolist() == [0] * n
+    step = max(1, rows // n)
+    assert 0 < len(drawn) < len(gens.generators)
+    assert expanded == [g.matrix for g in gens.generators[:len(expanded)]]
+    assert len(expanded) == min(len(gens.generators), -(-len(drawn) // step) * step)
+
+
+def test_point_images_stay_within_a_few_blocks_of_memory():
+    """Four Omega(11,3) generators imaged on the 29,524 points of Q(10,3):
+    the traced peak must stay below the float64 digit rows, the four index
+    arrays and eight blocks of _SCAN_ROWS float64 image rows, 6.1 MiB.
+    Imaging a whole generator at once peaked at about 11.3 MiB."""
+    F = gf.field(3)
+    space = polar.build(forms.standard_form("Q", 11, F))
+    gens = group.classical_generators("Omega", 11, F, self_check=False).generators[:4]
+    n, d = space.points_np.shape
+    list(group._point_images(space, gens))   # field tables and code caches
+    tracemalloc.start()
+    try:
+        images = list(group._point_images(space, gens))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(images) == 4
+    assert peak < 8 * (n * d + 4 * n + 8 * la._SCAN_ROWS * d)
 
 
 def _multiplier_by_basis_pairs(form, g):

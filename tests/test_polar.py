@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from polarkit import _linalg as la
 from polarkit import constructions as cx
 from polarkit import fieldred, forms, gf, manifest, polar
 from strategies import canonical
@@ -251,6 +252,20 @@ def test_complement(w33):
 
 
 # -- derived configurations -------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [7, 40, 4096])
+def test_locate_across_blocks(monkeypatch, q43, rows):
+    """locate canonicalises and searches _SCAN_ROWS rows at a time: every
+    point, scaled by 2 and listed in reverse, comes back as its index, and
+    a nonsingular row in the last block raises."""
+    n = q43.num_points
+    scaled = q43.field.mul_np(q43.points_np[::-1], 2)
+    bad = np.concatenate([scaled, [[1, 0, 0, 0, 0]]])   # Q = x0^2 = 1
+    monkeypatch.setattr(la, "_SCAN_ROWS", rows)
+    assert q43.locate(scaled).tolist() == list(range(n - 1, -1, -1))
+    with pytest.raises(AssertionError, match="image point missing from space"):
+        q43.locate(bad)
 
 
 def test_perp_residual_of_zero_is_everything(q43):
