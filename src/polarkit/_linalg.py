@@ -7,14 +7,33 @@ are tiny (d <= 16), so everything is straightforward Gaussian elimination.
 Bulk work writes GF(q)^d as GF(p)^(d*f) through the base-p digits of the
 codes (FiniteField.digits).  expand turns a semilinear map into its GF(p)
 matrix and expand_quadratic a (sesqui)linear form's values into GF(p)
-quadratic forms; mulmod multiplies such matrices exactly, in row blocks
-of at most _SCAN_CELLS cells.  Over a prime field the expansions are the
-matrices themselves.  projective_blocks owns
-the canonical point order (first nonzero coordinate 1, then big-endian
-code order), and singular_points finds the zeros of a form in that order
-from a head/tail split of the coordinates.  Small
-products of code arrays that stay over GF(q) (mat_mul_np) take their
-products from the field's log tables and add them digit by digit (sum_np).
+quadratic forms; mulmod multiplies such matrices exactly, and zero_groups
+tells which f-column groups of such a product vanish mod p, both in row
+blocks of at most _SCAN_CELLS cells.  Over a prime field the expansions are
+the matrices themselves.  projective_blocks owns the canonical point order
+(first nonzero coordinate 1, then big-endian code order), and
+singular_points finds the zeros of a form in that order from a head/tail
+split of the coordinates.  Small products of code arrays that stay over
+GF(q) (mat_mul_np) take their products from the field's log tables and add
+them digit by digit (sum_np).
+
+Every float product of the package runs here, under one rule
+(_exact_dtype): a product of integer matrices (n, k) and (k, m) with
+entries in [0, p) runs in float32 while k*(p-1)^2 + p < 2^24, in float64
+while that is below 2^53, and otherwise raises ValueError before any
+product.  Let 2^t be the bound met, t the dtype's significand bits (24 or
+53), so that every integer in [0, 2^t) is exact in the dtype.  Every entry,
+p, and every partial sum of a dot product lie in [0, 2^t), so each entry S
+of the product is exact, in whatever order BLAS adds.  Write S = a p + b
+with 0 <= b < p.  The quotient fl(S/p) is S/p correctly rounded: within
+S/p * 2^-t < 1/p of it.
+- The floor reduction S - floor(fl(S/p)) p (mulmod) is b: a is exact and
+  no greater than S/p, and rounding is monotone, so fl(S/p) >= a; and
+  fl(S/p) < S/p + 1/p = a + (b + 1)/p <= a + 1.  So floor(fl(S/p)) = a,
+  and a p <= S and S - a p = b are exact.
+- The zero test rint(fl(S/p)) == fl(S/p) (zero_groups) holds exactly when
+  b = 0: then S/p = a is exact; otherwise S/p lies at least 1/p from every
+  integer and fl(S/p) less than 1/p from S/p, so fl(S/p) is no integer.
 """
 
 import numpy as np
@@ -179,7 +198,20 @@ def in_rowspace(F, rows_rref, v):
 
 # -- the array kernel ------------------------------------------------------
 
-_F64_SAFE = 2 ** 53
+# each float dtype with 2^t, t its significand bits: the integers in [0, 2^t)
+# are exact in it
+_EXACT_BELOW = ((np.float32, 2 ** 24), (np.float64, 2 ** 53))
+
+
+def _exact_dtype(k, p):
+    """The float dtype of the rule in the module docstring for an inner
+    dimension k and entries in [0, p); ValueError past float64."""
+    top = k * (p - 1) ** 2 + p
+    for dtype, bound in _EXACT_BELOW:
+        if top < bound:
+            return dtype
+    raise ValueError(f"inner dimension {k} with p={p} exceeds the exact "
+                     "float64 range")
 
 
 def sum_np(F, P, axis=0):
@@ -247,9 +279,7 @@ def projective_blocks(F, d):
             yield block
 
 
-_SCAN_CELLS = 2 ** 16   # cells per singular_points chunk (head, value digit,
-                        # tail) and per mulmod row block (row, column)
-_ZERO_TEST_SAFE = 2 ** 52
+_SCAN_CELLS = 2 ** 16   # cells per block of mulmod and zero_groups
 
 
 def singular_points(F, K, s=0):
@@ -267,18 +297,16 @@ def singular_points(F, K, s=0):
     order lists the first kind, then each head in code order with its
     tails in code order.  The form is evaluated once on the heads and once
     on all q^dl tails; then each chunk of heads (_SCAN_CELLS cells of
-    value digits) takes one float64 product, whose rows [h S | Q(h) | e_c]
-    meet the columns [t | 1 | Q(t)] in value digit c, and one zero test.
-    A cell sums dl*f products below p^2 and two values below p; that must
-    stay below 2^52, else ValueError.  Then the cell V is exact and V / p
-    rounds to an integer exactly when p divides V.  Rows are built only
-    for the cells that pass, each the sum of a head and a tail."""
+    value digits) takes one zero_groups call, whose rows [t | 1 | Q(t)]
+    meet the columns [h S | Q(h) | e_c] in value digit c, a group of f
+    columns per head.  Its inner dimension dl*f + 1 + f is checked against
+    the rule first, so a space past it raises before any product.  Rows
+    are built only for the cells that vanish, each the sum of a head and a
+    tail."""
     p, f, q, d = F.p, F.f, F.q, len(K)
     dh = (d + 1) // 2
     kh, kl = dh * f, (d - dh) * f
-    if kl * (p - 1) ** 2 + 2 * (p - 1) >= _ZERO_TEST_SAFE:
-        raise ValueError(f"singular_points: {d - dh} tail coordinates over "
-                         f"GF({q}) exceed the exact float64 range")
+    _exact_dtype(kl + 1 + f, p)
     # X: the zero head and the canonical heads, padded with a zero tail,
     # then every tail in code order, padded with a zero head
     heads = [np.zeros((1, dh), dtype=np.int64), *projective_blocks(F, dh)]
@@ -294,13 +322,13 @@ def singular_points(F, K, s=0):
                            for i in range(0, nh + nt, _SCAN_ROWS)])
     M = A.reshape(d * f, d * f, f)
     S = (M[:kh, kh:] + M[kh:, :kh].transpose(1, 0, 2)).transpose(0, 2, 1)
-    G = np.empty((nh, f, kl + 1 + f))
+    G = np.empty((nh, f, kl + 1 + f), dtype=np.int64)
     G[:, :, :kl] = (Xd[:nh, :kh] @ S.reshape(kh, f * kl) % p).reshape(nh, f, kl)
     G[:, :, kl] = vals[:nh]
-    G[:, :, kl + 1:] = np.eye(f)
-    G = G.reshape(nh * f, kl + 1 + f)
+    G[:, :, kl + 1:] = np.eye(f, dtype=np.int64)
+    G = G.reshape(nh * f, kl + 1 + f).T
     U = np.concatenate((Xd[nh:, kh:], np.ones((nt, 1), dtype=np.int64),
-                        vals[nh:]), axis=1).T.astype(np.float64)
+                        vals[nh:]), axis=1)
     # zero head: the canonical tails (codes in [q^k, 2 q^k)) that are singular
     singular = ~vals[nh:].any(axis=1)
     ti = [nh + q ** k + np.flatnonzero(singular[q ** k:2 * q ** k])
@@ -308,10 +336,8 @@ def singular_points(F, K, s=0):
     hi = [np.zeros(sum(map(len, ti)), dtype=np.int64)]
     step = max(1, _SCAN_CELLS // (nt * f))
     for h0 in range(1, nh, step):
-        V = G[h0 * f:(h0 + step) * f] @ U
-        V /= p
-        cells = np.flatnonzero((np.rint(V) == V).reshape(-1, f, nt).all(axis=1))
-        h, t = np.divmod(cells, nt)
+        vanish = zero_groups(U, G[:, h0 * f:(h0 + step) * f], p, f)
+        h, t = np.divmod(np.flatnonzero(vanish.T), nt)
         hi.append(h0 + h)
         ti.append(nh + t)
     points = X.take(np.concatenate(hi), axis=0)
@@ -322,36 +348,49 @@ def singular_points(F, K, s=0):
 
 
 def mulmod(A, B, p):
-    """Exact (A @ B) % p via float64 BLAS, as int64: A is (n, k) or (k,)
-    and B (k, m).
-
-    Inputs must be reduced mod p, and the inner dimension k (d*f for the
-    expanded matrices of GF(p^f)^d) must satisfy
-    k*(p-1)^2 < 2^53, else ValueError, raised before any product.  Then
-    every accumulated dot product S is an exactly represented integer below
-    2^53.  The reduction is S - floor(S/p)*p.  The rounded quotient fl(S/p)
-    is no lower than the integer floor(S/p) (rounding is monotone) and
-    within S/p * 2^-53 < 1/p above S/p, which is itself at least 1/p below
-    the next integer.  So floor(fl(S/p)) is the exact quotient, and the
-    product and the difference are exact too.
-
-    The rows of A go through in blocks of at most _SCAN_CELLS cells, a
-    block's cells being its rows times max(k, m), so that the float64
-    temporaries stay cache-sized: each block is cast by the product (no
-    copy when A is float64 already), reduced and written into one int64
-    output.  B is cast once.
-    """
-    k = A.shape[-1]
-    if k * (p - 1) ** 2 >= _F64_SAFE:
-        raise ValueError(f"mulmod: inner dimension {k} with p={p} exceeds "
-                         "the exact float64 range")
+    """Exact (A @ B) % p as int64, for A (n, k) or (k,) and B (k, m) with
+    entries in [0, p): the floor reduction in the dtype of the module
+    docstring's rule, which raises ValueError before any product.  The rows
+    of A go through in blocks of at most _SCAN_CELLS cells, a block's cells
+    being its rows times max(k, m), so that the float temporaries stay
+    cache-sized: each block is cast to the dtype, multiplied, reduced and
+    written into one int64 output.  B is cast once."""
+    dtype = _exact_dtype(A.shape[-1], p)
     if A.ndim == 1:
         return mulmod(A[None], B, p)[0]
-    B = np.asarray(B, dtype=np.float64)
+    B = np.asarray(B, dtype=dtype)
     out = np.empty((len(A), B.shape[1]), dtype=np.int64)
     step = _SCAN_CELLS // max(B.shape) or 1
     for r in range(0, len(A), step):
-        S = A[r:r + step] @ B   # an integer block is cast to float64 here
+        S = A[r:r + step].astype(dtype, copy=False) @ B
         S -= np.floor(S / p) * p
         out[r:r + step] = S
+    return out
+
+
+def zero_groups(X, G, p, f):
+    """Which f-column groups of X @ G vanish mod p, as a bool array
+    (n, m // f), for X (n, k) and G (k, m) with entries in [0, p) and m a
+    multiple of f: entry [i, j] is true when row i of the product is 0 mod
+    p on columns j*f .. j*f + f - 1.  The zero test runs in the dtype of
+    the module docstring's rule, which raises ValueError before any
+    product.  The work goes in blocks of at most _SCAN_CELLS cells, rows
+    times max(k, columns); a G wider than _SCAN_CELLS columns is cut along
+    whole groups.  Each block is cast, multiplied and divided by p, and
+    the f digits of a group, strided slices of the test, are ANDed."""
+    k, m = G.shape
+    dtype = _exact_dtype(k, p)
+    out = np.empty((len(X), m // f), dtype=bool)
+    cols = max(f, min(m, _SCAN_CELLS) // f * f)
+    rows = max(1, _SCAN_CELLS // max(k, cols))
+    for c in range(0, m, cols):
+        Gc = G[:, c:c + cols].astype(dtype)
+        for r in range(0, len(X), rows):
+            S = X[r:r + rows].astype(dtype, copy=False) @ Gc
+            S /= p
+            Z = np.rint(S) == S
+            z = Z[:, ::f]
+            for j in range(1, f):
+                z &= Z[:, j::f]
+            out[r:r + rows, c // f:(c + cols) // f] = z
     return out

@@ -67,7 +67,13 @@ def cmd_orbits(args):
         raise ValueError("generator file is not a JSON object or list")
     gen_list = data if isinstance(data, list) else data.get("generators")
     if gen_list == []:
-        # no generators = the trivial group: every point is its own orbit
+        # no generators = the trivial group: every point is its own orbit;
+        # a header that is there must still describe the space
+        for key, want in (("q", sp.q), ("d", sp.d)):
+            if isinstance(data, dict) and key in data and not (
+                    type(data[key]) is int and data[key] == want):
+                raise ValueError(f"dimension or field mismatch: header entry "
+                                 f"{key!r} is {data[key]!r}, the space has {want}")
         gens = group.GeneratorSet(sp.field, [group.Semisimilarity(
             sp.field, la.identity(sp.field, sp.d))])
     elif isinstance(data, list):

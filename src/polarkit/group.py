@@ -348,7 +348,7 @@ def _point_images(space, gens):
     undone.
     """
     F, n = space.field, space.num_points
-    X = F.digit_rows(space.points_np).astype(np.float64)
+    X = F.digit_rows(space.points_np)
     gens = list(gens)
     step, rows = max(1, la._SCAN_ROWS // n), min(n, la._SCAN_ROWS)
     for i in range(0, len(gens), step):
@@ -365,7 +365,7 @@ def _point_images(space, gens):
 def _image_rows(F, X, E):
     """The element-code rows of the images of the GF(p) digit rows X under
     c semilinear maps, E their expanded matrices side by side: row i*c + j
-    is row i under map j.  X is float64, so that mulmod casts nothing."""
+    is row i under map j, exact by the rule of _linalg's docstring."""
     return F.code_rows(la.mulmod(X, E, F.p)).reshape(-1, E.shape[0] // F.f)
 
 
@@ -413,7 +413,7 @@ def vector_orbit_lists(gens):
     if total > VECTOR_CAP:
         raise ValueError(f"too many vectors: {total} exceeds cap {VECTOR_CAP}")
     vecs = list(itertools.product(F.elements(), repeat=d))[1:]
-    X = F.digit_rows(vecs).astype(np.float64)
+    X = F.digit_rows(vecs)
     powvec = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
     images = (_image_rows(F, X, la.expand(F, g.matrix, g.sigma_power))
               @ powvec - 1 for g in gens.generators)

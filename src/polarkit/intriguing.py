@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _linalg as la
 from . import gf
 from . import polar as pl
 from .forms import Subspace
@@ -144,31 +145,13 @@ def _collinear_constant(space):
     return count
 
 
-# one block is _ROW_BLOCK x _COL_BLOCK cells, and a few temporaries of that
-# size are alive at once: 512 x 4096 keeps them near 8 MiB each in float32,
-# 16 MiB in float64
+# rows per count(r0) of a _counter; the kernel cuts each into blocks of at
+# most _linalg._SCAN_CELLS cells
 _ROW_BLOCK = 512
-_COL_BLOCK = 4096
-# the fewest cells (rows x member columns) that fill more than one block; a
-# count within one block gains less from the span than _span's elimination
-# costs on the many small calls of a verify run
-_REDUCE_CELLS = _ROW_BLOCK * _COL_BLOCK + 1
-_F32_SAFE = 2 ** 24
-
-
-def _point_dot_bound(d, f, p):
-    """The largest dot product of a canonical point's digits with a column
-    of GF(p) digits.  The leading coordinate is 1, one digit 1 among its f;
-    the other d - 1 coordinates give f digits each, every digit at most
-    p - 1: (d - 1) f (p - 1)^2 + (p - 1)."""
-    return (d - 1) * f * (p - 1) ** 2 + (p - 1)
-
-
-def _count_dtype(top):
-    """float32 when it holds every dot product up to top exactly, else
-    float64.  Below 2^24 every sum and the zero test's rint(S / p) * p up to
-    S are exact in float32; at 2^24 a product S + 1 would round to S."""
-    return np.float32 if top < _F32_SAFE else np.float64
+# the fewest cells (rows x member columns) for which a count tries the span:
+# a smaller count gains less from it than _span's elimination costs on the
+# many small calls of a verify run
+_REDUCE_CELLS = 2 ** 21 + 1
 
 
 def _raw_counts(space, members, rows=slice(None)):
@@ -189,53 +172,42 @@ def _counter(space, members, rows):
     rows[r0:r0 + _ROW_BLOCK].  This is the zero count of kappa(P, Q) over Q
     in the member list.  Each member's pair functional is a (d*f) x f GF(p)
     block of G = Form.pair_matrix, and kappa(P, Q) = 0 when all f columns
-    of its block vanish on P's digits x.  The set-up runs here, once for all
-    n = len(rows) rows: G, the path, the table of the span path, and the
-    float copy of G in _count_dtype.  Each count(r0) then costs one block.
+    of its block vanish on P's digits x: _linalg.zero_groups, exact by the
+    rule of that module's docstring.  The set-up runs here, once for all
+    n = len(rows) rows: G, the path and the table of the span path.  Each
+    count(r0) then costs one block of rows.
 
     When the direct count has at least _REDUCE_CELLS cells (n rows by G's
     columns), the set-up first tries the span of the functionals (_span): R,
     the K x (d*f) rref of the row space of G^T over GF(p), with pivot
     columns piv.  Every row of G^T is its entries at piv times R, so G =
     R^T G[piv] mod p, and x G vanishes exactly where y G[piv] does, with
-    y = x R^T mod p in GF(p)^K.  So the count depends on y alone: the
-    set-up runs _zero_counter on all p^K vectors of GF(p)^K, and each point
-    reads its y's entry of that table.  _span gives up once p^K would reach
-    n, so the table is always the smaller count.  Otherwise count runs
-    _zero_counter on the points' digits."""
+    y = x R^T mod p (_linalg.mulmod) in GF(p)^K.  So the count depends on
+    y alone: the set-up counts the zeros of all p^K vectors of GF(p)^K, and
+    each point reads its y's entry of that table.  _span gives up once p^K
+    would reach n, so the table is always the smaller count.  Otherwise
+    count counts the zeros of the points' digits."""
     F = space.field
     p, f = F.p, F.f
     G = space.form.pair_matrix(space.points_np[members])
-    dtype = _count_dtype(_point_dot_bound(space.d, f, p))
     n = len(rows)
 
     def digits(r0):
         block = np.take(space.points_np, rows[r0:r0 + _ROW_BLOCK], axis=0)
-        return F.digit_rows(block).astype(dtype)
+        return F.digit_rows(block)
+
+    def zeros(X, H):
+        return np.count_nonzero(la.zero_groups(X, H, p, f), axis=1)
 
     span = _span(G, p, n) if n * G.shape[1] >= _REDUCE_CELLS else None
     if span is None:
-        zeros = _zero_counter(np.ascontiguousarray(G, dtype=dtype), f, p)
-        return lambda r0: zeros(digits(r0))
+        return lambda r0: zeros(digits(r0), G)
     R, piv = span
-    K = len(piv)
-    powers = p ** np.arange(K, dtype=np.int64)
-    grid_dtype = _count_dtype(K * (p - 1) ** 2)
-    grid = (np.arange(p ** K, dtype=np.int64)[:, None] // powers % p
-            ).astype(grid_dtype)
-    zeros = _zero_counter(np.ascontiguousarray(G[piv], dtype=grid_dtype), f, p)
-    table = _blocks(lambda r0: zeros(grid[r0:r0 + _ROW_BLOCK]), len(grid))
-    # x R^T is a point row against GF(p) columns, so it is exact in dtype,
-    # and so is its reduction mod p by _linalg.mulmod's argument (with 2^24
-    # for 2^53 in float32); float32 blocks take about half the time of
-    # mulmod's float64 ones
-    Rt = R.T.astype(dtype)
-
-    def count(r0):
-        S = digits(r0) @ Rt
-        S -= np.floor(S / p) * p
-        return table[S.astype(np.int64) @ powers]
-    return count
+    E = G[piv]
+    powers = p ** np.arange(len(piv), dtype=np.int64)
+    grid = np.arange(p ** len(piv), dtype=np.int64)[:, None] // powers % p
+    table = _blocks(lambda r0: zeros(grid[r0:r0 + _ROW_BLOCK], E), len(grid))
+    return lambda r0: table[la.mulmod(digits(r0), R.T, p) @ powers]
 
 
 def _span(G, p, n):
@@ -258,38 +230,6 @@ def _span(G, p, n):
         R = np.vstack(((R - np.outer(R[:, c], row)) % p, row))
         piv.append(c)
     return R, piv
-
-
-def _zero_counter(G, f, p):
-    """zeros(X): for each row x of a block X of at most _ROW_BLOCK rows, the
-    number of f-column blocks of G on which x G vanishes mod p.  X and G
-    share a float dtype, _count_dtype of a bound on every dot product of a
-    row of X with a column of G, so the matmuls, _COL_BLOCK columns at a
-    time, accumulate exact integers and the zero test is exact.  The
-    block-sized temporaries are made once here: made afresh for every
-    block, they cost their page faults again on every call."""
-    cols = _COL_BLOCK // f * f
-    size = _ROW_BLOCK * min(cols, G.shape[1])
-    S, T = np.empty((2, size), dtype=G.dtype)
-    eq, zero = np.empty(size, dtype=bool), np.empty(size // f, dtype=bool)
-    pinv = G.dtype.type(1.0) / G.dtype.type(p)
-
-    def zeros(X):
-        counts = np.zeros(len(X), dtype=np.int64)
-        for c0 in range(0, G.shape[1], cols):
-            Gc = G[:, c0:c0 + cols]
-            n, w = len(X), Gc.shape[1]
-            s, t = S[:n * w].reshape(n, w), T[:n * w].reshape(n, w)
-            np.matmul(X, Gc, out=s)
-            np.multiply(s, pinv, out=t)
-            np.rint(t, out=t)
-            t *= p
-            z = zero[:n * w // f].reshape(n, w // f)
-            np.equal(s, t, out=eq[:n * w].reshape(n, w))
-            eq[:n * w].reshape(n, w // f, f).all(axis=2, out=z)
-            counts += np.count_nonzero(z, axis=1)
-        return counts
-    return zeros
 
 
 # -- feasibility -----------------------------------------------------------

@@ -253,7 +253,8 @@ def _greedy_ts_basis(form, points):
         basis.append(tuple(live[0].tolist()))
         if 2 * len(basis) > d:   # also bounds the span enumeration below
             raise AssertionError("greedy totally singular basis exceeds d/2")
-        keep = ~la.mulmod(F.digit_rows(live), form.pair_matrix(live[:1]), p).any(axis=1)
+        keep = la.zero_groups(F.digit_rows(live), form.pair_matrix(live[:1]),
+                              p, F.f)[:, 0]
         coeffs = F.digit_rows(np.concatenate(list(la.projective_blocks(F, len(basis)))))
         span = F.code_rows(la.mulmod(coeffs, la.expand(F, np.array(basis)), p))
         # one coefficient vector per projective point, so the span's codes
@@ -366,9 +367,10 @@ def full_set(space):
 
 def perp_residual(space, W):
     """The points of the space lying in W^perp (the whole space for W = 0):
-    one mulmod per _linalg._SCAN_ROWS points, so the digit rows stay
-    block-sized too; mulmod casts each block to float64 (and cuts it
-    further when a row has more than _SCAN_CELLS / _SCAN_ROWS cells)."""
+    those whose digits make the one group of all of W's pair functionals
+    vanish, by _linalg.zero_groups (exact by the rule of that module's
+    docstring), _linalg._SCAN_ROWS points at a time, so that the digit rows
+    stay block-sized too."""
     if W.ambient != space.d:
         raise ValueError("subspace ambient dimension mismatch")
     if W.dim == 0:
@@ -376,7 +378,8 @@ def perp_residual(space, W):
     F, points = space.field, space.points_np
     G = space.form.pair_matrix(W.rows)
     ok = [np.zeros(0, dtype=bool)] + [
-        ~la.mulmod(F.digit_rows(points[r:r + la._SCAN_ROWS]), G, F.p).any(axis=1)
+        la.zero_groups(F.digit_rows(points[r:r + la._SCAN_ROWS]), G, F.p,
+                       G.shape[1])[:, 0]
         for r in range(0, len(points), la._SCAN_ROWS)]
     return PointSet(space, np.flatnonzero(np.concatenate(ok)))
 

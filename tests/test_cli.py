@@ -107,6 +107,21 @@ def test_orbits_explicit_empty_generator_list(tmp_path):
         assert "orbits=40" in out
 
 
+@pytest.mark.parametrize("header", [
+    {"q": True, "d": 4}, {"q": 4, "d": 9}, {"q": 3, "d": 5}, {"q": 9, "d": 4},
+    {"q": 3, "d": 4.0}, {"q": "3", "d": 4}, {"q": 3, "d": None}])
+def test_orbits_empty_generator_list_checks_its_header(tmp_path, header):
+    """A header next to "generators": [] must name the space's q and d as
+    plain ints, as it must next to a nonempty list."""
+    path = tmp_path / "empty.json"
+    for gens in ([], [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]):
+        path.write_text(json.dumps({**header, "generators": gens}))
+        code, out, err = run_cli("orbits", "--kind", "W", "--dim", "3",
+                                 "--q", "3", "--gens", str(path))
+        assert (code, out) == (2, ""), gens
+        assert err.startswith("error: ")
+
+
 def test_orbits_hand_written_file(tmp_path):
     # bare matrices with int codes, no sigma_power wrapper
     g = [[0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1]]

@@ -123,12 +123,13 @@ def test_classify_branches_agree(qm52, data):
 
 @pytest.mark.parametrize("kind,dim,q", [("Q-", 6, 2), ("W", 4, 4), ("H", 4, 9)])
 def test_raw_counts_in_small_blocks_match_collinearity(monkeypatch, kind, dim, q):
-    """Row and column blocks far smaller than the space and the member list,
-    with a column block that is not a multiple of f: every count is still
-    |P^perp ∩ M| by the collinear oracle."""
+    """Row and kernel blocks far smaller than the space and the member
+    list, with a kernel block of 25 cells, which a cut along whole groups
+    of f = 2 columns leaves at 24: every count is still |P^perp ∩ M| by the
+    collinear oracle."""
     sp = polar.build(forms.standard_form(kind, dim, gf.field_of_order(q)))
     monkeypatch.setattr(intriguing, "_ROW_BLOCK", 7)
-    monkeypatch.setattr(intriguing, "_COL_BLOCK", 5)
+    monkeypatch.setattr(la, "_SCAN_CELLS", 25)
     members = list(range(0, sp.num_points, 3))
     want = [sum(sp.collinear(i, j) for j in members) for i in range(sp.num_points)]
     assert intriguing._raw_counts(sp, members).tolist() == want
@@ -314,29 +315,27 @@ def test_early_exit_counts_few_rows_of_a_set_that_is_not_intriguing(
 
 
 def test_a_space_within_one_block_takes_one_kernel_call_per_count(monkeypatch):
-    """W(5,3) has 364 points, under one row block: classify runs the kernel
-    once, as a single count of every point did.  The collinearity check of
-    a set covering more than half the space runs through perp_residual, not
-    the kernel; test_collinearity_cross_check_still_raises covers it."""
+    """W(5,3) has 364 points, under one row block: classify runs the zero
+    test kernel once per count, on every point against the member columns,
+    as a single count of every point did.  A set covering more than half
+    the space first checks the collinearity constant through perp_residual,
+    which runs the same kernel once against point 0's functional;
+    test_collinearity_cross_check_still_raises covers that check."""
     calls = []
-    counter = intriguing._zero_counter
+    zero_groups = la.zero_groups
 
-    def spy(*args):
-        zeros = counter(*args)
+    def spy(X, G, p, f):
+        calls.append((len(X), G.shape[1]))
+        return zero_groups(X, G, p, f)
 
-        def counted(X):
-            calls.append(len(X))
-            return zeros(X)
-        return counted
-
-    monkeypatch.setattr(intriguing, "_zero_counter", spy)
     sp = polar.build(forms.standard_form("W", 6, gf.field(3)))
     gen = polar.maximal_ts_points(sp)
+    monkeypatch.setattr(la, "zero_groups", spy)
     classify(sp, polar.PointSet(sp, gen.members[:5]))
-    assert calls == [364]
+    assert calls == [(364, 5)]
     calls.clear()
     classify(sp, gen.complement())
-    assert calls == [364]
+    assert calls == [(364, 1), (364, len(gen))]
 
 
 def test_collinearity_cross_check_still_raises(monkeypatch):
@@ -397,70 +396,61 @@ print("numpy.ma" in sys.modules)
     assert out.stdout == "False\n"
 
 
-def test_raw_counts_float64_branch():
-    """W(1,2903) is the smallest prime case with d*f*(p-1)^2 >= 2^24, so
-    _raw_counts accumulates in float64 there.  Each point is perpendicular
-    to itself only, so any k points form a k-tight set with h = (1, 0)."""
+def _dtype_spy(monkeypatch):
+    """Record (k, p, dtype) for every choice of the exactness rule."""
+    picks = []
+    rule = la._exact_dtype
+
+    def spy(k, p):
+        picks.append((k, p, rule(k, p)))
+        return picks[-1][2]
+
+    monkeypatch.setattr(la, "_exact_dtype", spy)
+    return picks
+
+
+def test_raw_counts_float64_branch(monkeypatch):
+    """W(1,2903) is the smallest prime space whose point rows, k = d*f = 2
+    digits, pass the rule's 2^24 (2 * 2902^2 + 2903), so every product of
+    its counts runs in float64.  Each point is perpendicular to itself
+    only, so any k points form a k-tight set with h = (1, 0)."""
     p = 2903
     sp = polar.build(forms.standard_form("W", 2, gf.field(p)))
-    assert sp.d * (p - 1) ** 2 >= intriguing._F32_SAFE
+    picks = _dtype_spy(monkeypatch)
     for members in [(0,), tuple(range(0, sp.num_points, 2))]:
         rep = classify(sp, polar.PointSet(sp, members))
         assert (rep.tight_i, rep.h1, rep.h2) == (len(members), 1, 0)
+    assert (2, p, np.float64) in picks
+    assert {dtype for _, _, dtype in picks} == {np.float64}
 
 
-def test_count_dtype_switches_exactly_at_two_to_the_24():
-    """The largest dot product must stay below 2^24 for float32.  For
-    canonical point rows it is (d - 1) f (p - 1)^2 + (p - 1), over GF(2)
-    d - 1 + 1 = d; for grid rows, any vector of GF(p)^K, K (p - 1)^2."""
-    point, dtype = intriguing._point_dot_bound, intriguing._count_dtype
-    assert dtype(intriguing._F32_SAFE - 1) is np.float32
-    assert dtype(intriguing._F32_SAFE) is np.float64
-    assert dtype(point(2 ** 24 - 1, 1, 2)) is np.float32
-    assert dtype(point(2 ** 24, 1, 2)) is np.float64
-    # W(1,p): p (p - 1), below 2^24 up to p = 4093 and above from p = 4099
-    assert dtype(point(2, 1, 4093)) is np.float32
-    assert dtype(point(2, 1, 4099)) is np.float64
-    assert 4093 * 4092 < intriguing._F32_SAFE <= 4099 * 4098
-    # grid rows: K = 2^24 - 1 and 2^24 over GF(2); K = 1 at (p - 1)^2, below
-    # 2^24 = 4096^2 up to p = 4093 and above from p = 4099
-    for K, p, want in [(2 ** 24 - 1, 2, np.float32), (2 ** 24, 2, np.float64),
-                       (1, 4093, np.float32), (1, 4099, np.float64)]:
-        assert dtype(K * (p - 1) ** 2) is want
-
-
-def test_count_dtype_bound_is_the_largest_canonical_dot_product():
-    """Every canonical digit row of GF(q)^d against a column of p - 1's:
-    the largest product is the bound, over a few small d and q."""
-    for d, q in [(2, 3), (3, 4), (3, 5), (2, 9), (4, 2)]:
-        F = gf.field_of_order(q)
-        rows = F.digit_rows(list(polar.projective_vectors(F, d)))
-        top = int((rows * (F.p - 1)).sum(axis=1).max())
-        assert top == intriguing._point_dot_bound(d, F.f, F.p)
-
-
-def test_raw_counts_float64_branch_at_the_first_prime_that_needs_it():
-    """W(1,4099): 4099 * 4098 >= 2^24, the first prime space where float32
-    could not hold every dot product.  Each point is perpendicular to itself
-    only, so any k points form a k-tight set with h = (1, 0)."""
+def test_raw_counts_float64_branch_at_the_first_prime_that_needs_it(
+        monkeypatch):
+    """W(1,4099): (p - 1)^2 + p >= 2^24, the first prime where even a
+    one-term product passes float32, so every product of the space runs
+    in float64.  Each point is perpendicular to itself only, so any k
+    points form a k-tight set with h = (1, 0)."""
+    picks = _dtype_spy(monkeypatch)
     sp = polar.build(forms.standard_form("W", 2, gf.field(4099)))
-    assert intriguing._count_dtype(
-        intriguing._point_dot_bound(sp.d, 1, 4099)) is np.float64
+    assert la._exact_dtype(1, 4099) is np.float64
     for members in [(0,), tuple(range(0, sp.num_points, 2))]:
         rep = classify(sp, polar.PointSet(sp, members))
         assert (rep.tight_i, rep.h1, rep.h2) == (len(members), 1, 0)
+    assert {dtype for _, _, dtype in picks} == {np.float64}
 
 
 def test_span_table_in_float64_at_the_first_prime_that_needs_it(monkeypatch):
     """W(1,4099): a point's functional spans K = 1 dimension, a 4099-row
-    grid against 4100 points, and (p - 1)^2 >= 2^24 puts the table in
-    float64.  Each point is perpendicular to itself only."""
+    grid against 4100 points, and (p - 1)^2 + p >= 2^24 puts the table's
+    one-term products in float64.  Each point is perpendicular to itself
+    only."""
     sp = polar.build(forms.standard_form("W", 2, gf.field(4099)))
-    assert intriguing._count_dtype(4098 ** 2) is np.float64
     calls = _span_spy(monkeypatch)
+    picks = _dtype_spy(monkeypatch)
     monkeypatch.setattr(intriguing, "_REDUCE_CELLS", 0)
     counts = intriguing._raw_counts(sp, [5])
     assert len(calls[-1][1]) == 1
+    assert (1, 4099, np.float64) in picks
     assert counts.tolist() == [int(i == 5) for i in range(sp.num_points)]
 
 

@@ -110,12 +110,132 @@ def test_mulmod_at_the_edge_of_its_bound():
 
 
 def test_singular_points_raises_past_its_bound(monkeypatch):
-    """W(3,3): a cell sums dl*f = 2 products of at most 2 * 2 and two values
-    of at most 2, so it reaches 12, and the bound must lie above that."""
+    """W(3,3): the zero test's inner dimension is dl*f + 1 + f = 4, so the
+    rule's top is 4 * 2^2 + 3 = 19, and the bound must lie above that.
+    Past it, the scan raises before any product."""
     F = gf.field(3)
     K = forms.standard_form("W", 4, F).data
-    monkeypatch.setattr(la, "_ZERO_TEST_SAFE", 12)
-    with pytest.raises(ValueError, match="exact float64 range"):
-        la.singular_points(F, K)
-    monkeypatch.setattr(la, "_ZERO_TEST_SAFE", 13)
+
+    def no_product(*args):
+        raise AssertionError("a product ran past the rule")
+
+    with monkeypatch.context() as m:
+        m.setattr(la, "_EXACT_BELOW", ((np.float64, 19),))
+        m.setattr(la, "mulmod", no_product)
+        m.setattr(la, "zero_groups", no_product)
+        with pytest.raises(ValueError, match="exact float64 range"):
+            la.singular_points(F, K)
+    monkeypatch.setattr(la, "_EXACT_BELOW", ((np.float64, 20),))
     assert len(la.singular_points(F, K)) == 40
+
+
+# -- the one exactness rule -------------------------------------------------
+
+
+def test_exact_dtype_switches_at_two_to_the_24_and_raises_at_two_to_the_53():
+    """k (p - 1)^2 + p below 2^24 is float32, below 2^53 float64, and from
+    2^53 on a ValueError."""
+    rule = la._exact_dtype
+    # over GF(2) the top is k + 2
+    assert rule(2 ** 24 - 3, 2) is np.float32
+    assert rule(2 ** 24 - 2, 2) is np.float64
+    assert rule(2 ** 53 - 3, 2) is np.float64
+    with pytest.raises(ValueError, match="exact float64 range"):
+        rule(2 ** 53 - 2, 2)
+    # one term: (p - 1)^2 + p = p^2 - p + 1 passes 2^24 between the primes
+    # 4093 and 4099; two terms (W(1,p) points) between 2897 and 2903
+    assert 4092 ** 2 + 4093 < 2 ** 24 <= 4098 ** 2 + 4099
+    assert rule(1, 4093) is np.float32 and rule(1, 4099) is np.float64
+    assert 2 * 2896 ** 2 + 2897 < 2 ** 24 <= 2 * 2902 ** 2 + 2903
+    assert rule(2, 2897) is np.float32 and rule(2, 2903) is np.float64
+    assert rule(4, _EDGE_P) is np.float64
+    assert rule(0, 2) is np.float32
+
+
+def _zero_groups_oracle(X, G, p, f):
+    """The zero test in Python ints: group j of row i vanishes when every
+    column of it is 0 mod p."""
+    m = len(G[0]) if G else 0
+    return [[all(sum(x * G[t][j * f + c] for t, x in enumerate(row)) % p == 0
+                 for c in range(f)) for j in range(m // f)] for row in X]
+
+
+@given(st.data())
+def test_mulmod_and_zero_groups_match_integers_on_both_sides_of_the_switch(data):
+    """p = 4093 with k = 1 runs in float32, with k >= 2 and p = 4099 in
+    float64.  Entries near p - 1 push every sum to the edge of its dtype,
+    groups of f = 1, 2, 3 columns, blocks of 1-24 cells so that the rows
+    and a G of up to 18 columns span several blocks, a block boundary that
+    would cut a group, and about half the groups forced to vanish."""
+    p = data.draw(st.sampled_from([4093, 4099]))
+    n = data.draw(st.integers(0, 7))
+    k = data.draw(st.integers(1, 3))
+    f = data.draw(st.integers(1, 3))
+    groups = data.draw(st.integers(0, 6))
+    entries = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    X = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    G = [[data.draw(entries) for _ in range(groups * f)] for _ in range(k)]
+    if n and groups:
+        # make some groups vanish on the first row: a multiple of p there
+        for j in range(0, groups, 2):
+            for c in range(f):
+                col = j * f + c
+                G[k - 1][col] = 0
+                for t in range(k - 1):
+                    G[t][col] = data.draw(entries)
+                if X[0][k - 1]:
+                    rest = sum(X[0][t] * G[t][col] for t in range(k - 1))
+                    G[k - 1][col] = -rest * pow(X[0][k - 1], -1, p) % p
+    want_mod = _integer_product(X, G, p)
+    want_zero = _zero_groups_oracle(X, G, p, f)
+    Xa = np.array(X, dtype=np.int64).reshape(n, k)
+    Ga = np.array(G, dtype=np.int64).reshape(k, groups * f)
+    with mock.patch.object(la, "_SCAN_CELLS", data.draw(st.integers(1, 24))):
+        got_mod = la.mulmod(Xa, Ga, p)
+        got_zero = la.zero_groups(Xa, Ga, p, f)
+    assert got_mod.dtype == np.int64 and got_mod.tolist() == want_mod
+    assert got_zero.dtype == bool and got_zero.tolist() == want_zero
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_zero_groups_cut_a_wide_g_along_whole_groups(monkeypatch, f):
+    """A G of 40 groups against 7 cells a block: the column chunks hold
+    7 // f whole groups (a naive cut of 7 columns would split one), one
+    row a block, every group of a random product checked against the
+    integers, with a third of the groups vanishing on every row."""
+    monkeypatch.setattr(la, "_SCAN_CELLS", 7)
+    rng = np.random.default_rng(f)
+    p, k = 5, 3
+    X = rng.integers(0, p, (6, k))
+    G = rng.integers(0, p, (k, 40 * f))
+    G[:, ::3 * f] = 0
+    for c in range(1, f):
+        G[:, c::3 * f] = 0
+    want = _zero_groups_oracle(X.tolist(), G.tolist(), p, f)
+    assert any(map(any, want)) and not all(map(all, want))
+    assert la.zero_groups(X, G, p, f).tolist() == want
+
+
+def test_zero_groups_raises_before_any_product(monkeypatch):
+    """Past the rule: ValueError, not the TypeError that casting a block
+    with an object() entry would give."""
+    p = 2 ** 26 + 1            # (p - 1)^2 = 2^52, two terms pass 2^53
+    monkeypatch.setattr(la, "_SCAN_CELLS", 1)
+    X = np.full((5, 2), p - 1, dtype=object)
+    X[0, 0] = object()
+    G = np.full((2, 4), p - 1, dtype=object)
+    with pytest.raises(ValueError, match="exact float64 range"):
+        la.zero_groups(X, G, p, 2)
+    # one term fits: (p - 1)^2 = 1 mod p, no group vanishes
+    assert la.zero_groups(np.full((1, 1), p - 1), G[:1].astype(np.int64),
+                          p, 2).tolist() == [[False, False]]
+
+
+def test_zero_groups_of_empty_operands():
+    """No rows, no groups, and no inner dimension (every group vanishes)."""
+    assert la.zero_groups(np.zeros((0, 3), np.int64), np.ones((3, 4), np.int64),
+                          3, 2).shape == (0, 2)
+    assert la.zero_groups(np.ones((4, 3), np.int64), np.zeros((3, 0), np.int64),
+                          3, 2).shape == (4, 0)
+    assert la.zero_groups(np.zeros((2, 0), np.int64), np.zeros((0, 4), np.int64),
+                          3, 2).tolist() == [[True, True]] * 2
