@@ -1,8 +1,14 @@
 """Small exact linear algebra over FiniteField instances, and the one array
 kernel that every field runs on.
 
-Vectors are tuples of int codes, matrices are tuples of row tuples.  Sizes here
-are tiny (d <= 16), so everything is straightforward Gaussian elimination.
+Vectors are tuples of int codes, matrices are tuples of row tuples, and
+sizes are tiny (d <= 16).  rref is the one Gauss-Jordan elimination:
+nullspace reads its pivots, mat_inv is the right half of rref([A | I]), and
+a rank is the length of an rref.  det keeps a forward elimination of its
+own, about half the work, because form validation runs it on every
+standard form.  mat_mul_np is the one matrix product over GF(q), on int64
+code arrays: the products come from the field's log tables and sum_np adds
+them up digit by digit.
 
 Bulk work writes GF(q)^d as GF(p)^(d*f) through the base-p digits of the
 codes (FiniteField.digits).  expand turns a semilinear map into its GF(p)
@@ -13,9 +19,7 @@ blocks of at most _SCAN_CELLS cells.  Over a prime field the expansions are
 the matrices themselves.  projective_blocks owns the canonical point order
 (first nonzero coordinate 1, then big-endian code order), and
 singular_points finds the zeros of a form in that order from a head/tail
-split of the coordinates.  Small products of code arrays that stay over
-GF(q) (mat_mul_np) take their products from the field's log tables and add
-them digit by digit (sum_np).
+split of the coordinates.
 
 Every float product of the package runs here, under one rule
 (_exact_dtype): a product of integer matrices (n, k) and (k, m) with
@@ -41,27 +45,6 @@ import numpy as np
 
 def identity(F, n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(F, A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = 0
-            for t in range(k):
-                a = Ai[t]
-                if a:
-                    acc = F.add(acc, F.mul(a, B[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(F, A, v):
-    return tuple(dot(F, row, v) for row in A)
 
 
 def vec_mat(F, v, A):
@@ -90,12 +73,6 @@ def scale(F, c, v):
 
 def add_vec(F, u, v):
     return tuple(F.add(x, y) for x, y in zip(u, v))
-
-
-def mat_frobenius(F, A, k):
-    if k % F.f == 0:
-        return tuple(tuple(row) for row in A)
-    return tuple(tuple(F.frobenius(x, k) for x in row) for row in A)
 
 
 def rref(F, rows):
@@ -145,23 +122,22 @@ def nullspace(F, rows, ncols):
 
 
 def mat_inv(F, A):
+    """The inverse of the square matrix A: the right half of rref([A | I]).
+    ValueError if A is singular, that is if a pivot falls in the right
+    half."""
     n = len(A)
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = F.inv(aug[c][c])
-        aug[c] = [F.mul(inv, x) for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                m = aug[i][c]
-                aug[i] = [F.sub(x, F.mul(m, y)) for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    R, pivots = rref(F, [tuple(a) + e for a, e in zip(A, identity(F, n))])
+    if pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in R)
 
 
 def det(F, A):
+    """The determinant, by forward elimination: a pivot row clears only the
+    rows below it and is not scaled, so this is about half of rref's work.
+    Form validation runs it on every standard form: on the 58 matrices of
+    one pass of the 13 verify-fast targets, rref takes 1.3 ms and det 0.7
+    ms, about 1% of the pass."""
     n = len(A)
     M = [list(r) for r in A]
     d = 1
@@ -179,21 +155,6 @@ def det(F, A):
                 m = F.mul(inv, M[i][c])
                 M[i] = [F.sub(x, F.mul(m, y)) for x, y in zip(M[i], M[c])]
     return d
-
-
-def rank(F, rows):
-    return len(rref(F, rows)[0])
-
-
-def in_rowspace(F, rows_rref, v):
-    """Membership test against an rref basis."""
-    v = list(v)
-    for row in rows_rref:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None and v[c]:
-            m = v[c]
-            v = [F.sub(x, F.mul(m, y)) for x, y in zip(v, row)]
-    return not any(v)
 
 
 # -- the array kernel ------------------------------------------------------
@@ -221,9 +182,11 @@ def sum_np(F, P, axis=0):
 
 
 def mat_mul_np(F, A, B):
-    """The product over F of code arrays A (n, k) and B (k, m): the
-    products come from the log tables, then sum_np adds them up."""
-    return sum_np(F, F.mul_np(A[:, :, None], B[None]), axis=1)
+    """The product over F of code arrays A (..., n, k) and B (..., k, m),
+    stacks broadcast as in np.matmul: the products come from the log
+    tables, then sum_np adds them up."""
+    P = F.mul_np(A[..., None], B[..., None, :, :])
+    return sum_np(F, P, axis=P.ndim - 2)
 
 
 def expand(F, M, s=0):

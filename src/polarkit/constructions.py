@@ -156,13 +156,15 @@ def adjoint_sl3(q):
 
 
 def _conjugation_matrix(F, quo, g):
-    """Matrix of X -> g^-1 X g on the quotient, rows = images of the basis."""
-    ginv = la.mat_inv(F, g)
-    rows = []
-    for b in quo.vbasis:
-        Y = la.mat_mul(F, la.mat_mul(F, ginv, _unflat3(b)), g)
-        rows.append(quo.project(_flat3(Y)))
-    return rows
+    """Matrix of X -> g^-1 X g on the quotient, rows = images of the basis.
+    Two products image every basis matrix X at once: the X stacked, times
+    g, then g^-1 times the X g side by side."""
+    n = len(quo.vbasis)
+    ginv = np.array(la.mat_inv(F, g), dtype=np.int64)
+    Xg = la.mat_mul_np(F, np.reshape(quo.vbasis, (3 * n, 3)), np.array(g))
+    side = Xg.reshape(n, 3, 3).transpose(1, 0, 2).reshape(3, 3 * n)
+    Y = la.mat_mul_np(F, ginv, side).reshape(3, n, 3).transpose(1, 0, 2)
+    return [quo.project(y) for y in Y.reshape(n, 9).tolist()]
 
 
 # -- Sp6(q) on the exterior-square section ---------------------------------
@@ -226,9 +228,8 @@ def extsq_sp6(q):
     # U = h-perp under beta1; h itself lies in U (char 3), and the section
     # basis is any complement of <h> inside U
     functional = la.vec_mat(F, h, B15)
-    perp_rows, _ = la.rref(F, la.nullspace(F, [functional], 15))
     vbasis = []
-    for r in perp_rows:
+    for r in la.nullspace(F, [functional], 15):
         cand = vbasis + [r, h]
         if len(la.rref(F, cand)[0]) == len(cand):
             vbasis.append(r)
@@ -236,14 +237,12 @@ def extsq_sp6(q):
         raise AssertionError("section should have dimension 13")
     quo = _Quotient(F, vbasis, [h])
 
-    inv2 = F.inv(F.add(1, 1))
-    C = [[0] * 13 for _ in range(13)]
-    for u in range(13):
-        bu = quo.vbasis[u]
-        C[u][u] = F.mul(inv2, _beta_apply(F, B15, bu, bu))
-        for v in range(u + 1, 13):
-            C[u][v] = _beta_apply(F, B15, bu, quo.vbasis[v])
-    form = forms.quadratic_form(F, C)
+    # kappa(x) = beta1(x, x)/2 in the basis V: the diagonal of V B15 V^T
+    # halved, and its entries above the diagonal
+    V = np.array(quo.vbasis, dtype=np.int64)
+    G = la.mat_mul_np(F, la.mat_mul_np(F, V, np.array(B15)), V.T)
+    C = np.triu(G, 1) + np.diag(F.mul_np(F.inv(F.add(1, 1)), np.diag(G)))
+    form = forms.quadratic_form(F, C.tolist())
     if form.kind is not FormKind.PARABOLIC:
         raise AssertionError("section form should be parabolic")
     space = polar.build(form)
@@ -251,9 +250,8 @@ def extsq_sp6(q):
     sp_gens = group.classical_generators("Sp", 6, F)
     induced = []
     for g in sp_gens:
-        M15 = _wedge_matrix(F, g.matrix, pairs)
-        rows = [quo.project(la.vec_mat(F, quo.lift(_unit(13, u)), M15))
-                for u in range(13)]
+        M15 = np.array(_wedge_matrix(F, g.matrix, pairs), dtype=np.int64)
+        rows = [quo.project(r) for r in la.mat_mul_np(F, V, M15).tolist()]
         induced.append(group.Semisimilarity(F, rows))
     gset = group.GeneratorSet(F, induced,
                               label=f"Sp6({q}) on the exterior-square section")
@@ -262,16 +260,6 @@ def extsq_sp6(q):
         raise AssertionError(f"expected two orbits, got {orb.n_orbits}")
     return ExtSquareModel(q=q, space=space, orbits=orb, gens=gset,
                           quotient=quo, h=h)
-
-
-def _beta_apply(F, B, u, v):
-    return la.dot(F, u, la.mat_vec(F, B, v))
-
-
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
 
 
 def wedge_point(model, u, v):
@@ -379,12 +367,11 @@ def q43_monomial_splits():
 
 
 def _mat_order(F, M, cap=12):
-    P = tuple(tuple(row) for row in M)
-    I2 = la.identity(F, 2)
+    P = M = np.array(M, dtype=np.int64)
     for k in range(1, cap + 1):
-        if P == I2:
+        if (P == np.eye(len(M))).all():
             return k
-        P = la.mat_mul(F, P, M)
+        P = la.mat_mul_np(F, P, M)
     return None
 
 

@@ -231,6 +231,8 @@ def _small_points_under(fr, rows):
 def blow_up(fr):
     """M1: every GF(q)-point lying on a GF(q^b)-singular point, by one
     expanded mulmod over the whole large point list per GF(q)* coset."""
+    if not fr.large_space.num_points:
+        raise ValueError(f"{fr.large_space.name} has no points to blow up")
     return _small_points_under(fr, fr.large_space.points_np)
 
 

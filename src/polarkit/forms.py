@@ -344,7 +344,9 @@ class Subspace:
         return cls(field, ambient, [])
 
     def contains(self, v):
-        return la.in_rowspace(self.field, self.rows, v)
+        """v lies in the subspace when the rows and v together have rank
+        dim."""
+        return len(la.rref(self.field, self.rows + (tuple(v),))[0]) == self.dim
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.rows)
@@ -433,7 +435,7 @@ def classify_restriction(form, S):
     ts = all(x == 0 for row in gram for x in row)
     if ts:
         return RestrictionReport(None, k, k, k, True)
-    rad_dim = k - la.rank(F, gram)
+    rad_dim = k - len(la.rref(F, gram)[0])
     if rad_dim:
         return RestrictionReport(None, k, None, rad_dim, False)
     if form.kind is FormKind.SYMPLECTIC:

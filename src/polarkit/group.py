@@ -70,9 +70,9 @@ class Semisimilarity:
         F = self.field
         if F is not other.field:
             raise ValueError("mismatched fields")
-        A = (la.mat_frobenius(F, self.matrix, other.sigma_power)
-             if other.sigma_power else self.matrix)
-        return Semisimilarity._trusted(F, la.mat_mul(F, A, other.matrix),
+        A = F.frobenius_np(self.matrix, other.sigma_power)
+        P = la.mat_mul_np(F, A, np.array(other.matrix, dtype=np.int64))
+        return Semisimilarity._trusted(F, tuple(map(tuple, P.tolist())),
                                        self.sigma_power + other.sigma_power)
 
     def inverse(self):
@@ -83,7 +83,7 @@ class Semisimilarity:
             k = (-self.sigma_power) % F.f
             Ainv = self._inv_matrix or la.mat_inv(F, self.matrix)
             if k:
-                Ainv = la.mat_frobenius(F, Ainv, k)
+                Ainv = tuple(map(tuple, F.frobenius_np(Ainv, k).tolist()))
             self._inverse = Semisimilarity._trusted(F, Ainv, k)
             self._inverse._inverse = self
         return self._inverse
@@ -253,6 +253,11 @@ class GeneratorSet:
             try:
                 if not isinstance(item, dict) or "matrix" not in item:
                     raise ValueError("no 'matrix' entry")
+                if not isinstance(item["matrix"], list):
+                    raise ValueError("'matrix' is not a list of rows")
+                for i, row in enumerate(item["matrix"]):
+                    if not isinstance(row, list):
+                        raise ValueError(f"matrix row {i} is {row!r}, not a list")
                 M = [[decode(c) for c in row] for row in item["matrix"]]
                 if len(M) != d:
                     raise ValueError("matrix dimension disagrees with header")
@@ -641,18 +646,16 @@ def _random_elements(perms, rng):
             yield acc
 
 
-def _transvection(F, d, v, lam, gram_row):
-    """x -> x + lam * kappa(x, v) * v given the functional row kappa(., v)."""
-    rows = []
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        c = F.mul(lam, gram_row[i])
-        if c:
-            for j in range(d):
-                e[j] = F.add(e[j], F.mul(c, v[j]))
-        rows.append(tuple(e))
-    return Semisimilarity(F, rows)
+def _identity_plus(F, C, R):
+    """The maps x -> x + (x C_k) R_k, Semisimilarities with the matrices
+    I + C_k R_k, for stacked code arrays C (n, d, r) and R (n, r, d):
+    transvections for r = 1, Eichler transformations for r = 2.  One
+    mat_mul_np takes the whole stack."""
+    CR = la.mat_mul_np(F, np.asarray(C, dtype=np.int64),
+                       np.asarray(R, dtype=np.int64))
+    I = np.broadcast_to(np.eye(CR.shape[-1], dtype=np.int64), CR.shape)
+    M = la.sum_np(F, np.stack((I, CR)))
+    return [Semisimilarity(F, m) for m in M.tolist()]
 
 
 def _symplectic_transvections(form):
@@ -663,8 +666,10 @@ def _symplectic_transvections(form):
     F, d = form.field, form.dim
     vs = list(la.identity(F, d))
     vs += [la.add_vec(F, vs[i], vs[i + 1]) for i in range(d - 1)]
-    return [_transvection(F, d, v, F.exp[k], form.pair_functional(v))
-            for v in vs for k in range(F.f)]
+    ws = [np.array(form.pair_functional(v))[:, None] for v in vs]
+    ts = F.exp[:F.f]
+    return _identity_plus(F, [F.mul_np(t, w) for w in ws for t in ts],
+                          [[v] for v in vs for t in ts])
 
 
 def _unitary_transvections(form):
@@ -688,8 +693,9 @@ def _unitary_transvections(form):
     vs += itertools.islice(heavy, d)
     if not vs:
         raise ValueError("no isotropic directions: unitary transvections need rank >= 1")
-    return [_transvection(F, d, v, lam, form.pair_functional(v))
-            for v in vs for lam in lams]
+    ws = [np.array(form.pair_functional(v))[:, None] for v in vs]
+    return _identity_plus(F, [F.mul_np(lam, w) for w in ws for lam in lams],
+                          [[v] for v in vs for lam in lams])
 
 
 def _su32_fourier(F):
@@ -710,26 +716,30 @@ def _eichler_generators(form):
     """Eichler (Siegel) transformations rho_{u,v} for u in the first
     hyperbolic pair and v running over a spanning set of u^perp, each
     scaled by every omega^k (k < f), a GF(p)-basis of GF(q):
-    x -> x + B(x,v)u - B(x,u)v - Q(v)B(x,u)u.
+    x -> x + B(x,v)u - B(x,u)v - Q(v)B(x,u)u, that is I + C R with the
+    columns B(., v) and -B(., u) in C and the rows u and v + Q(v)u in R.
 
     For fixed singular u, v -> rho_{u,v} is additive, so the v's must span
     u^perp over GF(p), not only over GF(q): without the scalings Omega+(6,4)
     is not transitive.  Over a prime field omega^0 = 1 is the only scaling."""
     from . import forms as fm
-    F, d = form.field, form.dim
-    us = [_first_hyperbolic_pair(form)[k] for k in (0, 1)]
-    gens = []
-    for u in us:
+    F = form.field
+    C, R = [], []
+    for u in _first_hyperbolic_pair(form):
         U = fm.Subspace.span(F, [u])
         perp_basis = fm.perp(form, U).rows
         vs = list(perp_basis)
         for i in range(len(perp_basis)):
             for j in range(i + 1, len(perp_basis)):
                 vs.append(la.add_vec(F, perp_basis[i], perp_basis[j]))
+        minus_fu = F.mul_np(F.neg(1), np.array(form.pair_functional(u)))
         for v in vs:
-            for k in range(F.f):
-                gens.append(_eichler(form, u, la.scale(F, F.exp[k], v)))
-    return gens
+            for t in F.exp[:F.f]:
+                v_t = la.scale(F, t, v)
+                qu = la.scale(F, form.evaluate(v_t), u)
+                C.append(np.stack((form.pair_functional(v_t), minus_fu), 1))
+                R.append([u, la.add_vec(F, v_t, qu)])
+    return _identity_plus(F, C, R)
 
 
 def _first_hyperbolic_pair(form):
@@ -745,22 +755,3 @@ def _first_hyperbolic_pair(form):
     i, j = map(int, hits[0])
     e = la.identity(F, d)
     return e[i], tuple(F.div(x, int(B[i, j])) for x in e[j])
-
-
-def _eichler(form, u, v):
-    F, d = form.field, form.dim
-    qv = form.evaluate(v)
-    fu = form.pair_functional(u)
-    fv = form.pair_functional(v)
-    rows = []
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        bu, bv = fu[i], fv[i]
-        for j in range(d):
-            t = F.mul(bv, u[j])
-            t = F.sub(t, F.mul(bu, v[j]))
-            t = F.sub(t, F.mul(qv, F.mul(bu, u[j])))
-            e[j] = F.add(e[j], t)
-        rows.append(tuple(e))
-    return Semisimilarity(F, rows)

@@ -288,50 +288,31 @@ _ZS_BUDGET = 2 ** 63
 def zsigmondy(n, k):
     """Smallest primitive prime divisor of n^k - 1, or None.
 
-    Computed from the cyclotomic value Phi_k(n) with the intrinsic prime
-    (the one dividing k) stripped out; what survives is exactly the product
-    of primitive primes, so the exceptional pairs — k = 2 with n + 1 a power
-    of two, and (n, k) = (2, 6) — fall out with no special-casing.
+    A prime of n^k - 1 is primitive when the order of n mod p is exactly k;
+    _primitive_part strips every other one, so the exceptional pairs — k = 2
+    with n + 1 a power of two, and (n, k) = (2, 6) — fall out with no
+    special-casing.
     """
     if n <= 1 or k < 1:
         raise ValueError("need n > 1 and k >= 1")
     if n ** k >= _ZS_BUDGET:
         raise ValueError("n^k exceeds the 63-bit budget")
-    phi = _cyclotomic_value(n, k)
-    for p in gf.prime_factors(k):
-        while phi % p == 0:
-            phi //= p
-    if phi == 1:
-        return None
-    return _smallest_prime_factor(phi)
+    m = _primitive_part(n, k)
+    return None if m == 1 else _smallest_prime_factor(m)
 
 
-def _cyclotomic_value(n, k):
-    num = den = 1
-    for d in _divisors(k):
-        mu = _mobius(k // d)
-        if mu == 1:
-            num *= n ** d - 1
-        elif mu == -1:
-            den *= n ** d - 1
-    if num % den:
-        raise AssertionError(f"cyclotomic quotient for ({n}, {k}) is not integral")
-    return num // den
-
-
-def _divisors(k):
-    out = [d for d in range(1, k + 1) if k % d == 0]
-    return out
-
-
-def _mobius(k):
-    fs = gf.prime_factors(k)
-    m = k
-    for p in fs:
-        if m % (p * p) == 0:
-            return 0
-        m //= p
-    return -1 if len(fs) % 2 else 1
+def _primitive_part(n, k):
+    """The largest divisor of n^k - 1 all of whose primes are primitive.
+    A prime of n^k - 1 that is not divides some n^d - 1 with d < k, so each
+    g = gcd(m, n^d - 1) is divided out of m with all its primes, by gcds
+    alone."""
+    m = n ** k - 1
+    for d in range(1, k):
+        g = math.gcd(m, n ** d - 1)
+        while g > 1:
+            m //= g
+            g = math.gcd(m, g)
+    return m
 
 
 def _pollard_rho(n):

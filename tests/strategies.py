@@ -30,7 +30,42 @@ def field_and_vector(draw, dim, orders=None):
     return F, v
 
 
+@st.composite
+def invertible_matrices(draw, F, d):
+    """A d x d invertible matrix over F as P L U: a permutation matrix, a
+    unit lower and an upper triangular matrix with a nonzero diagonal.
+    Every invertible matrix has this form."""
+    perm = draw(st.permutations(range(d)))
+    P = [[int(j == perm[i]) for j in range(d)] for i in range(d)]
+    L = [[1 if i == j else draw(st.integers(0, F.q - 1)) if j < i else 0
+          for j in range(d)] for i in range(d)]
+    U = [[draw(st.integers(1, F.q - 1)) if i == j
+          else draw(st.integers(0, F.q - 1)) if j > i else 0
+          for j in range(d)] for i in range(d)]
+    return mat_mul(F, mat_mul(F, P, L), U)
+
+
+@st.composite
+def singular_matrices(draw, F, d):
+    """A d x d matrix of rank below d over F: a d x r times an r x d
+    matrix with r < d."""
+    r = draw(st.integers(0, d - 1))
+    entries = st.integers(0, F.q - 1)
+    C = [[draw(entries) for _ in range(r)] for _ in range(d)]
+    B = [[draw(entries) for _ in range(d)] for _ in range(r)]
+    return mat_mul(F, C, B) if r else ((0,) * d,) * d
+
+
 # -- scalar oracles ------------------------------------------------------------
+
+
+def identity(d):
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+
+def frobenius(F, A, k):
+    """The entries of A raised to the power p^k, one at a time."""
+    return tuple(tuple(F.pow(x, F.p ** (k % F.f)) for x in row) for row in A)
 
 
 def canonical(F, v):
@@ -65,3 +100,19 @@ def flatten(emb, v):
     coordinate y becomes the b-tuple cs with join(cs) = y."""
     table = _split_table(emb)
     return tuple(c for y in v for c in table[y])
+
+
+def mat_mul(F, A, B):
+    """The matrix product over F, one scalar product and sum at a time."""
+    return tuple(tuple(functools.reduce(F.add, map(F.mul, row, col), 0)
+                       for col in zip(*B)) for row in A)
+
+
+def span(F, rows, ambient):
+    """Every vector of the span of the rows in F^ambient, as a set: each
+    row adds its multiples to the vectors found so far."""
+    vectors = {(0,) * ambient}
+    for row in rows:
+        vectors = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(v, row))
+                   for v in vectors for c in F.elements()}
+    return vectors

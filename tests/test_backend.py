@@ -21,7 +21,7 @@ import pytest
 
 from polarkit import _linalg as la
 from polarkit import fieldred, forms, gf, group, intriguing, polar
-from strategies import canonical, flatten
+from strategies import canonical, flatten, frobenius, mat_mul, span
 
 ORDERS = [2, 3, 4, 8, 9, 16, 25]
 
@@ -42,14 +42,14 @@ def greedy_ts_oracle(form, points):
     """The greedy maximal totally singular subspace, point by point."""
     F = form.field
     basis = []
-    rref_rows = []
+    spanned = span(F, basis, form.dim)
     for pt in points:
         if any(form.evaluate_pair(pt, x) != 0 for x in basis):
             continue
-        if la.in_rowspace(F, rref_rows, pt):
+        if pt in spanned:
             continue
         basis.append(pt)
-        rref_rows, _ = la.rref(F, basis)
+        spanned = span(F, basis, form.dim)
     return tuple(basis)
 
 
@@ -133,13 +133,12 @@ def _transformed(form, A):
     F, d = form.field, form.dim
     At = tuple(zip(*A))
     if form.kind.is_quadratic:
-        M = la.mat_mul(F, la.mat_mul(F, A, form.data), At)
+        M = mat_mul(F, mat_mul(F, A, form.data), At)
         C = [[M[i][i] if i == j else F.add(M[i][j], M[j][i]) if i < j else 0
               for j in range(d)] for i in range(d)]
         return forms.Form(form.kind, F, C)
-    Atau_t = tuple(zip(*la.mat_frobenius(F, A, form.sigma)))
-    return forms.Form(form.kind, F, la.mat_mul(F, la.mat_mul(F, A, form.data),
-                                               Atau_t))
+    Atau_t = tuple(zip(*frobenius(F, A, form.sigma)))
+    return forms.Form(form.kind, F, mat_mul(F, mat_mul(F, A, form.data), Atau_t))
 
 
 def _draw_invertible(data, F, d):

@@ -195,6 +195,22 @@ def test_orbits_names_what_a_malformed_file_lacks(tmp_path, data, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("generators,message", [
+    ([{"matrix": [1, 2, 3, 4]}], "generator 0: matrix row 0 is 1, not a list"),
+    ([{"matrix": "abcd"}], "generator 0: 'matrix' is not a list of rows"),
+    ([[[1, 0, 0, 0], "0100", [0, 0, 1, 0], [0, 0, 0, 1]]],
+     "generator 0: matrix row 1 is '0100', not a list"),
+])
+def test_orbits_refuses_a_matrix_that_is_not_a_list_of_rows(tmp_path, generators,
+                                                           message):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"q": 3, "d": 4, "generators": generators}))
+    code, out, err = run_cli("orbits", "--kind", "W", "--dim", "3", "--q", "3",
+                             "--gens", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_orbits_rejects_corrupted_generator(tmp_path, w33):
     gens = group.classical_generators("Sp", 4, w33.field, self_check=False)
     data = gens.serialize()
@@ -282,6 +298,17 @@ def test_reduce_alpha_changes_the_small_gram():
     # M1 is the full space either way; only the embedded form differs
     assert json.loads(out1)["m1"]["tight_i"] == 10
     assert json.loads(out2)["m1"]["tight_i"] == 10
+
+
+@pytest.mark.parametrize("row,q,dim,name", [
+    ("3", "2", "1", "Q-(1,4)"),
+    ("9", "3", "0", "H(0,9)"),
+])
+def test_reduce_names_a_large_space_without_points(row, q, dim, name):
+    code, out, err = run_cli("reduce", "--row", row, "--q", q, "--b", "2",
+                             "--dim", dim)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} has no points to blow up\n"
 
 
 def test_reduce_bad_alpha():

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from polarkit import forms, gf
 from polarkit.forms import FormKind, Subspace
+from strategies import fields, span
 
 SPACES = [("W", 4, 3), ("W", 6, 2), ("Q", 5, 3), ("Q+", 4, 2), ("Q+", 6, 3),
           ("Q-", 4, 3), ("Q-", 6, 2), ("H", 4, 4), ("H", 3, 9)]
@@ -199,3 +200,14 @@ def test_zero_subspace():
     Z = Subspace.zero(F, 4)
     assert Z.dim == 0
     assert Z.contains((0, 0, 0, 0))
+
+
+@given(st.data())
+def test_subspace_contains_matches_the_spanned_set(data):
+    F = data.draw(fields([2, 3, 4, 9]))
+    d = data.draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(0, F.q - 1)] * d)
+    rows = data.draw(st.lists(vector, max_size=3))
+    spanned = span(F, rows, d)
+    v = data.draw(st.one_of(vector, st.sampled_from(sorted(spanned))))
+    assert Subspace(F, d, rows).contains(v) == (v in spanned)

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 
 from polarkit import _linalg as la
 from polarkit import forms, gf, group, intriguing, polar
+from strategies import (fields, frobenius, identity, invertible_matrices,
+                        mat_mul)
 
 
 def _identity(F, d):
@@ -715,8 +717,8 @@ def test_multiplier_sees_a_moved_q_value_behind_a_kept_gram(upper, message):
             else forms.quadratic_form(F, upper))
     assert form.kind is forms.FormKind.PLUS
     t = _symplectic_transvection(form, (0, 1, 0, 0, 0, 0))
-    gram = la.mat_mul(F, la.mat_mul(F, t.matrix, form.bilinear_gram),
-                      tuple(zip(*t.matrix)))
+    gram = mat_mul(F, mat_mul(F, t.matrix, form.bilinear_gram),
+                   tuple(zip(*t.matrix)))
     assert gram == form.bilinear_gram
     assert _outcome(_multiplier_by_basis_pairs, form, t) == message
     assert _outcome(group.multiplier, form, t) == message
@@ -765,3 +767,21 @@ def test_multiplier_keeps_no_constants_of_a_dropped_form(f3):
             break
     assert reused, "no dropped form's address went to the other kind"
     assert len(verdicts) == 2
+
+
+@given(st.data())
+def test_semisimilarity_product_and_inverse_match_the_scalar_oracle(data):
+    """(A, s)(B, t) = (A^(p^t) B, s + t), and (A, s)^-1 is the (C, -s) with
+    A^(p^-s) C = I, by the scalar oracle; GF(4) and GF(9) draw s != 0."""
+    F = data.draw(fields([2, 3, 4, 9]))
+    d = data.draw(st.integers(1, 6))
+    (A, s), (B, t) = [(data.draw(invertible_matrices(F, d)),
+                       data.draw(st.integers(0, F.f - 1))) for _ in range(2)]
+    g, h = group.Semisimilarity(F, A, s), group.Semisimilarity(F, B, t)
+    gh = g * h
+    assert gh.matrix == mat_mul(F, frobenius(F, A, t), B)
+    assert gh.sigma_power == (s + t) % F.f
+    gi = g.inverse()
+    assert gi.sigma_power == -s % F.f
+    assert mat_mul(F, frobenius(F, A, -s), gi.matrix) == identity(d)
+    assert mat_mul(F, frobenius(F, gi.matrix, s), A) == identity(d)

@@ -582,6 +582,28 @@ def test_zsigmondy_small_grid_matches_oracle():
             _oracle_check(n, k, zsigmondy(n, k))
 
 
+def _smallest_primitive_prime(n, k):
+    """By brute force: the primes of n^k - 1 by trial division, smallest
+    first, until one with n^j != 1 (mod p) for every j < k."""
+    N, p = n ** k - 1, 2
+    while N > 1:
+        if p * p > N:
+            p = N
+        if N % p == 0:
+            if all(pow(n, j, p) != 1 for j in range(1, k)):
+                return p
+            while N % p == 0:
+                N //= p
+        p += 1
+    return None
+
+
+def test_zsigmondy_matches_brute_force():
+    for n in range(2, 13):
+        for k in range(1, 9):
+            assert zsigmondy(n, k) == _smallest_primitive_prime(n, k), (n, k)
+
+
 def test_zsigmondy_input_validation():
     with pytest.raises(ValueError):
         zsigmondy(1, 3)
@@ -593,15 +615,19 @@ def test_zsigmondy_input_validation():
 
 def test_cyclotomic_values_and_zsigmondy_match_sympy():
     """sympy as an independent oracle, for 2 <= n <= 12 and k <= 30: the
-    cyclotomic value Phi_k(n), and the smallest prime p | n^k - 1 whose
+    primitive part of n^k - 1 is the cyclotomic value Phi_k(n) with the
+    primes of k divided out, and the smallest prime p | n^k - 1 whose
     multiplicative order of n mod p is k (Zsigmondy is checked where n^k
     fits its 63-bit budget)."""
     sympy = pytest.importorskip("sympy")
     from sympy.ntheory import n_order
     for n in range(2, 13):
         for k in range(1, 31):
-            assert intriguing._cyclotomic_value(n, k) == int(
-                sympy.cyclotomic_poly(k, n))
+            phi = int(sympy.cyclotomic_poly(k, n))
+            for p in sympy.primefactors(k):
+                while phi % p == 0:
+                    phi //= p
+            assert intriguing._primitive_part(n, k) == phi
             if n ** k >= intriguing._ZS_BUDGET:
                 continue
             primitive = [p for p in sympy.factorint(n ** k - 1)

@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 
 from polarkit import _linalg as la
 from polarkit import forms, gf
+from strategies import (fields, identity, invertible_matrices, mat_mul,
+                        singular_matrices)
 
 # k * (p - 1)^2 just below 2^53 for k = 4: the largest products mulmod accepts
 _EDGE_P = 47_453_133
@@ -239,3 +241,14 @@ def test_zero_groups_of_empty_operands():
                           3, 2).shape == (4, 0)
     assert la.zero_groups(np.zeros((2, 0), np.int64), np.zeros((0, 4), np.int64),
                           3, 2).tolist() == [[True, True]] * 2
+
+
+@given(st.data())
+def test_mat_inv_inverts_and_refuses_a_singular_matrix(data):
+    F = data.draw(fields([2, 3, 4, 9]))
+    d = data.draw(st.integers(1, 8))
+    A = data.draw(invertible_matrices(F, d))
+    Ainv = la.mat_inv(F, A)
+    assert mat_mul(F, A, Ainv) == mat_mul(F, Ainv, A) == identity(d)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        la.mat_inv(F, data.draw(singular_matrices(F, d)))
