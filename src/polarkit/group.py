@@ -47,7 +47,8 @@ class Semisimilarity:
     @classmethod
     def _trusted(cls, field, matrix, sigma_power):
         """Skip the invertibility check where it follows from the operands:
-        products, Frobenius twists and inverses of invertible matrices."""
+        products, Frobenius twists and inverses of invertible matrices, and
+        the pairs whose inverses _with_inverses is given."""
         g = object.__new__(cls)
         g.field = field
         g.matrix = matrix
@@ -343,8 +344,8 @@ def _point_images(space, gens):
 
     Every semilinear map of GF(q)^d is GF(p)-linear on the digits
     (la.expand), so exact mulmods move the points, and PolarSpace.locate
-    finds the images by binary search in the point codes (it raises on an
-    image outside the space).  The work streams in blocks of at most
+    finds the images through its bucket index of the point codes (it
+    raises on an image outside the space).  The work streams in blocks of at most
     la._SCAN_ROWS image rows: on a space of n <= la._SCAN_ROWS points a
     block is _SCAN_ROWS // n whole generators, their expanded matrices side
     by side in one product; on a larger space it is a slice of one
@@ -515,9 +516,11 @@ def _certify(space, gs, order):
     """Certify that gs generates a group whose image on the space's points
     has the given order; return the product of the basic orbit lengths.
 
-    Each element must be an isometry (multiplier 1, sigma power 0) of
-    determinant 1, so the generated group lies in the special isometry
-    group.  A random Schreier-Sims run (Seress, Permutation Group
+    Each of gs.generators must be an isometry (multiplier 1, sigma power 0)
+    of determinant 1, so the generated group lies in the special isometry
+    group; the inverses and duplicates that gs.elements adds are special
+    isometries too and are not checked again (a failure names the index in
+    gs.generators).  A random Schreier-Sims run (Seress, Permutation Group
     Algorithms, 2003) on the point permutations of gs.generators then builds
     a base and strong generators; in a finite group g^-1 is a power of g, so
     the appended inverses add nothing.  Every strong generator is a word in
@@ -533,7 +536,8 @@ def _certify(space, gs, order):
     run is deterministic.
     """
     F = space.field
-    for i, (g, lam) in enumerate(zip(gs, _validate_gens(space.form, gs))):
+    gens = gs.generators
+    for i, (g, lam) in enumerate(zip(gens, _validate_gens(space.form, gens))):
         if lam != 1 or g.sigma_power or la.det(F, g.matrix) != 1:
             raise ValueError(f"generator {i} rejected: not a special isometry "
                              f"(multiplier {lam}, sigma power {g.sigma_power})")
@@ -648,14 +652,48 @@ def _random_elements(perms, rng):
 
 def _identity_plus(F, C, R):
     """The maps x -> x + (x C_k) R_k, Semisimilarities with the matrices
-    I + C_k R_k, for stacked code arrays C (n, d, r) and R (n, r, d):
-    transvections for r = 1, Eichler transformations for r = 2.  One
-    mat_mul_np takes the whole stack."""
-    CR = la.mat_mul_np(F, np.asarray(C, dtype=np.int64),
-                       np.asarray(R, dtype=np.int64))
-    I = np.broadcast_to(np.eye(CR.shape[-1], dtype=np.int64), CR.shape)
-    M = la.sum_np(F, np.stack((I, CR)))
-    return [Semisimilarity(F, m) for m in M.tolist()]
+    I + C_k R_k and their inverses, for stacked code arrays C (n, d, r) and
+    R (n, r, d): transvections for r = 1, Eichler transformations for r = 2.
+
+    The inverse of I + C R is I + C S with S = sum_{k=1..r} (-1)^k (RC)^(k-1) R,
+    by Horner's rule.  (I + C R)(I + C S) = I + C (R + S + (RC) S), so the
+    r x d identity R + S + (RC) S = 0, checked over the whole stack, proves
+    it; it holds when (RC)^r = 0, as it does here (RC = 0 for a
+    transvection along an isotropic v, and RC has only a lower-left entry
+    for an Eichler map, u being singular and perpendicular to v).  Each
+    product is one mat_mul_np over the whole stack, and no map goes
+    through la.mat_inv."""
+    C = np.asarray(C, dtype=np.int64)
+    R = np.asarray(R, dtype=np.int64)
+    RC = la.mat_mul_np(F, R, C)
+    minus = F.neg(1)
+    X = R
+    for _ in range(R.shape[1] - 1):
+        NX = F.mul_np(minus, la.mat_mul_np(F, RC, X))
+        X = la.sum_np(F, np.stack((R, NX)))
+    S = F.mul_np(minus, X)
+    if la.sum_np(F, np.stack((R, S, la.mat_mul_np(F, RC, S)))).any():
+        raise ValueError("I + C S does not invert I + C R: (RC)^r != 0")
+    I = np.eye(C.shape[1], dtype=np.int64)
+    M, Minv = (la.sum_np(F, np.stack(np.broadcast_arrays(
+        I, la.mat_mul_np(F, C, Y)))) for Y in (R, S))
+    return _with_inverses(F, M, Minv)
+
+
+def _with_inverses(F, M, Minv):
+    """Semisimilarities with the matrices of the code array M (n, d, d),
+    each knowing the one with the matrix in Minv as its inverse and known
+    by it: the caller has proved the inverses.  Only the entries are
+    checked here, as codes in range(q)."""
+    if min(M.min(), Minv.min()) < 0 or max(M.max(), Minv.max()) >= F.q:
+        raise ValueError(f"matrix entries out of range for q={F.q}")
+    out = []
+    for m, minv in zip(M, Minv):
+        g = Semisimilarity._trusted(F, tuple(map(tuple, m.tolist())), 0)
+        g._inverse = Semisimilarity._trusted(F, tuple(map(tuple, minv.tolist())), 0)
+        g._inverse._inverse = g
+        out.append(g)
+    return out
 
 
 def _symplectic_transvections(form):
@@ -704,12 +742,19 @@ def _su32_fourier(F):
     and the transvections generate 3^2:2, the 2 being the centre of Q8; Q8
     is not cyclic, so one element more does not suffice.  These are the
     Fourier matrix D = (eta^(ij)), unitary because D D^* = 3I = I in
-    characteristic 2, and its conjugate by diag(eta, 1, 1) in GU(3,2)."""
+    characteristic 2, and its conjugate by diag(eta, 1, 1) in GU(3,2).
+    D^-1 is D^* = (eta^(2ij)), and the conjugate's inverse is the
+    conjugate of D^-1; the products with the matrices are checked to be
+    I."""
     eta = F.exp[1]
-    D = Semisimilarity(F, [[F.pow(eta, i * j) for j in range(3)]
-                           for i in range(3)])
-    C = Semisimilarity(F, [[eta, 0, 0], [0, 1, 0], [0, 0, 1]])
-    return [D, C.inverse() * D * C]
+    D = np.array([[[F.pow(eta, e * i * j) for j in range(3)] for i in range(3)]
+                  for e in (1, 2)])                    # D and D^-1
+    c = np.array([eta, 1, 1])
+    DC = F.mul_np(F.mul_np(F.inv_np[c][:, None], D), c)   # diag(c)^-1 D diag(c)
+    M, Minv = np.stack((D, DC), axis=1)
+    if not (la.mat_mul_np(F, M, Minv) == np.eye(3, dtype=np.int64)).all():
+        raise AssertionError("the Fourier matrices are not inverted")
+    return _with_inverses(F, M, Minv)
 
 
 def _eichler_generators(form):

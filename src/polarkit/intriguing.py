@@ -8,6 +8,7 @@ single value h2 off M.  The two parameter families are i-tight sets
 the unique set matching both.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -298,7 +299,7 @@ def zsigmondy(n, k):
     if n ** k >= _ZS_BUDGET:
         raise ValueError("n^k exceeds the 63-bit budget")
     m = _primitive_part(n, k)
-    return None if m == 1 else _smallest_prime_factor(m)
+    return None if m == 1 else _smallest_prime_factor(m, k)
 
 
 def _primitive_part(n, k):
@@ -315,32 +316,60 @@ def _primitive_part(n, k):
     return m
 
 
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    import random
-    rng = random.Random(0xC0FFEE ^ n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+_TRIAL = 256   # trial divisors 1 + jk tried before rho, at most
+_BATCH = 64    # rho steps per gcd
 
 
-def _smallest_prime_factor(n):
-    """Smallest prime factor via trial division then recursive rho splitting."""
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        if n % p == 0:
-            return p
-    if gf.is_prime(n):
-        return n
-    d = _pollard_rho(n)
-    a = _smallest_prime_factor(d)
-    b = _smallest_prime_factor(n // d)
-    return min(a, b)
+def _smallest_prime_factor(m, k):
+    """The smallest prime factor of m > 1 whose primes are all 1 mod k, as
+    those of a primitive part are (the order k of n mod p divides p - 1).
+    The divisors 1 + jk are tried in increasing order, so the first that
+    divides m is a prime: its own prime factors divide m, are 1 mod k and
+    smaller.  Past _TRIAL of them or sqrt(m), what is left goes to
+    _rho_smallest."""
+    root = math.isqrt(m)
+    for c in range(k + 1, min(root, k * _TRIAL) + 1, k):
+        if m % c == 0:
+            return c
+    if root <= k * _TRIAL:   # no factor up to sqrt(m)
+        return m
+    return _rho_smallest(m)
+
+
+def _rho_smallest(m):
+    """The smallest prime factor of m: m if gf.is_prime says it is prime,
+    else the smaller of those of the two factors _brent splits it into."""
+    if gf.is_prime(m):
+        return m
+    d = _brent(m)
+    return min(_rho_smallest(d), _rho_smallest(m // d))
+
+
+def _brent(n):
+    """A proper factor of the odd composite n: Brent's variant of Pollard's
+    rho (BIT 1980) on x -> x^2 + c from x = 2, with the differences
+    multiplied up and one gcd per _BATCH steps; a batch that overshoots
+    to n is replayed a step at a time, and c = 1, 2, ... in turn until a
+    run finds a proper factor.  Deterministic."""
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for i in range(0, r, _BATCH):
+                ys = y
+                for _ in range(min(_BATCH, r - i)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g

@@ -102,6 +102,7 @@ class PolarSpace:
         self._points = None
         self._index = None
         self._codes = None
+        self._buckets = None
 
     # -- dense lookups -----------------------------------------------------
 
@@ -130,16 +131,53 @@ class PolarSpace:
     def locate(self, rows):
         """The indices of the points spanned by nonzero rows of element codes
         (shape (n, d)); raises if a row spans a point outside the space.
-        The rows are canonicalised and binary-searched in the point codes
-        _linalg._SCAN_ROWS at a time, so the temporaries stay block-sized."""
+
+        The rows are canonicalised _linalg._SCAN_ROWS at a time, so the
+        temporaries stay block-sized, and looked up through the bucket
+        index (_bucket_index): j starts at the first point of the code's
+        bucket, and each of a fixed number of vectorised halving steps moves
+        it on by the step where the point code there is at most the row's.
+        Buckets are code ranges, so the codes past a bucket are larger and j
+        ends at the row's point if there is one.  A row outside the space,
+        its code in a bucket or clipped to the first or last one, ends on a
+        different code and raises."""
+        codes, top = self.codes, self.num_points - 1
         out = np.empty(len(rows), dtype=np.int64)
         for r in range(0, len(rows), la._SCAN_ROWS):
-            codes = canonical_codes(self.field, rows[r:r + la._SCAN_ROWS])
-            j = np.minimum(np.searchsorted(self.codes, codes), self.num_points - 1)
-            if not np.array_equal(self.codes[j], codes):
+            lo, shift, starts, steps = self._bucket_index
+            x = canonical_codes(self.field, rows[r:r + la._SCAN_ROWS])
+            j = starts.take((x - lo) >> shift, mode="clip")
+            for step in steps:
+                j += (codes.take(j + step, mode="clip") <= x) * step
+            j = np.minimum(j, top)
+            if not np.array_equal(codes[j], x):
                 raise AssertionError("image point missing from space")
             out[r:r + la._SCAN_ROWS] = j
         return out
+
+    @property
+    def _bucket_index(self):
+        """(lo, shift, starts, steps), built on first use: the codes from lo
+        on fall into buckets of 2^shift consecutive codes, the narrowest
+        power of two that gives at most one bucket per four points (so at
+        least one per eight), and the points of bucket b are starts[b] ..
+        starts[b + 1] - 1, int32 offsets into codes.  steps are the
+        descending powers of two, as int32, whose sum reaches from the
+        first point of the fullest bucket to its last."""
+        if self._buckets is None:
+            codes = self.codes
+            lo = int(codes[0])
+            span = int(codes[-1]) - lo + 1
+            shift = ((span - 1) // max(1, self.num_points // 4)).bit_length()
+            b = codes - lo
+            b >>= shift
+            counts = np.bincount(b)
+            starts = np.zeros(len(counts) + 1, dtype=np.int32)
+            np.cumsum(counts, out=starts[1:])
+            width = int(counts.max() - 1).bit_length()
+            self._buckets = (lo, shift, starts,
+                             [np.int32(1 << t) for t in range(width - 1, -1, -1)])
+        return self._buckets
 
     def theta_j(self, j):
         return theta(self.kind, self.d, self.q, j)

@@ -179,6 +179,27 @@ def test_certify_images_one_element_of_each_inverse_pair(monkeypatch):
     assert len(drawn) == len(gs.generators) == 11 < len(gs) == 22
 
 
+def test_certify_checks_each_generator_once(monkeypatch):
+    """multiplier and det run once per generator, 11 times for Sp(6,3), not
+    on the 11 inverses that close the set."""
+    space = _space("Sp", 6, 3)
+    gs = group.classical_generators("Sp", 6, space.field, self_check=False)
+    calls = {"multiplier": 0, "det": 0}
+    multiplier, det = group.multiplier, group.la.det
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(group, "multiplier", counting("multiplier", multiplier))
+    monkeypatch.setattr(group.la, "det", counting("det", det))
+    order = group.point_image_order("Sp", 6, 3)
+    assert group._certify(space, gs, order) == order
+    assert calls == {"multiplier": 11, "det": 11} and len(gs) == 22
+
+
 def _closure(base, perms):
     """The orbit of base under perms, by breadth-first search over Python
     sets: the reference for _Level's orbit."""

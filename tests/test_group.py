@@ -205,30 +205,71 @@ def test_classical_generators_transitive(family, d, q, n):
 
 
 def test_each_generator_matrix_is_inverted_once(monkeypatch, f3):
-    """The invertibility check's inverse is kept: building Sp(6,3)'s
-    (2d - 1) f = 11 transvections inverts each matrix once, and closing the
-    set under inverses (11 more elements) inverts nothing."""
-    calls = []
-    mat_inv = la.mat_inv
-    monkeypatch.setattr(la, "mat_inv",
-                        lambda F, A: calls.append(A) or mat_inv(F, A))
+    """Each inverse is made once, when Sp(6,3)'s (2d - 1) f = 11
+    transvections are built: 11 maps and 11 inverses, with no la.mat_inv;
+    closing the set under inverses (11 more elements) makes nothing; and
+    g g^-1 = g^-1 g = I by the scalar oracle."""
+    made = []
+    trusted = group.Semisimilarity.__dict__["_trusted"].__func__
+    monkeypatch.setattr(group.Semisimilarity, "_trusted", classmethod(
+        lambda cls, F, m, s: made.append(m) or trusted(cls, F, m, s)))
+    monkeypatch.setattr(la, "mat_inv", _refuse)
     seen = {}
     gs_init = group.GeneratorSet.__init__
 
     def counting_init(self, field, elements, label=""):
         elements = list(elements)
-        seen["constructed"], seen["before"] = len(elements), len(calls)
+        seen["constructed"], seen["before"] = len(elements), len(made)
         gs_init(self, field, elements, label)
-        seen["after"] = len(calls)
+        seen["after"] = len(made)
 
     monkeypatch.setattr(group.GeneratorSet, "__init__", counting_init)
     gs = group.classical_generators("Sp", 6, f3, self_check=False)
-    assert seen["constructed"] == seen["before"] == 11
+    assert seen["constructed"] == 11 and seen["before"] == 22
     assert seen["after"] == seen["before"]
     assert len(gs) == 22
     for g in gs:
         assert g.inverse().inverse() is g
-    assert len(calls) == 11
+        assert mat_mul(f3, g.matrix, g.inverse().matrix) == identity(6)
+        assert mat_mul(f3, g.inverse().matrix, g.matrix) == identity(6)
+
+
+def _refuse(*args):
+    raise AssertionError("la.mat_inv called")
+
+
+@pytest.mark.parametrize("family,d,q", [
+    ("Sp", 4, 4), ("Sp", 6, 3), ("Sp", 4, 9), ("SU", 3, 4), ("SU", 4, 9),
+    ("SU", 5, 4), ("Omega", 5, 3), ("Omega", 7, 5), ("Omega", 5, 9),
+    ("OmegaPlus", 6, 4), ("OmegaPlus", 8, 3), ("OmegaMinus", 6, 8),
+    ("OmegaMinus", 8, 3)])
+def test_closed_form_inverses_match_the_scalar_oracle(monkeypatch, family, d, q):
+    """Every classical generator, transvections, Eichler maps and SU(3,2)'s
+    two Fourier elements alike, comes with its inverse and none goes
+    through la.mat_inv: g g^-1 = g^-1 g = I by the scalar oracle."""
+    F = gf.field_of_order(q)
+    monkeypatch.setattr(la, "mat_inv", _refuse)
+    gs = group.classical_generators(family, d, F, self_check=False)
+    for g in gs.generators:
+        gi = g.inverse()
+        assert gi.inverse() is g and gi.sigma_power == 0
+        assert mat_mul(F, g.matrix, gi.matrix) == identity(d)
+        assert mat_mul(F, gi.matrix, g.matrix) == identity(d)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_identity_plus_refuses_rc_that_is_not_nilpotent(q):
+    """I + C S inverts I + C R when (RC)^r = 0.  With R = [e2; e0] and C's
+    columns e0, e1, RC has only its lower-left entry and the maps come back
+    inverted; with R = [e1; e0], RC swaps the two rows, (RC)^2 = I, and
+    _identity_plus raises."""
+    F = gf.field_of_order(q)
+    e = np.eye(4, dtype=np.int64)
+    C = [e[:, :2]]
+    (g,) = group._identity_plus(F, C, [e[[2, 0]]])
+    assert mat_mul(F, g.matrix, g.inverse().matrix) == identity(4)
+    with pytest.raises(ValueError, match="does not invert"):
+        group._identity_plus(F, C, [e[[1, 0]]])
 
 
 def test_generators_keep_one_element_per_inverse_pair(f3):

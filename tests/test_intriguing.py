@@ -614,11 +614,12 @@ def test_zsigmondy_input_validation():
 
 
 def test_cyclotomic_values_and_zsigmondy_match_sympy():
-    """sympy as an independent oracle, for 2 <= n <= 12 and k <= 30: the
+    """sympy as an independent oracle.  For 2 <= n <= 12 and k <= 30 the
     primitive part of n^k - 1 is the cyclotomic value Phi_k(n) with the
-    primes of k divided out, and the smallest prime p | n^k - 1 whose
-    multiplicative order of n mod p is k (Zsigmondy is checked where n^k
-    fits its 63-bit budget)."""
+    primes of k divided out.  On those pairs and on the whole sweep of the
+    manifest's zsigmondy target, n <= 50 and k <= 12, zsigmondy is the
+    smallest prime p | n^k - 1 whose multiplicative order of n mod p is k,
+    from sympy's factorisation (where n^k fits the 63-bit budget)."""
     sympy = pytest.importorskip("sympy")
     from sympy.ntheory import n_order
     for n in range(2, 13):
@@ -628,8 +629,14 @@ def test_cyclotomic_values_and_zsigmondy_match_sympy():
                 while phi % p == 0:
                     phi //= p
             assert intriguing._primitive_part(n, k) == phi
-            if n ** k >= intriguing._ZS_BUDGET:
-                continue
-            primitive = [p for p in sympy.factorint(n ** k - 1)
-                         if n_order(n, p) == k]
-            assert zsigmondy(n, k) == min(primitive, default=None)
+    pairs = {(n, k) for n in range(2, 13) for k in range(1, 31)}
+    pairs |= {(n, k) for n in range(2, 51) for k in range(1, 13)}
+    checked = 0
+    for n, k in sorted(pairs):
+        if n ** k >= intriguing._ZS_BUDGET:
+            continue
+        primitive = [p for p in sympy.factorint(n ** k - 1)
+                     if n_order(n, p) == k]
+        assert zsigmondy(n, k) == min(primitive, default=None), (n, k)
+        checked += 1
+    assert checked == 699

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from polarkit import _linalg as la
 from polarkit import constructions as cx
-from polarkit import fieldred, forms, gf, manifest, polar
+from polarkit import fieldred, forms, gf, group, manifest, polar
 from strategies import canonical
 
 # (kind, projective dim, q) -> (points, rank, ovoid number).  Point counts
@@ -266,6 +267,55 @@ def test_locate_across_blocks(monkeypatch, q43, rows):
     assert q43.locate(scaled).tolist() == list(range(n - 1, -1, -1))
     with pytest.raises(AssertionError, match="image point missing from space"):
         q43.locate(bad)
+
+
+_FAMILY = {"W": "Sp", "H": "SU", "Q": "Omega", "Q+": "OmegaPlus",
+           "Q-": "OmegaMinus"}
+
+
+@pytest.mark.parametrize("kind,d,q", [
+    # the standard-form spaces of the benchmark's workloads
+    ("W", 6, 3), ("W", 8, 2), ("W", 4, 5), ("Q-", 8, 3), ("Q", 11, 3),
+    ("H", 5, 4), ("Q-", 6, 4), ("Q+", 6, 4), ("Q-", 8, 4), ("H", 6, 4),
+    ("Q+", 12, 3),
+    # a line, a unital and the grid
+    ("W", 2, 3), ("W", 2, 7), ("H", 3, 4), ("Q+", 4, 3), ("Q+", 4, 5)])
+def test_locate_matches_a_searchsorted_oracle(kind, d, q):
+    """The image of every point under a seeded isometry, each row scaled by
+    a random unit and the rows shuffled, is located where a binary search
+    in the point codes finds it.  Nonsingular rows at both ends of the code
+    range, past the first and last point codes where there are any, raise."""
+    F = gf.field_of_order(q)
+    sp = polar.build(forms.standard_form(kind, d, F), allow_grid=True)
+    rng = random.Random(f"locate {kind} {d} {q}")
+    elements = group.classical_generators(_FAMILY[kind], d, F,
+                                          self_check=False).elements
+    g = elements[0]
+    for _ in range(6):
+        g = g * elements[rng.randrange(len(elements))]
+    nrng = np.random.default_rng(rng.randrange(2 ** 32))
+    X = F.digit_rows(sp.points_np[nrng.permutation(sp.num_points)])
+    rows = F.code_rows(la.mulmod(X, la.expand(F, g.matrix, g.sigma_power), F.p))
+    rows = F.mul_np(rows, nrng.integers(1, q, len(rows))[:, None])
+    codes = polar.canonical_codes(F, rows)
+    want = np.searchsorted(sp.codes, codes)
+    assert np.array_equal(sp.codes[want], codes)
+    assert np.array_equal(sp.locate(rows), want)
+    blocks = list(la.projective_blocks(F, d))
+    ends = np.concatenate((blocks[0], blocks[-1]))
+    outside = ends[~np.isin(polar.canonical_codes(F, ends), sp.codes)]
+    assert len(outside) or kind == "W"
+    for bad in outside[[0, -1]] if len(outside) else ():
+        at = nrng.integers(len(rows) + 1)
+        with pytest.raises(AssertionError, match="image point missing"):
+            sp.locate(np.insert(rows, at, bad, axis=0))
+
+
+def test_locate_of_no_rows_on_a_space_without_points():
+    """Q-(1,3) has no points, and locating no rows there finds none."""
+    sp = polar.build(forms.standard_form("Q-", 2, gf.field(3)))
+    assert sp.num_points == 0
+    assert sp.locate(np.zeros((0, 2), dtype=np.int64)).tolist() == []
 
 
 def test_perp_residual_of_zero_is_everything(q43):
