@@ -7,6 +7,7 @@ indices.  Rank is recomputed greedily and cross-checked against the expected
 parameter table at construction time.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
@@ -109,15 +110,17 @@ class PolarSpace:
     @property
     def points(self):
         """The points as coordinate tuples, built on first use: the array
-        kernels read points_np."""
+        kernels and index read points_np."""
         if self._points is None:
             self._points = tuple(map(tuple, self.points_np.tolist()))
         return self._points
 
     @property
     def index(self):
+        """Point tuple -> point index, a read-only mapping over codes
+        (_PointIndex), made on first use."""
         if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points)}
+            self._index = _PointIndex(self.points_np, self.codes, self.q)
         return self._index
 
     @property
@@ -196,12 +199,52 @@ class PolarSpace:
     # -- geometry ----------------------------------------------------------
 
     def collinear(self, i, j):
-        """Perpendicularity of points i and j (true on the diagonal)."""
-        return self.form.evaluate_pair(self.points[i], self.points[j]) == 0
+        """Perpendicularity of points i and j (true on the diagonal), from
+        their two rows of points_np."""
+        return self.form.evaluate_pair(*self.points_np[[i, j]].tolist()) == 0
 
     def __repr__(self):
         return (f"PolarSpace({self.name}, rank={self.rank}, "
                 f"theta={self.ovoid_number}, points={self.num_points})")
+
+
+class _PointIndex(Mapping):
+    """A polar space's points as a read-only mapping from coordinate tuples
+    to indices, with no table of its own.  A key is looked up by its
+    base-q code in the space's increasing codes, so only a tuple of d ints
+    (numpy integers included) in range(q) that is a canonical point is
+    found; a scalar multiple, an entry out of range or a float, a wrong
+    length or a non-tuple is a KeyError.  Iteration yields the points as tuples in
+    index order, one _linalg._SCAN_ROWS block of points at a time."""
+
+    __slots__ = ("_points", "_codes", "_q")
+
+    def __init__(self, points, codes, q):
+        self._points, self._codes, self._q = points, codes, q
+
+    def __getitem__(self, key):
+        q, code = self._q, 0
+        if not isinstance(key, tuple) or len(key) != self._points.shape[1]:
+            raise KeyError(key)
+        for x in key:
+            try:
+                x = operator.index(x)
+            except TypeError:
+                raise KeyError(key) from None
+            if not 0 <= x < q:
+                raise KeyError(key)
+            code = code * q + x
+        i = int(self._codes.searchsorted(code))
+        if i == len(self._codes) or self._codes[i] != code:
+            raise KeyError(key)
+        return i
+
+    def __len__(self):
+        return len(self._points)
+
+    def __iter__(self):
+        for r in range(0, len(self._points), la._SCAN_ROWS):
+            yield from map(tuple, self._points[r:r + la._SCAN_ROWS].tolist())
 
 
 _BUILD = object()
@@ -349,7 +392,15 @@ class PointSet:
         return len(self.members)
 
     def __contains__(self, i):
-        j = np.searchsorted(self.members, i)
+        """Whether i is a member index; by the constructor's rule a bool or
+        anything operator.index refuses (a float, say) never is."""
+        if isinstance(i, bool):
+            return False
+        try:
+            i = operator.index(i)
+        except TypeError:
+            return False
+        j = self.members.searchsorted(i)
         return bool(j < len(self.members) and self.members[j] == i)
 
     def __eq__(self, other):

@@ -68,6 +68,12 @@ def frobenius(F, A, k):
     return tuple(tuple(F.pow(x, F.p ** (k % F.f)) for x in row) for row in A)
 
 
+def point_index(space):
+    """Point tuple -> point index, a dict over the tuple point list: the
+    oracle for lookups, independent of space.index and space.locate."""
+    return {v: i for i, v in enumerate(space.points)}
+
+
 def canonical(F, v):
     """The canonical vector of the point <v>, for nonzero v: scaled so that
     the first nonzero coordinate is 1."""

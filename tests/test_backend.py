@@ -21,7 +21,7 @@ import pytest
 
 from polarkit import _linalg as la
 from polarkit import fieldred, forms, gf, group, intriguing, polar
-from strategies import canonical, flatten, frobenius, mat_mul, span
+from strategies import canonical, flatten, frobenius, mat_mul, point_index, span
 
 ORDERS = [2, 3, 4, 8, 9, 16, 25]
 
@@ -86,8 +86,8 @@ def count_singular_oracle(F, C):
 
 
 def point_images_oracle(space, g):
-    F = space.field
-    return [space.index[canonical(F, g.apply(v))] for v in space.points]
+    F, index = space.field, point_index(space)
+    return [index[canonical(F, g.apply(v))] for v in space.points]
 
 
 def small_points_oracle(fr, large_members):
@@ -95,13 +95,13 @@ def small_points_oracle(fr, large_members):
     each large vector, flattened and normalised one at a time."""
     L = fr.large_field
     emb = gf.embedding(fr.small_field, L)
+    index = point_index(fr.small_space)
     members = set()
     for i in large_members:
         w = fr.large_space.points[i]
         for eta in L.units():
             vw = tuple(L.mul(eta, x) for x in w)
-            members.add(fr.small_space.index[
-                canonical(fr.small_field, flatten(emb, vw))])
+            members.add(index[canonical(fr.small_field, flatten(emb, vw))])
     return tuple(sorted(members))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from polarkit import constructions, fieldred, forms, gf, group, intriguing, polar
-from strategies import canonical, flatten, join
+from strategies import canonical, flatten, join, point_index
 
 
 def _w19_down(alpha=None):
@@ -94,9 +94,10 @@ def test_alpha_square_class_decides_the_graph():
     for alpha in F9.units():
         fr = _w19_down(alpha=alpha)
         sp = fr.small_space
+        index = point_index(sp)
         sets = []
         for o in orbits:
-            idx = {sp.index[canonical(fr.small_field, flatten(emb, v))]
+            idx = {index[canonical(fr.small_field, flatten(emb, v))]
                    for v in o}
             sets.append(tuple(sorted(idx)))
         partitions.add(frozenset(sets))

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from polarkit import _linalg as la
 from polarkit import constructions, fieldred, forms, gf, group, intriguing, polar
 from polarkit.intriguing import FeasibilityQuery, classify, feasibility, zsigmondy
+from strategies import point_index
 
 
 def _lines(space):
@@ -19,6 +20,7 @@ def _lines(space):
     index frozensets (spans of collinear point pairs)."""
     assert space.rank == 2
     F = space.form.field
+    index = point_index(space)
     out = set()
     n = space.num_points
     for i in range(n):
@@ -31,7 +33,7 @@ def _lines(space):
             for v in S.vectors():
                 lead = next(x for x in v if x)
                 if lead == 1:
-                    pts.append(space.index[v])
+                    pts.append(index[v])
             out.add(frozenset(pts))
     return out
 
@@ -153,8 +155,9 @@ def _points_in_span(space, vectors):
     """The indices of the points of the space lying in the span of the
     vectors, by listing the subspace."""
     S = forms.Subspace.span(space.field, vectors, ambient=space.d)
-    return sorted(space.index[v] for v in S.vectors()
-                  if next(x for x in v if x) == 1 and v in space.index)
+    index = point_index(space)
+    return sorted(index[v] for v in S.vectors()
+                  if next(x for x in v if x) == 1 and v in index)
 
 
 @pytest.mark.parametrize("kind,dim,q", [

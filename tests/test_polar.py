@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from polarkit import _linalg as la
 from polarkit import constructions as cx
 from polarkit import fieldred, forms, gf, group, manifest, polar
-from strategies import canonical
+from strategies import canonical, point_index
 
 # (kind, projective dim, q) -> (points, rank, ovoid number).  Point counts
 # follow (q^r - 1)/(q - 1) * theta_r; this table is the frozen cross-check.
@@ -157,6 +158,17 @@ def test_collinearity_matches_form(w33):
         for j in range(0, 40, 11):
             expected = form.evaluate_pair(w33.points[i], w33.points[j]) == 0
             assert w33.collinear(i, j) == expected
+
+
+def test_point_set_membership_follows_the_integer_rule(w33):
+    """A member index is found as an int or a numpy integer; a bool, a
+    float or anything else is never a member, as the constructor refuses
+    it."""
+    M = polar.PointSet(w33, [0, 1, 3])
+    assert 0 in M and 1 in M and np.int64(1) in M and np.uint8(3) in M
+    for i in (True, False, np.True_, 1.0, 0.0, np.float64(3), "1", None,
+              (1,), np.array([1]), 2, 40, -1, 2 ** 70, -2 ** 70):
+        assert i not in M
 
 
 def test_point_canonicalization(q43):
@@ -360,17 +372,77 @@ def test_maximal_ts_points(w33, q43):
                                          ("H", 4, 4), ("Q-", 5, 8),
                                          ("Q", 4, 9), ("Q-", 1, 3)])
 def test_maximal_ts_points_match_the_span_oracle(kind, pdim, q):
-    """Neither building a space nor finding its maximal TS points builds
-    the tuple point list or its index; the members are the canonical forms
-    of every nonzero vector in the span of the TS basis."""
+    """Neither building a space, finding its maximal TS points nor looking
+    points up through index builds the tuple point list; the members are
+    the canonical forms of every nonzero vector in the span of the TS
+    basis, found in a dict over that list."""
     sp = _space(kind, pdim, q)
     members = polar.maximal_ts_points(sp).members
-    assert sp._points is None and sp._index is None
     F = sp.field
-    span = forms.Subspace.span(F, sp.ts_basis, ambient=sp.d)
-    assert members.tolist() == sorted({sp.index[canonical(F, v)]
-                                       for v in span.vectors()})
+    span = {canonical(F, v) for v in
+            forms.Subspace.span(F, sp.ts_basis, ambient=sp.d).vectors()}
+    found = sorted(sp.index[v] for v in span)
+    assert sp._points is None
+    assert members.tolist() == found == sorted(point_index(sp)[v] for v in span)
     assert sp.num_points == len(sp.points) == len(sp.points_np)
+
+
+@pytest.mark.parametrize("kind,pdim,q", [("W", 3, 3), ("Q", 4, 3), ("H", 3, 4),
+                                         ("Q-", 5, 2), ("W", 1, 9)])
+def test_index_answers_as_a_dict_over_the_points(kind, pdim, q):
+    """index gives a dict's answers on every vector of F^d, as Python and
+    as numpy ints: a point's index, else a KeyError (scalar multiples, the
+    zero vector); and a KeyError for keys of the wrong length, entries out
+    of range (even where their code is a point's), floats and keys that
+    are not tuples.  len and iteration order are the dict's."""
+    sp = _space(kind, pdim, q)
+    index, oracle = sp.index, point_index(sp)
+    for v in itertools.product(range(q), repeat=sp.d):
+        for key in (v, tuple(map(np.int64, v)), tuple(map(np.uint8, v))):
+            assert (key in index) is (v in oracle)
+            assert index.get(key, -1) == oracle.get(v, -1)
+            if v in oracle:
+                assert type(index[key]) is int
+            else:
+                with pytest.raises(KeyError):
+                    index[key]
+    # a point's code from entries out of range
+    lo = next(v for v in oracle if v[-2] < q - 1)
+    hi = next(v for v in oracle if v[-2] > 0)
+    p = next(iter(oracle))
+    for key in (p + (0,), p[:-1], (), (q,) + p[1:],
+                lo[:-2] + (lo[-2] + 1, lo[-1] - q),
+                hi[:-2] + (hi[-2] - 1, hi[-1] + q),
+                list(p), np.array(p), str(p), None,
+                p[:-1] + (float(p[-1]),), p[:-1] + (str(p[-1]),)):
+        assert key not in index and index.get(key) is None
+        with pytest.raises(KeyError):
+            index[key]
+    assert len(index) == len(oracle) == sp.num_points
+    assert list(index) == list(oracle)
+    assert dict(index.items()) == oracle
+
+
+def test_index_lookups_build_no_point_list():
+    """Looking the 121 maximal TS points of Q(10,3) up through index, its
+    first use included, allocates under 1 MiB: no tuple point list and no
+    dict over it (about 8 MiB at peak together).  collinear reads two rows
+    of points_np and builds no list either."""
+    sp = _space("Q", 10, 3)
+    F = sp.field
+    keys = sorted({canonical(F, v) for v in
+                   forms.Subspace.span(F, sp.ts_basis, ambient=sp.d).vectors()})
+    assert len(keys) == 121
+    tracemalloc.start()
+    try:
+        found = [sp.index[v] for v in keys]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 and sp._points is None
+    assert sorted(found) == polar.maximal_ts_points(sp).members.tolist()
+    assert all(sp.collinear(i, j) for i in found[:5] for j in found)
+    assert sp._points is None
 
 
 # -- pinned point arrays -----------------------------------------------------
