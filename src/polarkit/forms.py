@@ -137,11 +137,13 @@ class Form:
         return acc
 
     def pair_functional(self, s):
-        """Coefficients w with kappa(x, s) = sum_i x_i w_i (linear in x)."""
+        """Coefficients w with kappa(x, s) = sum_i x_i w_i (linear in x), as
+        int64 codes: shape (d,) for one vector s, (m, d) for a stack of m
+        vectors, from one _linalg.mat_mul_np."""
         F = self.field
-        if self.sigma:
-            s = tuple(F.frobenius(y, self.sigma) for y in s)
-        return tuple(la.dot(F, row, s) for row in self.bilinear_gram)
+        S = F.frobenius_np(s, self.sigma)
+        G = np.array(self.bilinear_gram, dtype=np.int64)
+        return la.mat_mul_np(F, S.reshape(-1, self.dim), G.T).reshape(S.shape)
 
     def pair_matrix(self, rows):
         """The pair functionals of the rows s_1..s_m in bulk: a GF(p) matrix
@@ -158,11 +160,31 @@ class Form:
         for quadratic kinds, the Gram matrix otherwise."""
         return np.array(self.data, dtype=np.int64)
 
+    def frame(self, V):
+        """K = V A (V^tau)^T for the rows v_1..v_k of the code array V, with
+        A = matrix_np and tau the Hermitian conjugation (trivial otherwise):
+        two _linalg.mat_mul_np.  K_ij = kappa(v_i, v_j) for the Gram kinds;
+        for quadratic kinds K_ii = Q(v_i) and K_ij + K_ji = B(v_i, v_j)."""
+        F = self.field
+        V = np.asarray(V, dtype=np.int64)
+        return la.mat_mul_np(F, la.mat_mul_np(F, V, self.matrix_np),
+                             F.frobenius_np(V, self.sigma).T)
+
+    def restriction(self, V):
+        """The form on the span of the rows of V, in the coordinates of those
+        rows and stored as data is: the coefficient matrix
+        triu(K + K^T, 1) + diag(K) for quadratic kinds, K otherwise, with
+        K = frame(V)."""
+        K = self.frame(V)
+        if not self.kind.is_quadratic:
+            return K
+        C = np.triu(la.sum_np(self.field, np.stack((K, K.T))), 1)
+        return C + np.diag(np.diagonal(K))
+
     def frame_values(self, K):
-        """The form's values on a frame v_1..v_d, given the code array
-        K = V A (V^tau)^T with A = matrix_np and V the rows v_i: kappa(v_i,
-        v_j) row by row, then Q(v_i) for quadratic kinds, whose Gram matrix
-        is A + A^T and Q(v_i) = K_ii."""
+        """The form's values on a frame v_1..v_d, given K = frame(V):
+        kappa(v_i, v_j) row by row, then Q(v_i) for quadratic kinds, whose
+        Gram matrix is A + A^T and Q(v_i) = K_ii."""
         if not self.kind.is_quadratic:
             return K.ravel()
         return np.concatenate((la.sum_np(self.field, np.stack((K, K.T))).ravel(),
@@ -348,21 +370,6 @@ class Subspace:
         dim."""
         return len(la.rref(self.field, self.rows + (tuple(v),))[0]) == self.dim
 
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
-
-    def vectors(self):
-        """All nonzero vectors (small subspaces only)."""
-        import itertools
-        F = self.field
-        for cs in itertools.product(F.elements(), repeat=self.dim):
-            if any(cs):
-                v = (0,) * self.ambient
-                for c, row in zip(cs, self.rows):
-                    if c:
-                        v = la.add_vec(F, v, la.scale(F, c, row))
-                yield v
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field is other.field
                 and self.ambient == other.ambient and self.rows == other.rows)
@@ -378,7 +385,7 @@ def perp(form, S):
     """The polar subspace {x : kappa(x, s) = 0 for all s in S}."""
     if S.dim == 0:
         return Subspace(form.field, form.dim, la.identity(form.field, form.dim))
-    functionals = [form.pair_functional(s) for s in S.rows]
+    functionals = form.pair_functional(S.rows).tolist()
     basis = la.nullspace(form.field, functionals, ncols=form.dim)
     return Subspace(form.field, form.dim, basis)
 
@@ -407,40 +414,28 @@ def classify_restriction(form, S):
     k = S.dim
     if k == 0:
         return RestrictionReport(None, 0, 0, 0, True)
-    rows = S.rows
+    M = form.restriction(S.rows).tolist()
+    if not any(map(any, M)):
+        return RestrictionReport(None, k, k, k, True)
     if form.kind.is_quadratic:
-        C = tuple(tuple(form.evaluate(rows[i]) if i == j
-                        else (form.evaluate_pair(rows[i], rows[j]) if i < j else 0)
-                        for j in range(k)) for i in range(k))
-        B = _polarized(F, C)
-        ts = all(C[i][j] == 0 for i in range(k) for j in range(k))
-        if ts:
-            return RestrictionReport(None, k, k, k, True)
-        rad = la.nullspace(F, B, ncols=k)
+        rad = la.nullspace(F, _polarized(F, M), ncols=k)
         rad_dim = len(rad)
         if F.p == 2 and rad_dim:
             # singular radical: kernel of the semilinear functional Q on rad(B)
-            qvals = [_eval_upper(F, C, r) for r in rad]
+            qvals = [_eval_upper(F, M, r) for r in rad]
             if any(qvals):
                 rad_dim -= 1
         if rad_dim > 0:
             return RestrictionReport(None, k, None, rad_dim, False)
         if k % 2:
             return RestrictionReport(FormKind.PARABOLIC, k, k // 2, 0, False)
-        sign = _quadratic_sign(F, C)
+        sign = _quadratic_sign(F, M)
         witt = k // 2 if sign is FormKind.PLUS else k // 2 - 1
         return RestrictionReport(sign, k, witt, 0, False)
-    gram = tuple(tuple(form.evaluate_pair(rows[i], rows[j]) for j in range(k))
-                 for i in range(k))
-    ts = all(x == 0 for row in gram for x in row)
-    if ts:
-        return RestrictionReport(None, k, k, k, True)
-    rad_dim = k - len(la.rref(F, gram)[0])
+    rad_dim = k - len(la.rref(F, M)[0])
     if rad_dim:
         return RestrictionReport(None, k, None, rad_dim, False)
-    if form.kind is FormKind.SYMPLECTIC:
-        return RestrictionReport(FormKind.SYMPLECTIC, k, k // 2, 0, False)
-    return RestrictionReport(FormKind.HERMITIAN, k, k // 2, 0, False)
+    return RestrictionReport(form.kind, k, k // 2, 0, False)
 
 
 def _eval_upper(F, C, v):

@@ -253,10 +253,6 @@ class FiniteField:
     def units(self):
         return range(1, self.q)
 
-    def in_subfield(self, a, q0):
-        """Membership in the subfield of size q0, by the fixed-point test a^q0 = a."""
-        return self.pow(a, q0) == a
-
     # -- bulk arithmetic on integer arrays ------------------------------------
     #
     # GF(q) is GF(p)^f through the digits of the codes, so every semilinear

@@ -89,9 +89,6 @@ class Semisimilarity:
             self._inverse._inverse = self
         return self._inverse
 
-    def is_linear(self):
-        return self.sigma_power == 0
-
     def serialize(self):
         F = self.field
         return {"matrix": [[F.coeffs(x) for x in row] for row in self.matrix],
@@ -146,19 +143,16 @@ def multiplier(form, g):
     otherwise).  g is a semisimilarity exactly when H = lambda G^(sigma^s)
     entrywise and, for quadratic forms, Q(M_i) = lambda Q(e_i)^(sigma^s) on
     the basis; together these pin the identity on the whole space.  Both
-    sides are Form.frame_values, of K = M A (M^tau)^T for the image frame
-    and of A itself (cached in Form.basis_values) for the basis, with A the
-    form's matrix.  Two d x d products of int64 code arrays
-    (_linalg.mat_mul_np) and one array comparison; lambda comes from the
+    sides are Form.frame_values, of Form.frame(M) for the image frame and
+    of the form's matrix itself (cached in Form.basis_values) for the basis:
+    one frame product and one array comparison; lambda comes from the
     first nonzero basis value.
     """
     F = form.field
     if g.dim != form.dim or g.field is not F:
         raise ValueError("dimension or field mismatch")
     vals, zero, first = form.basis_values
-    M = np.array(g.matrix, dtype=np.int64)
-    got = form.frame_values(la.mat_mul_np(
-        F, la.mat_mul_np(F, M, form.matrix_np), F.frobenius_np(M, form.sigma).T))
+    got = form.frame_values(form.frame(g.matrix))
     if got[zero].any():
         raise ValueError("form invariance fails (zero value moved)")
     s = g.sigma_power
@@ -702,12 +696,18 @@ def _symplectic_transvections(form):
     (2d - 1) f maps.  t -> T_{v,t} is additive, so each v contributes its
     whole root group."""
     F, d = form.field, form.dim
-    vs = list(la.identity(F, d))
-    vs += [la.add_vec(F, vs[i], vs[i + 1]) for i in range(d - 1)]
-    ws = [np.array(form.pair_functional(v))[:, None] for v in vs]
-    ts = F.exp[:F.f]
-    return _identity_plus(F, [F.mul_np(t, w) for w in ws for t in ts],
-                          [[v] for v in vs for t in ts])
+    I = np.eye(d, dtype=np.int64)
+    return _transvections(form, np.concatenate((I, I[:-1] + I[1:])),
+                          F.exp_np[:F.f])
+
+
+def _transvections(form, V, ts):
+    """The transvections x -> x + t kappa(x, v) v for the rows v of V and
+    the scalars t, v major: I + C R with the column t kappa(., v) in C and
+    the row v in R."""
+    W = form.field.mul_np(form.pair_functional(V)[:, None], ts[:, None])
+    return _identity_plus(form.field, W.reshape(-1, form.dim, 1),
+                          np.repeat(V, len(ts), axis=0)[:, None])
 
 
 def _unitary_transvections(form):
@@ -721,19 +721,19 @@ def _unitary_transvections(form):
     minus_one = F.neg(1)
     lam0 = next(x for x in F.units() if F.add(x, F.frobenius(x, s)) == 0)
     omega0 = F.exp[q0 + 1]   # primitive in GF(q0), so its powers k < s span it
-    lams = [F.mul(lam0, F.pow(omega0, k)) for k in range(s)]
+    lams = np.array([F.mul(lam0, F.pow(omega0, k)) for k in range(s)])
     roots = [a for a in F.units() if F.pow(a, q0 + 1) == minus_one]
-    e = la.identity(F, d)
-    vs = [la.add_vec(F, e[i], la.scale(F, a, e[i + 1]))
-          for i in range(d - 1) for a in roots]
+    V = np.zeros((d - 1, len(roots), d), dtype=np.int64)
+    for i in range(d - 1):
+        V[i, :, i], V[i, :, i + 1] = 1, roots
     heavy = (v for v in pl.projective_vectors(F, d)
              if sum(1 for x in v if x) >= 3 and form.evaluate(v) == 0)
-    vs += itertools.islice(heavy, d)
-    if not vs:
+    V = np.concatenate((V.reshape(-1, d),
+                        np.array(list(itertools.islice(heavy, d)),
+                                 dtype=np.int64).reshape(-1, d)))
+    if not len(V):
         raise ValueError("no isotropic directions: unitary transvections need rank >= 1")
-    ws = [np.array(form.pair_functional(v))[:, None] for v in vs]
-    return _identity_plus(F, [F.mul_np(lam, w) for w in ws for lam in lams],
-                          [[v] for v in vs for lam in lams])
+    return _transvections(form, V, lams)
 
 
 def _su32_fourier(F):
@@ -768,23 +768,19 @@ def _eichler_generators(form):
     u^perp over GF(p), not only over GF(q): without the scalings Omega+(6,4)
     is not transitive.  Over a prime field omega^0 = 1 is the only scaling."""
     from . import forms as fm
-    F = form.field
+    F, d = form.field, form.dim
     C, R = [], []
     for u in _first_hyperbolic_pair(form):
-        U = fm.Subspace.span(F, [u])
-        perp_basis = fm.perp(form, U).rows
-        vs = list(perp_basis)
-        for i in range(len(perp_basis)):
-            for j in range(i + 1, len(perp_basis)):
-                vs.append(la.add_vec(F, perp_basis[i], perp_basis[j]))
-        minus_fu = F.mul_np(F.neg(1), np.array(form.pair_functional(u)))
-        for v in vs:
-            for t in F.exp[:F.f]:
-                v_t = la.scale(F, t, v)
-                qu = la.scale(F, form.evaluate(v_t), u)
-                C.append(np.stack((form.pair_functional(v_t), minus_fu), 1))
-                R.append([u, la.add_vec(F, v_t, qu)])
-    return _identity_plus(F, C, R)
+        P = np.array(fm.perp(form, fm.Subspace.span(F, [u])).rows, dtype=np.int64)
+        i, j = np.triu_indices(len(P), 1)
+        V = np.concatenate((P, la.sum_np(F, np.stack((P[i], P[j])))))
+        V = F.mul_np(V[:, None], F.exp_np[:F.f, None]).reshape(-1, d)
+        u = np.array(u, dtype=np.int64)
+        fu = F.mul_np(F.neg(1), form.pair_functional(u))
+        qu = F.mul_np(np.diagonal(form.frame(V))[:, None], u)
+        C.append(np.stack(np.broadcast_arrays(form.pair_functional(V), fu), 2))
+        R.append(np.stack(np.broadcast_arrays(u, la.sum_np(F, np.stack((V, qu)))), 1))
+    return _identity_plus(F, np.concatenate(C), np.concatenate(R))
 
 
 def _first_hyperbolic_pair(form):

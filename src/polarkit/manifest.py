@@ -79,20 +79,23 @@ def _t_trivial_sets():
         expected[name] = {"tight_i": theta, "ovoid_m": u, "h1": h1}
         sp = corpus_space(kind, pdim, q)
         rep = intriguing.classify(sp, polar.full_set(sp))
-        computed[name] = {"tight_i": rep.tight_i, "ovoid_m": rep.ovoid_m,
-                          "h1": rep.h1}
+        computed[name] = _report(rep, "tight_i", "ovoid_m", "h1")
     return expected, computed
+
+
+def _report(rep, *keys):
+    """The named fields of a classification report as a dict, by default
+    all five: size, tight_i, ovoid_m, h1 and h2."""
+    return {k: getattr(rep, k)
+            for k in keys or ("size", "tight_i", "ovoid_m", "h1", "h2")}
 
 
 # -- constructions ----------------------------------------------------------
 
 
 def _orbit_summary(partition):
-    out = []
-    for rep in intriguing.classify_orbits(partition):
-        out.append({"size": rep.size, "tight_i": rep.tight_i,
-                    "ovoid_m": rep.ovoid_m, "h1": rep.h1, "h2": rep.h2})
-    return sorted(out, key=lambda r: r["size"])
+    return sorted(map(_report, intriguing.classify_orbits(partition)),
+                  key=lambda r: r["size"])
 
 
 def _t_adjoint_sl3_q3():
@@ -129,12 +132,10 @@ def _t_dlength_suite():
         expected[name] = {str(w): {"size": s, "tight_i": ti, "ovoid_m": m}
                           for w, (s, ti, m) in classes.items()}
         dp = cx.dlength_partition(kind, q, t)
-        got = {}
-        for w, pset in dp.classes.items():
-            rep = intriguing.classify(dp.space, pset)
-            got[str(w)] = {"size": rep.size, "tight_i": rep.tight_i,
-                           "ovoid_m": rep.ovoid_m}
-        computed[name] = got
+        computed[name] = {
+            str(w): _report(intriguing.classify(dp.space, pset),
+                            "size", "tight_i", "ovoid_m")
+            for w, pset in dp.classes.items()}
     return expected, computed
 
 
@@ -183,14 +184,9 @@ def _t_sl25_to_w33():
     fr, sets = cx.sl2_5_reduced_sets()
     sp1 = fieldred.reduce(1, forms.standard_form("W", 2, fr.large_field),
                           fr.small_field, alpha=1).small_space
-    reps, reps1 = [], []
-    for s in sets:
-        rep = intriguing.classify(fr.small_space, s)
-        reps.append({"size": rep.size, "tight_i": rep.tight_i,
-                     "ovoid_m": rep.ovoid_m, "h1": rep.h1, "h2": rep.h2})
-        rep1 = intriguing.classify(sp1, polar.PointSet(sp1, s.members))
-        reps1.append({"size": rep1.size, "tight_i": rep1.tight_i,
-                      "ovoid_m": rep1.ovoid_m, "h1": rep1.h1, "h2": rep1.h2})
+    reps = [_report(intriguing.classify(fr.small_space, s)) for s in sets]
+    reps1 = [_report(intriguing.classify(sp1, polar.PointSet(sp1, s.members)))
+             for s in sets]
     std = forms.standard_form("W", 4, fr.small_field)
     computed = {"sets": reps, "alpha_one_sets": reps1,
                 "disjoint": not any(i in sets[1] for i in sets[0].members),
@@ -252,17 +248,15 @@ def _t_residual_q43():
     sp = corpus_space("Q", 4, 3)
     S = polar.nonsingular_point_with_residual(sp, "Q-")
     rep = intriguing.classify(sp, polar.perp_residual(sp, S))
-    return expected, {"size": rep.size, "ovoid_m": rep.ovoid_m,
-                      "h1": rep.h1, "h2": rep.h2}
+    return expected, _report(rep, "size", "ovoid_m", "h1", "h2")
 
 
 def _t_residual_qm52():
     expected = {"size": 9, "tight_i": 3, "h1": 5, "h2": 3}
     sp = corpus_space("Q-", 5, 2)
-    S = polar.first_subspace_of_type(sp, 2, "Q-", anisotropic=True)
+    S = polar.first_subspace_of_type(sp, 2, "Q-")
     rep = intriguing.classify(sp, polar.perp_residual(sp, S))
-    return expected, {"size": rep.size, "tight_i": rep.tight_i,
-                      "h1": rep.h1, "h2": rep.h2}
+    return expected, _report(rep, "size", "tight_i", "h1", "h2")
 
 
 # -- Zsigmondy --------------------------------------------------------------

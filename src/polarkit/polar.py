@@ -99,7 +99,6 @@ class PolarSpace:
         self.rank = len(ts_basis)
         self.ts_basis = ts_basis
         self.ovoid_number = theta(self.kind, self.d, self.q, self.rank)
-        self.epsilon = epsilon_of(self.kind)
         self._points = None
         self._index = None
         self._codes = None
@@ -501,11 +500,13 @@ def nonsingular_point_with_residual(space, sign):
     raise ValueError(f"no nonsingular point with {sign.name} residual")
 
 
-def first_subspace_of_type(space, dim, sign, anisotropic=False):
+def first_subspace_of_type(space, dim, sign):
     """First dim-subspace (in the canonical projective-vector order) whose
-    restriction is nondegenerate of the given kind; with anisotropic=True it
-    must also contain no singular point (e.g. an elliptic line of Q^-(5,2)).
-    Scans combinations, so only meant for dim <= 3 at desk scale."""
+    restriction is nondegenerate of the given kind.  The kind and dimension
+    fix the restriction's Witt index, and it contains a singular point
+    exactly when that index is positive: an elliptic line of Q^-(5,2), for
+    one, is anisotropic.  Scans combinations, so only meant for dim <= 3 at
+    desk scale."""
     sign = fm.parse_kind(sign)
     F = space.field
     if dim > 3:
@@ -515,10 +516,6 @@ def first_subspace_of_type(space, dim, sign, anisotropic=False):
         if S.dim != dim:
             continue
         rep = fm.classify_restriction(space.form, S)
-        if rep.kind is not sign or not rep.nondegenerate:
-            continue
-        if anisotropic and any(
-                space.form.evaluate(v) == 0 for v in S.vectors() if any(v)):
-            continue
-        return S
+        if rep.kind is sign and rep.nondegenerate:
+            return S
     raise ValueError(f"no {sign.name} subspace of dimension {dim} found")

@@ -156,7 +156,7 @@ def test_nonsingular_point_residuals():
     assert (rep.ovoid_m, rep.h1, rep.h2) == (1, 1, 4)
 
     qm52 = _space("Q-", 5, 2)
-    L = polar.first_subspace_of_type(qm52, 2, "Q-", anisotropic=True)
+    L = polar.first_subspace_of_type(qm52, 2, "Q-")
     rep2 = intriguing.classify(qm52, polar.perp_residual(qm52, L))
     assert rep2.tight_i == 3 == 2 ** (qm52.rank - 1) + 1
     assert (rep2.h1, rep2.h2) == (5, 3)

@@ -167,7 +167,12 @@ def test_traced_form_matches_its_definition(row, q, b, kind, m):
     (10, 2, 2, 8, 45, 135),
 ])
 def test_table_point_counts(row, q, b, d, large, small):
-    assert fieldred.table_point_counts(row, q, b, d) == (large, small)
+    """The reduction table's point counts are those of the two spaces that
+    reduce builds."""
+    kind = fieldred.ROW_KINDS[row][0]
+    large_form = forms.standard_form(kind, d // b, gf.field_of_order(q ** b))
+    fr = fieldred.reduce(row, large_form, gf.field_of_order(q))
+    assert (fr.large_space.num_points, fr.small_space.num_points) == (large, small)
 
 
 def test_blow_up_row1_covers_w33():

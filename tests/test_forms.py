@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from polarkit import forms, gf
+from polarkit import forms, gf, polar
 from polarkit.forms import FormKind, Subspace
 from strategies import fields, span
 
@@ -137,7 +137,59 @@ def test_perp_dimension(kind, d, q):
     P = forms.perp(form, S)
     assert P.dim == d - 1
     PP = forms.perp(form, P)
-    assert PP.dim == 1 and PP.contains_subspace(S)
+    assert PP.dim == 1 and PP == S
+
+
+# (kind, ambient dimension, q) for drawn subspaces of dimension 1-4
+_RESTRICTION_SPACES = [(kind, d, q) for kind, d in (("W", 4), ("Q+", 4), ("Q-", 4),
+                                                    ("Q", 5), ("H", 4))
+                       for q in (2, 3, 4, 5, 9)
+                       if not (kind == "Q" and q % 2 == 0)
+                       and not (kind == "H" and q not in (4, 9))]
+
+
+def _restriction_oracle(form, rows):
+    """The form on the rows, one evaluate / evaluate_pair per entry: the
+    upper-triangular coefficient matrix for quadratic kinds, the Gram
+    matrix otherwise."""
+    k = len(rows)
+    if not form.kind.is_quadratic:
+        return [[form.evaluate_pair(u, v) for v in rows] for u in rows]
+    return [[form.evaluate(rows[i]) if i == j
+             else form.evaluate_pair(rows[i], rows[j]) if i < j else 0
+             for j in range(k)] for i in range(k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_classify_restriction_matches_the_brute_force_oracles(data):
+    """On a drawn subspace S: the restricted matrix is the per-entry one;
+    S is totally singular when that matrix vanishes; the radical, the
+    vectors of S perpendicular to S and singular, has q^radical_dim
+    vectors; and a nondegenerate S has a singular vector exactly when its
+    Witt index is positive, (q - 1) times the point count of its kind."""
+    kind, d, q = data.draw(st.sampled_from(_RESTRICTION_SPACES))
+    F = gf.field_of_order(q)
+    form = forms.standard_form(kind, d, F)
+    vector = st.tuples(*[st.integers(0, q - 1)] * d)
+    S = Subspace(F, d, data.draw(st.lists(vector, min_size=1, max_size=4)))
+    assume(S.dim > 0)
+    rep = forms.classify_restriction(form, S)
+    oracle = _restriction_oracle(form, S.rows)
+    assert form.restriction(S.rows).tolist() == oracle
+    assert rep.dim == S.dim
+    assert rep.totally_singular == (not any(map(any, oracle)))
+    vectors = span(F, S.rows, d)
+    radical = [v for v in vectors if form.evaluate(v) == 0
+               and all(form.evaluate_pair(v, r) == 0 for r in S.rows)]
+    assert len(radical) == q ** rep.radical_dim
+    if not rep.nondegenerate:
+        assert rep.kind is None and (rep.rank is None) != rep.totally_singular
+        return
+    singular = [v for v in vectors if any(v) and form.evaluate(v) == 0]
+    assert (len(singular) > 0) == (rep.rank > 0)
+    assert len(singular) == (q - 1) * polar.expected_point_count(rep.kind, S.dim, q)
+    assert rep.rank == polar.rank_of(rep.kind, S.dim)
 
 
 # -- constructors -----------------------------------------------------------
@@ -187,7 +239,7 @@ def test_span_is_canonical():
 def test_subspace_vectors_and_contains():
     F = gf.field(2)
     S = Subspace.span(F, [(1, 0, 1), (0, 1, 1)])
-    vecs = list(S.vectors())          # nonzero vectors only
+    vecs = span(F, S.rows, 3) - {(0, 0, 0)}
     assert len(vecs) == 3
     for v in vecs:
         assert S.contains(v)

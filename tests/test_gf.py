@@ -156,12 +156,6 @@ def test_exp_basis_spans(F):
     assert len(span) == F.q
 
 
-def test_in_subfield():
-    F = gf.field(2, 4)
-    sub = [a for a in F.elements() if F.in_subfield(a, 4)]
-    assert len(sub) == 4
-
-
 def test_field_over_the_table_cap_is_refused_at_once():
     """The cap is checked before the primitive-polynomial search, which for
     GF(2^17) would run for minutes before the tables refused the field."""

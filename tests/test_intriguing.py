@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from polarkit import _linalg as la
 from polarkit import constructions, fieldred, forms, gf, group, intriguing, polar
 from polarkit.intriguing import FeasibilityQuery, classify, feasibility, zsigmondy
-from strategies import point_index
+from strategies import point_index, span
 
 
 def _lines(space):
@@ -27,12 +27,9 @@ def _lines(space):
         for j in range(i + 1, n):
             if not space.collinear(i, j):
                 continue
-            S = forms.Subspace.span(F, [space.points[i], space.points[j]],
-                                    ambient=space.d)
             pts = []
-            for v in S.vectors():
-                lead = next(x for x in v if x)
-                if lead == 1:
+            for v in span(F, [space.points[i], space.points[j]], space.d):
+                if any(v) and next(x for x in v if x) == 1:
                     pts.append(index[v])
             out.add(frozenset(pts))
     return out
@@ -154,10 +151,9 @@ def _span_spy(monkeypatch):
 def _points_in_span(space, vectors):
     """The indices of the points of the space lying in the span of the
     vectors, by listing the subspace."""
-    S = forms.Subspace.span(space.field, vectors, ambient=space.d)
     index = point_index(space)
-    return sorted(index[v] for v in S.vectors()
-                  if next(x for x in v if x) == 1 and v in index)
+    return sorted(index[v] for v in span(space.field, vectors, space.d)
+                  if any(v) and next(x for x in v if x) == 1 and v in index)
 
 
 @pytest.mark.parametrize("kind,dim,q", [
