@@ -446,15 +446,23 @@ def classical_generators(family, d, field, self_check=True):
     """Generators for the named isometry group on the standard form.
 
     The family is a name of _FAMILY_KIND or anything parse_kind reads.
-    Sp and SU get transvections along O(d) vectors with the parameter over
-    a GF(p)-basis (see _symplectic_transvections, _unitary_transvections);
-    the Omega families use Eichler transformations anchored at the first
-    hyperbolic pair, with v scaled by a GF(p)-basis of GF(q).  With
-    self_check the set is certified to generate the whole group (see
-    _certify): every generator is an isometry of determinant 1, and a
-    Schreier-Sims run on the point permutations proves that the generated
-    group's image on the polar points has the closed-form order of the
-    family's projective group.
+    The source set is built first: Sp and SU get transvections along O(d)
+    vectors with the parameter over a GF(p)-basis (see
+    _symplectic_transvections, _unitary_transvections); the Omega families
+    use Eichler transformations anchored at the first hyperbolic pair, with
+    v scaled by a GF(p)-basis of GF(q).
+
+    With self_check (the default) the result is two seeded random words in
+    the source, drawn by _certified_pair until a pair passes _certify:
+    every word is an isometry of determinant 1, and a Schreier-Sims run on
+    the point permutations proves that the pair's image on the polar points
+    has the closed-form order of the family's projective group.  Every
+    later orbit run and every map induced from the set then costs two
+    generators, not the whole source.  Without self_check the source set
+    itself is returned, uncertified: it is the construction, fixed by how
+    it is built rather than by a random draw, so callers that index its
+    elements or pin its serialized form see the same list in every
+    version.
     """
     from . import forms as fm
     if family not in _FAMILY_KIND:
@@ -473,11 +481,11 @@ def classical_generators(family, d, field, self_check=True):
     else:
         gens = _eichler_generators(form)
     gs = GeneratorSet(field, gens, label=f"{family}({d},{field.q})")
-    if self_check:
-        allow_grid = kind is FormKind.PLUS and d == 4
-        _certify(pl.build(form, allow_grid=allow_grid), gs,
-                 point_image_order(family, d, field.q))
-    return gs
+    if not self_check:
+        return gs
+    allow_grid = kind is FormKind.PLUS and d == 4
+    return _certified_pair(pl.build(form, allow_grid=allow_grid), gs,
+                           point_image_order(family, d, field.q))
 
 
 def point_image_order(family, d, q):
@@ -504,30 +512,101 @@ def point_image_order(family, d, q):
 
 
 _STALL = 32   # consecutive trivial sifts after which a shortfall is final
+_DRAWS = 64   # pairs of words drawn before a source is refused
+
+
+def _certified_pair(space, source, order):
+    """The first of the pairs of random words in source (_random_words,
+    seeded, taken two at a time) that _certify accepts, as a GeneratorSet
+    with the source's label.
+
+    The words are products of the source's elements, so they lie in the
+    group it generates, and _certify's checks and order argument apply to
+    the pair unchanged.  A pair that falls short of `order` is only an
+    unlucky draw and the next one is tried; after _DRAWS of them the
+    source is refused with AssertionError naming its label.  A product
+    above `order`, a basic orbit that does not grow, or a word that is not
+    a special isometry shows a defect and raises at once, as in _certify.
+    """
+    F = source.field
+    words = _random_words(source, random.Random(0))
+    for _ in range(_DRAWS):
+        M, Minv = np.stack((next(words), next(words)), axis=1)
+        pair = GeneratorSet(F, _with_inverses(F, M, Minv), label=source.label)
+        if _orbit_product(space, pair, order) == order:
+            return pair
+    raise AssertionError(
+        f"{source.label} failed its self-check: none of the first {_DRAWS} "
+        f"pairs of random words generates a group of order {order} on points")
+
+
+def _random_words(gs, rng):
+    """Random elements of the group generated by gs, each as a (2, d, d)
+    code array of its matrix and its inverse's: product replacement with an
+    accumulator (Celler et al., 1995) on the matrices of gs.generators, as
+    _random_elements runs it on permutations.
+
+    The maps are linear (sigma power 0) and know their inverses, and the
+    inverse of a product is the product of the inverses in reverse order,
+    so one mat_mul_np over a stack of four makes a step: s_i <- s_i s_j and
+    acc <- acc s_i (the s_i before the step), each with its inverse.  No
+    matrix goes through la.mat_inv, and no Semisimilarity is built."""
+    F, gens = gs.field, gs.generators
+    pairs = np.array([(g.matrix, g.inverse().matrix) for g in gens],
+                     dtype=np.int64)
+    state = pairs[np.arange(max(10, len(gens))) % len(gens)]
+    acc = np.stack((np.eye(gs.dim, dtype=np.int64),) * 2)
+    for step in itertools.count():
+        i, j = rng.sample(range(len(state)), 2)
+        (si, si_inv), (sj, sj_inv) = state[i], state[j]
+        P = la.mat_mul_np(F, np.stack((si, sj_inv, acc[0], si_inv)),
+                          np.stack((sj, si_inv, si, acc[1])))
+        state[i], acc = P[:2], P[2:]
+        if step >= 50:        # the first 50 steps only mix the state
+            yield acc
 
 
 def _certify(space, gs, order):
     """Certify that gs generates a group whose image on the space's points
-    has the given order; return the product of the basic orbit lengths.
+    has the given order; return that order.
+
+    _orbit_product does the work; a product still short of `order` after
+    _STALL consecutive random elements sift to the identity raises
+    AssertionError here, with the factor missing.  For d >= 3 the whole
+    group is transitive on the points, so a certified set is too and needs
+    no orbit check of its own.
+    """
+    found = _orbit_product(space, gs, order)
+    if found < order:
+        raise AssertionError(
+            f"{gs.label} failed its self-check: the generated group has "
+            f"order at least {found} on points, short of {order} by a "
+            f"factor {order / found:.4g} after {_STALL} trivial sifts")
+    return found
+
+
+def _orbit_product(space, gs, order):
+    """The product of the basic orbit lengths of a stabiliser chain for the
+    group gs generates on the space's points: `order` once the chain
+    reaches it, or the shortfall left after _STALL consecutive random
+    elements sift to the identity.
 
     Each of gs.generators must be an isometry (multiplier 1, sigma power 0)
     of determinant 1, so the generated group lies in the special isometry
     group; the inverses and duplicates that gs.elements adds are special
-    isometries too and are not checked again (a failure names the index in
-    gs.generators).  A random Schreier-Sims run (Seress, Permutation Group
-    Algorithms, 2003) on the point permutations of gs.generators then builds
-    a base and strong generators; in a finite group g^-1 is a power of g, so
-    the appended inverses add nothing.  Every strong generator is a word in
-    gs, so the product of the basic orbit lengths is a lower bound on the
-    order of the generated image, and the run stops once it reaches
+    isometries too and are not checked again (a failure raises ValueError
+    naming the index in gs.generators).  A random Schreier-Sims run
+    (Seress, Permutation Group Algorithms, 2003) on the point permutations
+    of gs.generators then builds a base and strong generators; in a finite
+    group g^-1 is a power of g, so the appended inverses add nothing.
+    Every strong generator is a word in gs, so the product is a lower bound
+    on the order of the generated image, and the run stops once it reaches
     `order`.  For Sp and SU that is the order of the whole special isometry
-    group's image; the Eichler transformations lie in Omega, whose image has
-    that order.  A product above `order`, or one still short after _STALL
-    consecutive random elements sift to the identity, raises
-    AssertionError.  For d >= 3 the whole group is transitive on the
-    points, so a certified set is too and needs no orbit check of its own.
-    Random elements come from product replacement with a fixed seed: the
-    run is deterministic.
+    group's image; the Eichler transformations lie in Omega, whose image
+    has that order.  A product above `order`, or a level whose basic orbit
+    stays of length 1 after a residue that moves its base is added, is a
+    defect and raises AssertionError.  Random elements come from product
+    replacement with a fixed seed: the run is deterministic.
     """
     F = space.field
     gens = gs.generators
@@ -543,10 +622,7 @@ def _certify(space, gs, order):
     randoms = _random_elements(perms, random.Random(0))
     while found < order:
         if stall == _STALL:
-            raise AssertionError(
-                f"{gs.label} failed its self-check: the generated group has "
-                f"order at least {found} on points, short of {order} by a "
-                f"factor {order / found:.4g} after {_STALL} trivial sifts")
+            return found
         h, i = _sift(levels, next(randoms))
         if i == len(levels):
             moved = np.flatnonzero(h != np.arange(n))

@@ -2,14 +2,18 @@
 oracle: the whole permutation group on the points, closed by breadth-first
 search over its elements, with no stabiliser chain."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from polarkit import _linalg as la
 from polarkit import forms, gf, group, polar
+from strategies import identity, mat_mul
 
 _KIND = {"Sp": "W", "SU": "H", "Omega": "Q", "OmegaPlus": "Q+",
          "OmegaMinus": "Q-"}
@@ -54,22 +58,131 @@ def _closure_order(perms):
     return len(seen)
 
 
-@pytest.mark.parametrize("family,d,q,order", [
-    ("Sp", 4, 2, 720),            # PSp(4,2)
-    ("Sp", 4, 3, 25_920),         # PSp(4,3)
-    ("SU", 3, 9, 6_048),          # PSU(3,3)
-    ("SU", 4, 4, 25_920),         # PSU(4,2)
-    ("OmegaPlus", 6, 2, 20_160),  # POmega+(6,2)
-    ("OmegaMinus", 6, 2, 25_920),  # POmega-(6,2)
-    ("Omega", 5, 3, 25_920),      # POmega(5,3)
-    ("SU", 3, 4, 72),             # PSU(3,2)
-])
+_CLOSURE_ORDERS = {
+    ("Sp", 4, 2): 720,             # PSp(4,2)
+    ("Sp", 4, 3): 25_920,          # PSp(4,3)
+    ("SU", 3, 9): 6_048,           # PSU(3,3)
+    ("SU", 4, 4): 25_920,          # PSU(4,2)
+    ("OmegaPlus", 6, 2): 20_160,   # POmega+(6,2)
+    ("OmegaMinus", 6, 2): 25_920,  # POmega-(6,2)
+    ("Omega", 5, 3): 25_920,       # POmega(5,3)
+    ("SU", 3, 4): 72,              # PSU(3,2)
+}
+
+
+@pytest.mark.parametrize("family,d,q,order",
+                         [(*k, v) for k, v in _CLOSURE_ORDERS.items()])
 def test_certificate_matches_closure_order(family, d, q, order):
     space = _space(family, d, q)
     gs = group.classical_generators(family, d, space.field)
     assert group.point_image_order(family, d, q) == order
     assert group._certify(space, gs, order) == order
     assert _closure_order(_permutations(space, gs)) == order
+
+
+def _refuse(*args):
+    raise AssertionError("la.mat_inv called")
+
+
+@pytest.mark.parametrize("family,d,q", sorted(set(_CLOSURE_ORDERS) | {
+    ("Sp", 4, 4), ("Sp", 6, 3), ("Sp", 4, 9), ("SU", 3, 4), ("SU", 4, 9),
+    ("SU", 5, 4), ("Omega", 5, 3), ("Omega", 7, 5), ("Omega", 5, 9),
+    ("OmegaPlus", 6, 4), ("OmegaPlus", 8, 3), ("OmegaMinus", 6, 8),
+    ("OmegaMinus", 8, 3)}))
+def test_the_certified_set_is_a_pair_with_the_sources_orbits(
+        monkeypatch, family, d, q):
+    """The certified set is at most two words (Omega+(2,q) is cyclic), each
+    with its inverse and none through la.mat_inv; it has the orbits of the
+    source set it is drawn from, and the same draw every time.  For the
+    groups small enough to list, test_certificate_matches_closure_order
+    closes the certified pair by breadth-first search."""
+    space = _space(family, d, q)
+    F = space.field
+    monkeypatch.setattr(la, "mat_inv", _refuse)
+    gs = group.classical_generators(family, d, F)
+    assert len(gs.generators) <= 2 and gs.label == f"{family}({d},{q})"
+    for g in gs.generators:
+        gi = g.inverse()
+        assert gi.inverse() is g and g.sigma_power == gi.sigma_power == 0
+        assert mat_mul(F, g.matrix, gi.matrix) == identity(d)
+    source = group.classical_generators(family, d, F, self_check=False)
+    assert group.orbits(space, gs).labels.tolist() \
+        == group.orbits(space, source).labels.tolist()
+    again = group.classical_generators(family, d, F)
+    assert again.serialize() == gs.serialize()
+
+
+# sha256 of json.dumps(serialize(), sort_keys=True), first 16 hex digits,
+# and the element count: two words and their inverses
+_PAIRS = {
+    ("Sp", 6, 3): (4, "ad468e3dab5a3830"),
+    ("OmegaMinus", 6, 4): (4, "7a3502a5b90f77c2"),
+    ("SU", 3, 4): (4, "25f505ba7c2de164"),
+}
+
+
+@pytest.mark.parametrize("family,d,q", sorted(_PAIRS))
+def test_the_certified_pair_is_pinned(family, d, q):
+    gs = group.classical_generators(family, d, gf.field_of_order(q))
+    text = json.dumps(gs.serialize(), sort_keys=True)
+    assert (len(gs.elements), hashlib.sha256(text.encode()).hexdigest()[:16]) \
+        == _PAIRS[family, d, q]
+
+
+def _counting_draws(monkeypatch):
+    draws = []
+    product = group._orbit_product
+
+    def counting(space, gs, order):
+        draws.append(gs)
+        return product(space, gs, order)
+
+    monkeypatch.setattr(group, "_orbit_product", counting)
+    return draws
+
+
+def test_a_source_that_falls_short_is_refused_at_the_draw_cap(monkeypatch):
+    """SU(3,2)'s transvections alone generate a group of order 18 of 72 on
+    the points; every pair of words in them falls short, and after _DRAWS
+    pairs the source is refused by its label, not returned."""
+    space = _space("SU", 3, 4)
+    tv = group.GeneratorSet(space.field,
+                            group._unitary_transvections(space.form),
+                            label="SU(3,2) transvections")
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(AssertionError,
+                       match=rf"SU\(3,2\) transvections failed its "
+                             rf"self-check: none of the first "
+                             rf"{group._DRAWS} pairs .* order 72"):
+        group._certified_pair(space, tv, 72)
+    assert len(draws) == group._DRAWS
+    assert all(len(gs.generators) <= 2 for gs in draws)
+
+
+def test_su32_certifies_well_within_the_draw_cap(monkeypatch):
+    """SU(3,2) takes the most draws of the families tested here (6); the
+    cap leaves a wide margin over it."""
+    draws = _counting_draws(monkeypatch)
+    group.classical_generators("SU", 3, gf.field_of_order(4))
+    assert 1 <= len(draws) <= group._DRAWS // 4
+
+
+def test_a_defect_in_a_draw_raises_at_once(monkeypatch):
+    """Only a shortfall is an unlucky draw.  An order above the claimed
+    one, or a level that does not grow, raises from the first pair."""
+    space = _space("Sp", 4, 3)
+    source = group.classical_generators("Sp", 4, space.field, self_check=False)
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="at least 40 on points, above 39"):
+        group._certified_pair(space, source, 39)
+    assert len(draws) == 1
+    randoms = group._random_elements
+    monkeypatch.setattr(group, "_random_elements",
+                        lambda perms, rng: itertools.islice(randoms(perms, rng), 500))
+    monkeypatch.setattr(group._Level, "add", lambda self, g: None)
+    with pytest.raises(AssertionError, match="basic orbit of length 1"):
+        group._certified_pair(space, source, group.point_image_order("Sp", 4, 3))
+    assert len(draws) == 2
 
 
 def test_su32_transvections_alone_fall_short():
