@@ -100,12 +100,12 @@ class Form:
                     raise ValueError("parabolic quadratic forms need odd dimension")
                 if F.p == 2:
                     raise ValueError("parabolic quadratic spaces are only supported for odd q")
+                if la.det(F, self.bilinear_gram) == 0:
+                    raise ValueError("degenerate quadratic form (polarized radical nonzero)")
             elif d % 2:
                 raise ValueError(f"{K.name} quadratic forms need even dimension")
-            if la.det(F, self.bilinear_gram) == 0:
-                raise ValueError("degenerate quadratic form (polarized radical nonzero)")
-            if d % 2 == 0:
-                sign = _quadratic_sign(F, M)
+            else:
+                sign = _quadratic_sign(F, M, self.bilinear_gram)
                 want = FormKind.PLUS if K is FormKind.PLUS else FormKind.MINUS
                 if sign is not want:
                     raise ValueError(f"declared {K.name} but computed type is {sign.name}")
@@ -223,11 +223,12 @@ def _polarized(F, C):
     return tuple(tuple(F.add(C[i][j], C[j][i]) for j in range(d)) for i in range(d))
 
 
-def _quadratic_sign(F, C):
-    """PLUS or MINUS for a nondegenerate even-dimensional quadratic form.
+def _quadratic_sign(F, C, B):
+    """PLUS or MINUS for an even-dimensional quadratic form with coefficient
+    matrix C and polar Gram B = C + C^T; ValueError if B is degenerate.
 
-    Odd q: discriminant test on the polarized Gram ((-1)^k det B a square iff
-    hyperbolic; the factor 2^d between B and the halved Gram is a square).
+    Odd q: discriminant test on B ((-1)^k det B a square iff hyperbolic;
+    the factor 2^d between B and the halved Gram is a square).
     Even q: the Arf invariant.  Split off hyperbolic pairs (e, f) of the
     polar form B, B(e, f) = 1, one at a time, projecting the other vectors
     onto the perp of the pair; the form is hyperbolic iff
@@ -235,9 +236,10 @@ def _quadratic_sign(F, C):
     """
     d = len(C)
     k = d // 2
-    B = _polarized(F, C)
     if F.p != 2:
         disc = la.det(F, B)
+        if disc == 0:
+            raise ValueError("degenerate quadratic form (polarized radical nonzero)")
         m1 = F.neg(1)
         ref = disc
         for _ in range(k):
@@ -334,7 +336,8 @@ def quadratic_form(field, upper):
     if d % 2:
         kind = FormKind.PARABOLIC
     else:
-        kind = _quadratic_sign(field, tuple(tuple(r) for r in upper))
+        upper = tuple(tuple(r) for r in upper)
+        kind = _quadratic_sign(field, upper, _polarized(field, upper))
     return Form(kind, field, upper)
 
 
@@ -418,7 +421,8 @@ def classify_restriction(form, S):
     if not any(map(any, M)):
         return RestrictionReport(None, k, k, k, True)
     if form.kind.is_quadratic:
-        rad = la.nullspace(F, _polarized(F, M), ncols=k)
+        B = _polarized(F, M)
+        rad = la.nullspace(F, B, ncols=k)
         rad_dim = len(rad)
         if F.p == 2 and rad_dim:
             # singular radical: kernel of the semilinear functional Q on rad(B)
@@ -429,7 +433,7 @@ def classify_restriction(form, S):
             return RestrictionReport(None, k, None, rad_dim, False)
         if k % 2:
             return RestrictionReport(FormKind.PARABOLIC, k, k // 2, 0, False)
-        sign = _quadratic_sign(F, M)
+        sign = _quadratic_sign(F, M, B)
         witt = k // 2 if sign is FormKind.PLUS else k // 2 - 1
         return RestrictionReport(sign, k, witt, 0, False)
     rad_dim = k - len(la.rref(F, M)[0])

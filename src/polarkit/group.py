@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -24,38 +25,44 @@ VECTOR_CAP = 2_000_000
 
 
 class Semisimilarity:
-    """An invertible semilinear map recorded as (matrix, sigma_power).
+    """An invertible semilinear map recorded as (matrix, sigma_power), made
+    together with its inverse, each knowing the other.
 
     The multiplier is not stored by callers; it is recovered from a nonzero
     form value during validation, which leaves fewer ways to supply
     inconsistent data.
     """
 
-    __slots__ = ("field", "matrix", "sigma_power", "_inv_matrix", "_inverse")
+    __slots__ = ("field", "matrix", "sigma_power", "_inverse")
 
     def __init__(self, field, matrix, sigma_power=0):
         matrix = _element_codes(field, matrix)
         d = len(matrix)
         if any(len(r) != d for r in matrix):
             raise ValueError("matrix must be square")
-        self.field = field
-        self.matrix = matrix
-        self.sigma_power = _integer("sigma_power", sigma_power) % field.f
-        self._inv_matrix = la.mat_inv(field, matrix)  # raises if singular
-        self._inverse = None
+        s = _integer("sigma_power", sigma_power) % field.f
+        inv = la.mat_inv(field, matrix)   # raises if singular
+        self._link(field, matrix, field.frobenius_np(inv, -s).tolist(), s)
+
+    def _link(self, F, M, Minv, s):
+        """Make self the map (M, s) and a new map (Minv, -s) its inverse,
+        each linked to the other; the caller has proved that they invert.
+        The one constructor: __init__ runs it on checked input, _pairs on
+        matrices whose inverses are known.  M and Minv are rows of codes."""
+        inv = object.__new__(Semisimilarity)
+        for g, A, k in ((self, M, s), (inv, Minv, -s)):
+            g.field = F
+            g.matrix = tuple(map(tuple, A))
+            g.sigma_power = k % F.f
+        self._inverse, inv._inverse = inv, self
+        return self
 
     @classmethod
-    def _trusted(cls, field, matrix, sigma_power):
-        """Skip the invertibility check where it follows from the operands:
-        products, Frobenius twists and inverses of invertible matrices, and
-        the pairs whose inverses _with_inverses is given."""
-        g = object.__new__(cls)
-        g.field = field
-        g.matrix = matrix
-        g.sigma_power = sigma_power % field.f
-        g._inv_matrix = None
-        g._inverse = None
-        return g
+    def _pairs(cls, F, M, Minv, s=0):
+        """Maps (M[k], s) for the code stack M (n, d, d), each linked to
+        (Minv[k], -s) as its inverse: the caller has proved the inverses."""
+        return [object.__new__(cls)._link(F, m.tolist(), minv.tolist(), s)
+                for m, minv in zip(M, Minv)]
 
     @property
     def dim(self):
@@ -68,25 +75,21 @@ class Semisimilarity:
         return la.vec_mat(F, v, self.matrix)
 
     def __mul__(self, other):
+        """gh and its inverse h^-1 g^-1 from one stacked product: with
+        h^-1 = (B', t') and g^-1 = (A', s'), gh = (A^t B, s + t) and
+        h^-1 g^-1 = (B'^s' A', t' + s')."""
         F = self.field
         if F is not other.field:
             raise ValueError("mismatched fields")
-        A = F.frobenius_np(self.matrix, other.sigma_power)
-        P = la.mat_mul_np(F, A, np.array(other.matrix, dtype=np.int64))
-        return Semisimilarity._trusted(F, tuple(map(tuple, P.tolist())),
-                                       self.sigma_power + other.sigma_power)
+        gi, hi = self._inverse, other._inverse
+        P = la.mat_mul_np(F, np.stack((F.frobenius_np(self.matrix, other.sigma_power),
+                                       F.frobenius_np(hi.matrix, gi.sigma_power))),
+                          np.array((other.matrix, gi.matrix), dtype=np.int64))
+        return Semisimilarity._pairs(F, P[:1], P[1:],
+                                     self.sigma_power + other.sigma_power)[0]
 
     def inverse(self):
-        """The inverse map, computed once: it reuses the matrix inverse that
-        the invertibility check produced, and knows self as its inverse."""
-        if self._inverse is None:
-            F = self.field
-            k = (-self.sigma_power) % F.f
-            Ainv = self._inv_matrix or la.mat_inv(F, self.matrix)
-            if k:
-                Ainv = tuple(map(tuple, F.frobenius_np(Ainv, k).tolist()))
-            self._inverse = Semisimilarity._trusted(F, Ainv, k)
-            self._inverse._inverse = self
+        """The inverse map, made with self."""
         return self._inverse
 
     def serialize(self):
@@ -280,7 +283,7 @@ class OrbitPartition:
     def orbit_sizes(self):
         return tuple(sorted(np.bincount(self.labels)[list(self.orbit_labels)].tolist()))
 
-    @property
+    @cached_property
     def orbit_labels(self):
         # the points that are their own label (np.unique imports numpy.ma)
         return tuple(np.flatnonzero(self.labels == np.arange(len(self.labels))).tolist())
@@ -493,10 +496,13 @@ def point_image_order(family, d, q):
     polar points: |PSp(d,q)|, |PSU(d,q0)| (q = q0^2) or |POmega^e(d,q)|, the
     order of the group divided by the scalars it contains.  The scalars are
     the kernel of the action once the singular points contain a frame, as
-    they do for d >= 3 and for the lines of Sp and SU.  Sp(2m, q) and
-    Omega(2m+1, q) have the same order."""
+    they do for d >= 3 and for the lines of Sp and SU.  Omega+(2, q) is
+    diagonal and fixes both points of Q+(1, q): its image is trivial.
+    Sp(2m, q) and Omega(2m+1, q) have the same order."""
     prod = math.prod
     m = d // 2
+    if (family, d) == ("OmegaPlus", 2):
+        return 1
     if family in ("Sp", "Omega"):
         order = q ** (m * m) * prod(q ** (2 * i) - 1 for i in range(1, m + 1))
         return order // math.gcd(2, q - 1)
@@ -517,8 +523,8 @@ _DRAWS = 64   # pairs of words drawn before a source is refused
 
 def _certified_pair(space, source, order):
     """The first of the pairs of random words in source (_random_words,
-    seeded, taken two at a time) that _certify accepts, as a GeneratorSet
-    with the source's label.
+    seeded, taken two at a time) whose _certify product reaches `order`, as
+    a GeneratorSet with the source's label.
 
     The words are products of the source's elements, so they lie in the
     group it generates, and _certify's checks and order argument apply to
@@ -532,8 +538,9 @@ def _certified_pair(space, source, order):
     words = _random_words(source, random.Random(0))
     for _ in range(_DRAWS):
         M, Minv = np.stack((next(words), next(words)), axis=1)
-        pair = GeneratorSet(F, _with_inverses(F, M, Minv), label=source.label)
-        if _orbit_product(space, pair, order) == order:
+        pair = GeneratorSet(F, Semisimilarity._pairs(F, M, Minv),
+                            label=source.label)
+        if _certify(space, pair, order) == order:
             return pair
     raise AssertionError(
         f"{source.label} failed its self-check: none of the first {_DRAWS} "
@@ -567,29 +574,10 @@ def _random_words(gs, rng):
 
 
 def _certify(space, gs, order):
-    """Certify that gs generates a group whose image on the space's points
-    has the given order; return that order.
-
-    _orbit_product does the work; a product still short of `order` after
-    _STALL consecutive random elements sift to the identity raises
-    AssertionError here, with the factor missing.  For d >= 3 the whole
-    group is transitive on the points, so a certified set is too and needs
-    no orbit check of its own.
-    """
-    found = _orbit_product(space, gs, order)
-    if found < order:
-        raise AssertionError(
-            f"{gs.label} failed its self-check: the generated group has "
-            f"order at least {found} on points, short of {order} by a "
-            f"factor {order / found:.4g} after {_STALL} trivial sifts")
-    return found
-
-
-def _orbit_product(space, gs, order):
     """The product of the basic orbit lengths of a stabiliser chain for the
     group gs generates on the space's points: `order` once the chain
     reaches it, or the shortfall left after _STALL consecutive random
-    elements sift to the identity.
+    elements sift to the identity.  It raises only on a defect.
 
     Each of gs.generators must be an isometry (multiplier 1, sigma power 0)
     of determinant 1, so the generated group lies in the special isometry
@@ -606,7 +594,9 @@ def _orbit_product(space, gs, order):
     has that order.  A product above `order`, or a level whose basic orbit
     stays of length 1 after a residue that moves its base is added, is a
     defect and raises AssertionError.  Random elements come from product
-    replacement with a fixed seed: the run is deterministic.
+    replacement with a fixed seed: the run is deterministic.  For d >= 3
+    the whole group is transitive on the points, so a certified set is too
+    and needs no orbit check of its own.
     """
     F = space.field
     gens = gs.generators
@@ -747,23 +737,7 @@ def _identity_plus(F, C, R):
     I = np.eye(C.shape[1], dtype=np.int64)
     M, Minv = (la.sum_np(F, np.stack(np.broadcast_arrays(
         I, la.mat_mul_np(F, C, Y)))) for Y in (R, S))
-    return _with_inverses(F, M, Minv)
-
-
-def _with_inverses(F, M, Minv):
-    """Semisimilarities with the matrices of the code array M (n, d, d),
-    each knowing the one with the matrix in Minv as its inverse and known
-    by it: the caller has proved the inverses.  Only the entries are
-    checked here, as codes in range(q)."""
-    if min(M.min(), Minv.min()) < 0 or max(M.max(), Minv.max()) >= F.q:
-        raise ValueError(f"matrix entries out of range for q={F.q}")
-    out = []
-    for m, minv in zip(M, Minv):
-        g = Semisimilarity._trusted(F, tuple(map(tuple, m.tolist())), 0)
-        g._inverse = Semisimilarity._trusted(F, tuple(map(tuple, minv.tolist())), 0)
-        g._inverse._inverse = g
-        out.append(g)
-    return out
+    return Semisimilarity._pairs(F, M, Minv)
 
 
 def _symplectic_transvections(form):
@@ -830,7 +804,7 @@ def _su32_fourier(F):
     M, Minv = np.stack((D, DC), axis=1)
     if not (la.mat_mul_np(F, M, Minv) == np.eye(3, dtype=np.int64)).all():
         raise AssertionError("the Fourier matrices are not inverted")
-    return _with_inverses(F, M, Minv)
+    return Semisimilarity._pairs(F, M, Minv)
 
 
 def _eichler_generators(form):

@@ -10,6 +10,7 @@ parameter table at construction time.
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import itertools
 import math
 import operator
@@ -85,7 +86,8 @@ def space_name(kind, d, q):
 
 
 class PolarSpace:
-    """Immutable: form, rank, ovoid number, and the full canonical point list."""
+    """Immutable: form, rank, ovoid number, and the full canonical point
+    list as one int64 array, points_np."""
 
     def __init__(self, form, points_np, ts_basis, _token=None):
         if _token is not _BUILD:
@@ -99,36 +101,20 @@ class PolarSpace:
         self.rank = len(ts_basis)
         self.ts_basis = ts_basis
         self.ovoid_number = theta(self.kind, self.d, self.q, self.rank)
-        self._points = None
-        self._index = None
-        self._codes = None
-        self._buckets = None
 
     # -- dense lookups -----------------------------------------------------
 
-    @property
-    def points(self):
-        """The points as coordinate tuples, built on first use: the array
-        kernels and index read points_np."""
-        if self._points is None:
-            self._points = tuple(map(tuple, self.points_np.tolist()))
-        return self._points
-
-    @property
+    @cached_property
     def index(self):
         """Point tuple -> point index, a read-only mapping over codes
         (_PointIndex), made on first use."""
-        if self._index is None:
-            self._index = _PointIndex(self.points_np, self.codes, self.q)
-        return self._index
+        return _PointIndex(self.points_np, self.codes, self.q)
 
-    @property
+    @cached_property
     def codes(self):
         """The points' base-q codes, increasing (points are canonical and in
         code order)."""
-        if self._codes is None:
-            self._codes = self.points_np @ _powers(self.q, self.d)
-        return self._codes
+        return self.points_np @ _powers(self.q, self.d)
 
     def locate(self, rows):
         """The indices of the points spanned by nonzero rows of element codes
@@ -157,7 +143,7 @@ class PolarSpace:
             out[r:r + la._SCAN_ROWS] = j
         return out
 
-    @property
+    @cached_property
     def _bucket_index(self):
         """(lo, shift, starts, steps), built on first use: the codes from lo
         on fall into buckets of 2^shift consecutive codes, the narrowest
@@ -166,20 +152,18 @@ class PolarSpace:
         starts[b + 1] - 1, int32 offsets into codes.  steps are the
         descending powers of two, as int32, whose sum reaches from the
         first point of the fullest bucket to its last."""
-        if self._buckets is None:
-            codes = self.codes
-            lo = int(codes[0])
-            span = int(codes[-1]) - lo + 1
-            shift = ((span - 1) // max(1, self.num_points // 4)).bit_length()
-            b = codes - lo
-            b >>= shift
-            counts = np.bincount(b)
-            starts = np.zeros(len(counts) + 1, dtype=np.int32)
-            np.cumsum(counts, out=starts[1:])
-            width = int(counts.max() - 1).bit_length()
-            self._buckets = (lo, shift, starts,
-                             [np.int32(1 << t) for t in range(width - 1, -1, -1)])
-        return self._buckets
+        codes = self.codes
+        lo = int(codes[0])
+        span = int(codes[-1]) - lo + 1
+        shift = ((span - 1) // max(1, self.num_points // 4)).bit_length()
+        b = codes - lo
+        b >>= shift
+        counts = np.bincount(b)
+        starts = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=starts[1:])
+        width = int(counts.max() - 1).bit_length()
+        return (lo, shift, starts,
+                [np.int32(1 << t) for t in range(width - 1, -1, -1)])
 
     def theta_j(self, j):
         return theta(self.kind, self.d, self.q, j)
@@ -194,13 +178,6 @@ class PolarSpace:
 
     def descriptor(self):
         return {"kind": self.kind.value, "d": self.d, "q": self.q}
-
-    # -- geometry ----------------------------------------------------------
-
-    def collinear(self, i, j):
-        """Perpendicularity of points i and j (true on the diagonal), from
-        their two rows of points_np."""
-        return self.form.evaluate_pair(*self.points_np[[i, j]].tolist()) == 0
 
     def __repr__(self):
         return (f"PolarSpace({self.name}, rank={self.rank}, "

@@ -68,10 +68,23 @@ def frobenius(F, A, k):
     return tuple(tuple(F.pow(x, F.p ** (k % F.f)) for x in row) for row in A)
 
 
+def points(space):
+    """The space's points as coordinate tuples in index order, read from
+    points_np: the point list the scalar oracles walk."""
+    return tuple(map(tuple, space.points_np.tolist()))
+
+
+def collinear(space, i, j):
+    """Whether points i and j are perpendicular (true on the diagonal):
+    Form.evaluate_pair on their coordinate tuples."""
+    u, v = space.points_np[[i, j]].tolist()
+    return space.form.evaluate_pair(u, v) == 0
+
+
 def point_index(space):
     """Point tuple -> point index, a dict over the tuple point list: the
     oracle for lookups, independent of space.index and space.locate."""
-    return {v: i for i, v in enumerate(space.points)}
+    return {v: i for i, v in enumerate(points(space))}
 
 
 def canonical(F, v):

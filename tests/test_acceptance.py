@@ -15,6 +15,7 @@ import pytest
 
 from polarkit import (constructions, fieldred, forms, gf, group, intriguing,
                       manifest, polar)
+from strategies import points
 
 CORPUS = [
     ("W", 3, 3), ("W", 5, 2), ("Q", 4, 3), ("Q", 6, 3), ("Q+", 5, 2),
@@ -35,7 +36,7 @@ def test_point_counts_match_formulas(kind, pdim, q):
     sp = _space(kind, pdim, q)
     r, theta = sp.rank, sp.ovoid_number
     assert sp.num_points == (q ** r - 1) // (q - 1) * theta
-    assert len(set(sp.points)) == sp.num_points
+    assert len(set(points(sp))) == sp.num_points
 
 
 # -- the full point set is trivially intriguing --------------------------
@@ -94,7 +95,7 @@ def test_dlength_partition_parameters(kind, q, t, rows):
 def test_q43_monomial_splits():
     out = constructions.q43_monomial_splits()
     sp = out["space"]
-    for v in sp.points:                       # D-length 3 everywhere
+    for v in points(sp):                       # D-length 3 everywhere
         assert sum(1 for x in v if x) == 3
     assert out["ovoid_split"].orbit_sizes == (20, 20)
     for M in out["ovoid_split"].orbit_sets():

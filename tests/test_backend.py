@@ -21,7 +21,8 @@ import pytest
 
 from polarkit import _linalg as la
 from polarkit import fieldred, forms, gf, group, intriguing, polar
-from strategies import canonical, flatten, frobenius, mat_mul, point_index, span
+from strategies import (canonical, flatten, frobenius, mat_mul, point_index,
+                        points, span)
 
 ORDERS = [2, 3, 4, 8, 9, 16, 25]
 
@@ -55,14 +56,14 @@ def greedy_ts_oracle(form, points):
 
 def raw_counts_oracle(space, members):
     """|P^perp ∩ members| for each point P, one form value at a time."""
-    form = space.form
-    mvecs = [space.points[i] for i in members]
+    form, pts = space.form, points(space)
+    mvecs = [pts[i] for i in members]
     return [sum(1 for w in mvecs if form.evaluate_pair(pt, w) == 0)
-            for pt in space.points]
+            for pt in pts]
 
 
 def perp_residual_oracle(space, W):
-    return tuple(i for i, pt in enumerate(space.points)
+    return tuple(i for i, pt in enumerate(points(space))
                  if all(space.form.evaluate_pair(pt, s) == 0 for s in W.rows))
 
 
@@ -87,7 +88,7 @@ def count_singular_oracle(F, C):
 
 def point_images_oracle(space, g):
     F, index = space.field, point_index(space)
-    return [index[canonical(F, g.apply(v))] for v in space.points]
+    return [index[canonical(F, g.apply(v))] for v in points(space)]
 
 
 def small_points_oracle(fr, large_members):
@@ -98,7 +99,7 @@ def small_points_oracle(fr, large_members):
     index = point_index(fr.small_space)
     members = set()
     for i in large_members:
-        w = fr.large_space.points[i]
+        w = points(fr.large_space)[i]
         for eta in L.units():
             vw = tuple(L.mul(eta, x) for x in w)
             members.add(index[canonical(fr.small_field, flatten(emb, vw))])
@@ -164,9 +165,9 @@ def _draw_space(data, spaces=SPACES):
 @given(st.data())
 def test_scan_and_greedy_rank_match_the_scalar_paths(data):
     space, _ = _draw_space(data)
-    assert space.points == scan_oracle(space.form)
-    assert space.ts_basis == greedy_ts_oracle(space.form, space.points)
-    assert space.points_np.tolist() == [list(v) for v in space.points]
+    pts = points(space)
+    assert pts == scan_oracle(space.form)
+    assert space.ts_basis == greedy_ts_oracle(space.form, pts)
 
 
 @settings(max_examples=60)
@@ -177,7 +178,8 @@ def test_perp_counts_and_residuals_match_the_scalar_paths(data):
     members = sorted(set(data.draw(st.lists(st.integers(0, n - 1), max_size=12))))
     got = intriguing._raw_counts(space, members)
     assert got.tolist() == raw_counts_oracle(space, members)
-    rows = [space.points[i] for i in members[:2]] or [space.points[0]]
+    pts = points(space)
+    rows = [pts[i] for i in members[:2]] or [pts[0]]
     W = forms.Subspace.span(space.field, rows)
     assert (polar.perp_residual(space, W).members.tolist()
             == list(perp_residual_oracle(space, W)))
@@ -206,13 +208,13 @@ def test_quadratic_sign_matches_the_singular_count(data):
     F = gf.field_of_order(q)
     C = tuple(tuple(data.draw(st.integers(0, q - 1)) if j >= i else 0
                     for j in range(d)) for i in range(d))
-    assume(la.det(F, [[F.add(C[i][j], C[j][i]) for j in range(d)]
-                      for i in range(d)]) != 0)
+    B = tuple(tuple(F.add(C[i][j], C[j][i]) for j in range(d)) for i in range(d))
+    assume(la.det(F, B) != 0)
     k = d // 2
     plus = (q ** (k - 1) + 1) * (q ** k - 1)
     want = (forms.FormKind.PLUS if count_singular_oracle(F, C) == plus
             else forms.FormKind.MINUS)
-    assert forms._quadratic_sign(F, C) is want
+    assert forms._quadratic_sign(F, C, B) is want
 
 
 # every nondegenerate kind for d = 1..6 whose oracle scan stays small

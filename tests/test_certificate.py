@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 
 from polarkit import _linalg as la
 from polarkit import forms, gf, group, polar
-from strategies import identity, mat_mul
+from strategies import identity, mat_mul, points
 
 _KIND = {"Sp": "W", "SU": "H", "Omega": "Q", "OmegaPlus": "Q+",
          "OmegaMinus": "Q-"}
@@ -27,12 +27,12 @@ def _space(family, d, q):
 def _permutations(space, gens):
     """Each generator's action on the point indices, point by point through
     Semisimilarity.apply and a dictionary of the points."""
-    F = space.field
-    index = {v: i for i, v in enumerate(space.points)}
+    F, pts = space.field, points(space)
+    index = {v: i for i, v in enumerate(pts)}
     perms = []
     for g in gens:
         img = []
-        for v in space.points:
+        for v in pts:
             w = g.apply(v)
             lead = F.inv(next(x for x in w if x))
             img.append(index[tuple(F.mul(lead, x) for x in w)])
@@ -131,14 +131,26 @@ def test_the_certified_pair_is_pinned(family, d, q):
 
 def _counting_draws(monkeypatch):
     draws = []
-    product = group._orbit_product
+    certify = group._certify
 
     def counting(space, gs, order):
         draws.append(gs)
-        return product(space, gs, order)
+        return certify(space, gs, order)
 
-    monkeypatch.setattr(group, "_orbit_product", counting)
+    monkeypatch.setattr(group, "_certify", counting)
     return draws
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_omega_plus_2_certifies_its_trivial_image_in_one_draw(monkeypatch, q):
+    """Omega+(2,q) is diagonal and fixes both points of Q+(1,q), so the
+    order of its image on points is 1, and the first pair certifies."""
+    assert group.point_image_order("OmegaPlus", 2, q) == 1
+    draws = _counting_draws(monkeypatch)
+    space = _space("OmegaPlus", 2, q)
+    gs = group.classical_generators("OmegaPlus", 2, space.field)
+    assert len(draws) == 1 and space.num_points == 2
+    assert _closure_order(_permutations(space, gs)) == 1
 
 
 def test_a_source_that_falls_short_is_refused_at_the_draw_cap(monkeypatch):
@@ -188,18 +200,15 @@ def test_a_defect_in_a_draw_raises_at_once(monkeypatch):
 def test_su32_transvections_alone_fall_short():
     """The transvections of SU(3,2) are transitive on the 9 points of
     H(2,4) and generate a group of order 18 there, a quarter of PSU(3,2);
-    the certificate refuses them once _STALL random elements in a row sift
-    to the identity."""
+    the certificate returns that product once _STALL random elements in a
+    row sift to the identity."""
     space = _space("SU", 3, 4)
     tv = group.GeneratorSet(space.field,
                             group._unitary_transvections(space.form),
                             label="SU(3,2) transvections")
     assert group.orbits(space, tv).n_orbits == 1
     assert _closure_order(_permutations(space, tv)) == 18
-    with pytest.raises(AssertionError,
-                       match=r"order at least 18 .* short of 72 .* after 32 "
-                             r"trivial sifts"):
-        group._certify(space, tv, 72)
+    assert group._certify(space, tv, 72) == 18
 
 
 def test_stall_bound_is_the_number_of_trivial_sifts(monkeypatch):
@@ -216,19 +225,21 @@ def test_stall_bound_is_the_number_of_trivial_sifts(monkeypatch):
 
     monkeypatch.setattr(group, "_sift", counting)
     monkeypatch.setattr(group, "_STALL", 5)
-    with pytest.raises(AssertionError, match="after 5 trivial sifts"):
-        group._certify(space, tv, 72)
+    assert group._certify(space, tv, 72) == 18
     assert sifts[-5:] == [True] * 5 and not all(sifts[-6:])
 
 
 def test_a_proper_subset_is_refused():
     """The transvections along e_0, ..., e_5 alone generate SL2(3)^3 inside
-    Sp(6,3), which is not even transitive on the points of W(5,3)."""
+    Sp(6,3), which is not even transitive on the points of W(5,3): the
+    certificate's product stays at |SL2(3)^3 / <-I>| = 24^3 / 2, short of
+    |PSp(6,3)|."""
     space = _space("Sp", 6, 3)
     sub = group._symplectic_transvections(space.form)[:6]
     gs = group.GeneratorSet(space.field, sub, label="e_i transvections")
-    with pytest.raises(AssertionError, match="e_i transvections failed"):
-        group._certify(space, gs, group.point_image_order("Sp", 6, 3))
+    order = group.point_image_order("Sp", 6, 3)
+    assert group._certify(space, gs, order) == 24 ** 3 // 2 < order
+    assert group.orbits(space, gs).n_orbits > 1
 
 
 def test_an_order_above_the_target_is_refused():

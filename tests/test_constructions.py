@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from polarkit import constructions, forms, gf, group, intriguing, polar
-from strategies import mat_mul
+from strategies import mat_mul, points
 
 
 # -- adjoint module of SL3 --------------------------------------------------
@@ -158,7 +158,7 @@ def test_q43_monomial_splits():
 
 def test_q43_points_all_have_length_three():
     out = constructions.q43_monomial_splits()
-    for v in out["space"].points:
+    for v in points(out["space"]):
         assert sum(1 for x in v if x) == 3
 
 

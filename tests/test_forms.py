@@ -208,6 +208,37 @@ def test_diagonal_form_rejects_char2():
         forms.diagonal_form(gf.field(2), (1, 1))
 
 
+@pytest.mark.parametrize("kind,q", [("Q+", 3), ("Q-", 3), ("Q+", 4), ("Q-", 4)])
+def test_a_degenerate_even_quadratic_form_is_refused(kind, q):
+    """x0 x1 + x2^2 on GF(q)^4: e3 lies in the radical of the polar Gram,
+    for odd and even q alike, and either declared sign is refused with the
+    same message, by the discriminant for odd q and by the Arf split for
+    even q."""
+    F = gf.field_of_order(q)
+    C = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+    with pytest.raises(ValueError, match=r"degenerate quadratic form "
+                                         r"\(polarized radical nonzero\)"):
+        forms.Form(kind, F, C)
+    with pytest.raises(ValueError, match="polarized radical nonzero"):
+        forms.quadratic_form(F, C)
+
+
+@pytest.mark.parametrize("kind,q,dets", [("Q+", 3, 1), ("Q-", 5, 1), ("Q+", 4, 0),
+                                         ("Q", 3, 1)])
+def test_a_quadratic_form_takes_one_determinant(monkeypatch, kind, q, dets):
+    """Validating a standard quadratic form computes the polar Gram's
+    determinant once for odd q, for the sign test of an even dimension
+    or the degeneracy test of an odd one, and not at all for even q, where
+    the Arf split finds a degenerate Gram."""
+    F = gf.field_of_order(q)
+    data = forms.standard_form(kind, 5 if kind == "Q" else 4, F).data
+    calls = []
+    det = forms.la.det
+    monkeypatch.setattr(forms.la, "det", lambda *a: calls.append(a) or det(*a))
+    forms.Form(kind, F, data)
+    assert len(calls) == dets
+
+
 def test_quadratic_form_agrees_with_diagonal():
     F = gf.field(7)
     C = [[3, 0, 0], [0, 1, 0], [0, 0, 6]]

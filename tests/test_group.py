@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from polarkit import _linalg as la
 from polarkit import forms, gf, group, intriguing, polar
 from strategies import (fields, frobenius, identity, invertible_matrices,
-                        mat_mul)
+                        mat_mul, points)
 
 
 def _identity(F, d):
@@ -165,7 +165,7 @@ def test_point_images_raise_when_only_the_last_block_leaves(monkeypatch, q43,
     shear = group.Semisimilarity(F, [[1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                                      [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
     n = q43.num_points
-    off = [i for i, v in enumerate(q43.points) if q43.form.evaluate(shear.apply(v))]
+    off = [i for i, v in enumerate(points(q43)) if q43.form.evaluate(shear.apply(v))]
     assert off == list(range(22, n))
     gens = [shear]
     if bad == "slice":
@@ -210,9 +210,13 @@ def test_each_generator_matrix_is_inverted_once(monkeypatch, f3):
     closing the set under inverses (11 more elements) makes nothing; and
     g g^-1 = g^-1 g = I by the scalar oracle."""
     made = []
-    trusted = group.Semisimilarity.__dict__["_trusted"].__func__
-    monkeypatch.setattr(group.Semisimilarity, "_trusted", classmethod(
-        lambda cls, F, m, s: made.append(m) or trusted(cls, F, m, s)))
+    link = group.Semisimilarity._link
+
+    def counting(self, F, M, Minv, s):
+        made.extend((M, Minv))
+        return link(self, F, M, Minv, s)
+
+    monkeypatch.setattr(group.Semisimilarity, "_link", counting)
     monkeypatch.setattr(la, "mat_inv", _refuse)
     seen = {}
     gs_init = group.GeneratorSet.__init__
@@ -236,6 +240,47 @@ def test_each_generator_matrix_is_inverted_once(monkeypatch, f3):
 
 def _refuse(*args):
     raise AssertionError("la.mat_inv called")
+
+
+def _check_product(F, g, h, gh):
+    """gh is g times h by the scalar oracle, (A, s)(B, t) = (A^t B, s + t),
+    and it came with its inverse: gh (gh)^-1 and (gh)^-1 gh are I."""
+    assert gh.sigma_power == (g.sigma_power + h.sigma_power) % F.f
+    assert gh.matrix == mat_mul(F, frobenius(F, g.matrix, h.sigma_power), h.matrix)
+    ghi = gh.inverse()
+    assert ghi.inverse() is gh and (gh.sigma_power + ghi.sigma_power) % F.f == 0
+    for a, b in ((gh, ghi), (ghi, gh)):
+        assert mat_mul(F, frobenius(F, a.matrix, b.sigma_power), b.matrix) \
+            == identity(gh.dim)
+
+
+@pytest.mark.parametrize("self_check", [False, True])
+@pytest.mark.parametrize("family,d,q", [
+    ("Sp", 4, 4), ("SU", 3, 4), ("SU", 4, 9), ("Omega", 5, 3),
+    ("OmegaPlus", 6, 4), ("OmegaMinus", 6, 8)])
+def test_products_inverses_and_conjugates_invert_no_matrix(
+        monkeypatch, family, d, q, self_check):
+    """Every product knows its inverse from the stacked product that made
+    it, so with la.mat_inv refused the classical generators on both paths
+    multiply, invert, close under inverses and conjugate (gi * h * g, the
+    benchmark's conjugation), a Frobenius twist made beforehand included;
+    every product matches the scalar oracle and is inverted."""
+    F = gf.field_of_order(q)
+    twist = group.Semisimilarity(F, identity(d), 1)
+    monkeypatch.setattr(la, "mat_inv", _refuse)
+    gs = group.classical_generators(family, d, F, self_check=self_check)
+    first, last = gs.elements[0], gs.elements[-1]
+    g = first * twist * last
+    _check_product(F, first * twist, last, g)
+    gi = g.inverse()
+    for h in gs:
+        _check_product(F, first, h, first * h)
+        _check_product(F, gi * h, g, gi * h * g)
+    words = [first * last, last * twist, g * g]
+    closed = group.GeneratorSet(F, words)
+    assert all(x.inverse() in closed.elements for x in closed)
+    conj = group.GeneratorSet(F, [gi * h * g for h in gs], label=gs.label)
+    assert len(conj) == len(gs)
 
 
 @pytest.mark.parametrize("family,d,q", [
@@ -405,8 +450,8 @@ def _canon(F, v):
 
 def _bfs_labels(space, gens):
     """Breadth-first orbit labels, point by point: the reference for orbits()."""
-    F = space.field
-    index = {v: i for i, v in enumerate(space.points)}
+    F, pts = space.field, points(space)
+    index = {v: i for i, v in enumerate(pts)}
     labels = [-1] * space.num_points
     for seed in range(space.num_points):
         if labels[seed] != -1:
@@ -417,7 +462,7 @@ def _bfs_labels(space, gens):
             nxt = []
             for i in frontier:
                 for g in gens:
-                    j = index[_canon(F, g.apply(space.points[i]))]
+                    j = index[_canon(F, g.apply(pts[i]))]
                     if labels[j] == -1:
                         labels[j] = seed
                         nxt.append(j)

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from polarkit import _linalg as la
 from polarkit import constructions, fieldred, forms, gf, group, intriguing, polar
 from polarkit.intriguing import FeasibilityQuery, classify, feasibility, zsigmondy
-from strategies import point_index, span
+from strategies import collinear, point_index, points, span
 
 
 def _lines(space):
@@ -20,15 +20,15 @@ def _lines(space):
     index frozensets (spans of collinear point pairs)."""
     assert space.rank == 2
     F = space.form.field
-    index = point_index(space)
+    index, vecs = point_index(space), points(space)
     out = set()
     n = space.num_points
     for i in range(n):
         for j in range(i + 1, n):
-            if not space.collinear(i, j):
+            if not collinear(space, i, j):
                 continue
             pts = []
-            for v in span(F, [space.points[i], space.points[j]], space.d):
+            for v in span(F, [vecs[i], vecs[j]], space.d):
                 if any(v) and next(x for x in v if x) == 1:
                     pts.append(index[v])
             out.add(frozenset(pts))
@@ -103,8 +103,9 @@ def test_collinear_constant_matches_every_point(kind, pdim, q):
     sp = polar.build(forms.standard_form(kind, pdim + 1, gf.field_of_order(q)))
     const = intriguing._collinear_constant(sp)
     assert type(const) is int
-    for x in sp.points:
-        assert sum(sp.form.evaluate_pair(x, y) == 0 for y in sp.points) == const
+    pts = points(sp)
+    for x in pts:
+        assert sum(sp.form.evaluate_pair(x, y) == 0 for y in pts) == const
 
 
 @given(st.data())
@@ -130,7 +131,7 @@ def test_raw_counts_in_small_blocks_match_collinearity(monkeypatch, kind, dim, q
     monkeypatch.setattr(intriguing, "_ROW_BLOCK", 7)
     monkeypatch.setattr(la, "_SCAN_CELLS", 25)
     members = list(range(0, sp.num_points, 3))
-    want = [sum(sp.collinear(i, j) for j in members) for i in range(sp.num_points)]
+    want = [sum(collinear(sp, i, j) for j in members) for i in range(sp.num_points)]
     assert intriguing._raw_counts(sp, members).tolist() == want
 
 
@@ -168,10 +169,11 @@ def test_span_reduced_counts_match_the_direct_kernel(monkeypatch, kind, dim, q):
     sp = polar.build(forms.standard_form(kind, dim, gf.field_of_order(q)))
     n, f = sp.num_points, sp.field.f
     rng = np.random.default_rng(dim * 1000 + q)
+    pts = points(sp)
     sets = []
     for k in (1, 2, 3) * 2:
         picks = rng.choice(n, size=k, replace=False)
-        members = _points_in_span(sp, [sp.points[i] for i in picks])
+        members = _points_in_span(sp, [pts[i] for i in picks])
         half = rng.choice(members, size=max(1, len(members) // 2), replace=False)
         sets += [members, sorted(half.tolist())]
     rows = np.sort(rng.choice(n, size=n // 2, replace=False))
@@ -229,7 +231,7 @@ def _drawn_sets(space, rng):
     n = space.num_points
     gen = list(polar.maximal_ts_points(space).members)
     x = int(rng.integers(n))
-    perp = [j for j in range(n) if space.collinear(x, j)]
+    perp = [j for j in range(n) if collinear(space, x, j)]
     others = sorted(set(range(n)) - set(gen))
     return [gen, others, perp, sorted(set(range(n)) - set(perp)),
             list(range(n)),
@@ -361,8 +363,9 @@ def test_perp_residual_over_several_blocks_matches_the_kernel():
     kernel finds collinear with the subspace's points."""
     sp = polar.build(forms.standard_form("Q+", 10, gf.field(3)))
     assert sp.num_points > 2 * la._SCAN_ROWS
+    pts = points(sp)
     for picks in ([0], [0, sp.num_points - 1], [5, 6000]):
-        W = forms.Subspace.span(sp.field, [sp.points[i] for i in picks])
+        W = forms.Subspace.span(sp.field, [pts[i] for i in picks])
         counts = intriguing._raw_counts(sp, picks)
         want = np.flatnonzero(counts == len(picks))
         assert polar.perp_residual(sp, W).members.tolist() == want.tolist()
@@ -387,7 +390,7 @@ intriguing.classify(sp, polar.maximal_ts_points(sp).complement())
 polar.PointSet(sp, [5, 3, 3, 1, 5])
 polar.PointSet(sp, list(range(100, 0, -1)) * 2)
 constructions.q43_monomial_splits()["tight_split"].orbit_sets()
-polar.perp_residual(sp, forms.Subspace.span(sp.field, [sp.points[0]]))
+polar.perp_residual(sp, forms.Subspace.span(sp.field, sp.points_np[:1].tolist()))
 print("numpy.ma" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -9,7 +9,7 @@ import pytest
 from polarkit import _linalg as la
 from polarkit import constructions as cx
 from polarkit import fieldred, forms, gf, group, manifest, polar
-from strategies import canonical, point_index, span
+from strategies import canonical, collinear, point_index, points, span
 
 # (kind, projective dim, q) -> (points, rank, ovoid number).  Point counts
 # follow (q^r - 1)/(q - 1) * theta_r; this table is the frozen cross-check.
@@ -62,7 +62,7 @@ def test_theta_hermitian_half_exponents():
 def test_point_order_is_deterministic():
     a = _space("Q-", 5, 3)
     b = _space("Q-", 5, 3)
-    assert a.points == b.points
+    assert points(a) == points(b)
     assert a.ts_basis == b.ts_basis
 
 
@@ -85,7 +85,7 @@ def _oracle_points(form):
 ])
 def test_points_match_full_space_oracle(kind, pdim, q):
     sp = _space(kind, pdim, q)
-    assert list(sp.points) == _oracle_points(sp.form)
+    assert list(points(sp)) == _oracle_points(sp.form)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -153,11 +153,13 @@ def test_scan_cap_is_checked_before_the_scan(monkeypatch):
 
 
 def test_collinearity_matches_form(w33):
-    form = w33.form
+    """Point j lies in the perp_residual of point i exactly when the form
+    vanishes on the pair (on the diagonal too)."""
+    form, pts = w33.form, points(w33)
     for i in range(0, 40, 7):
+        perp = polar.perp_residual(w33, forms.Subspace.span(w33.field, [pts[i]]))
         for j in range(0, 40, 11):
-            expected = form.evaluate_pair(w33.points[i], w33.points[j]) == 0
-            assert w33.collinear(i, j) == expected
+            assert (j in perp) == (form.evaluate_pair(pts[i], pts[j]) == 0)
 
 
 def test_point_set_membership_follows_the_integer_rule(w33):
@@ -172,10 +174,10 @@ def test_point_set_membership_follows_the_integer_rule(w33):
 
 
 def test_point_canonicalization(q43):
-    for v in q43.points:
+    for v in points(q43):
         lead = next(x for x in v if x)
         assert lead == 1
-    assert len(set(q43.points)) == q43.num_points
+    assert len(set(points(q43))) == q43.num_points
 
 
 # -- point sets -------------------------------------------------------------
@@ -246,7 +248,7 @@ def test_point_set_reads_like_a_set(w33):
     assert 4 not in M and 40 not in M and -1 not in M and 0 not in M
     assert M.complement().members.tolist() == [
         i for i in range(40) if i not in (1, 3, 5)]
-    assert M.vectors() == tuple(w33.points[i] for i in (1, 3, 5))
+    assert M.vectors() == tuple(points(w33)[i] for i in (1, 3, 5))
     assert all(type(x) is int for v in M.vectors() for x in v)
     same = polar.PointSet(w33, (1, 3, 5))
     assert M == same and hash(M) == hash(same) and len({M, same}) == 1
@@ -362,7 +364,8 @@ def test_maximal_ts_points(w33, q43):
         gen = polar.maximal_ts_points(sp)
         u = (sp.q ** sp.rank - 1) // (sp.q - 1)
         assert len(gen) == u
-        pts = [sp.points[i] for i in gen.members]
+        every = points(sp)
+        pts = [every[i] for i in gen.members]
         for a in pts:
             for b in pts:
                 assert sp.form.evaluate_pair(a, b) == 0
@@ -381,9 +384,16 @@ def test_maximal_ts_points_match_the_span_oracle(kind, pdim, q):
     F = sp.field
     pts = {canonical(F, v) for v in span(F, sp.ts_basis, sp.d) if any(v)}
     found = sorted(sp.index[v] for v in pts)
-    assert sp._points is None
+    assert _holds_no_point_list(sp)
     assert members.tolist() == found == sorted(point_index(sp)[v] for v in pts)
-    assert sp.num_points == len(sp.points) == len(sp.points_np)
+    assert sp.num_points == len(points(sp)) == len(sp.points_np)
+
+
+def _holds_no_point_list(sp):
+    """No attribute of the space is a tuple, list or dict with an entry per
+    point: points_np is the one point list."""
+    return not any(isinstance(x, (tuple, list, dict)) and len(x) == sp.num_points > 0
+                   for x in vars(sp).values())
 
 
 @pytest.mark.parametrize("kind,pdim,q", [("W", 3, 3), ("Q", 4, 3), ("H", 3, 4),
@@ -425,8 +435,8 @@ def test_index_answers_as_a_dict_over_the_points(kind, pdim, q):
 def test_index_lookups_build_no_point_list():
     """Looking the 121 maximal TS points of Q(10,3) up through index, its
     first use included, allocates under 1 MiB: no tuple point list and no
-    dict over it (about 8 MiB at peak together).  collinear reads two rows
-    of points_np and builds no list either."""
+    dict over it (about 8 MiB at peak together).  The space holds no
+    point list afterwards either."""
     sp = _space("Q", 10, 3)
     F = sp.field
     keys = sorted({canonical(F, v) for v in span(F, sp.ts_basis, sp.d) if any(v)})
@@ -437,10 +447,10 @@ def test_index_lookups_build_no_point_list():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20 and sp._points is None
+    assert peak < 2 ** 20 and _holds_no_point_list(sp)
     assert sorted(found) == polar.maximal_ts_points(sp).members.tolist()
-    assert all(sp.collinear(i, j) for i in found[:5] for j in found)
-    assert sp._points is None
+    assert all(collinear(sp, i, j) for i in found[:5] for j in found)
+    assert _holds_no_point_list(sp)
 
 
 # -- pinned point arrays -----------------------------------------------------
