@@ -11,28 +11,14 @@ can be validated without installing the console entry point:
 import argparse
 import sys
 
-from polarkit import manifest
+from polarkit import cli
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--fast", action="store_true", help="skip slow targets")
     args = ap.parse_args()
-
-    targets = [t for t in manifest.TARGETS
-               if not (args.fast and t.budget == "slow")]
-    width = max(len(t.id) for t in targets)
-    failures = 0
-    for t in targets:
-        rep = manifest.run_target(t)
-        status = "PASS" if rep.match else "FAIL"
-        print(f"{t.id:<{width}}  {status}  ({rep.wall_time:6.1f}s)  {t.description}")
-        if not rep.match:
-            failures += 1
-            print(f"  expected: {rep.expected}")
-            print(f"  computed: {rep.computed}")
-    print(f"{len(targets) - failures}/{len(targets)} targets match")
-    return 1 if failures else 0
+    return cli.main(["verify", "fast" if args.fast else "all"])
 
 
 if __name__ == "__main__":

@@ -234,6 +234,8 @@ def cmd_verify(args):
                     if e != c:
                         print(f"  {key}: expected {e!r}")
                         print(f"  {key}: computed {c!r}")
+    if not args.json:
+        print(f"{sum(r.match for r in reports)}/{len(reports)} targets match")
     return 0 if ok else 1
 
 

@@ -21,78 +21,104 @@ from . import forms, gf, group, polar
 from .forms import FormKind
 
 
-# -- quotient-of-subspace machinery ----------------------------------------
+# -- sections of a module with a form ----------------------------------------
 
 
 class _Quotient:
     """Coordinates on a complement basis modulo a killed subspace.
 
     ``vbasis`` spans the complement, ``killed`` the subspace being factored
-    out; together they must be independent.  project() solves exactly for the
-    coordinates of an ambient vector (raising if it lies outside the span)
-    and drops the killed components; lift() maps coordinates back.
+    out; together they must be independent.  project() solves exactly for
+    the coordinates of a stack of ambient vectors (raising if one lies
+    outside the span) and drops the killed components.
     """
 
     def __init__(self, F, vbasis, killed):
         self.F = F
-        self.vbasis = [tuple(r) for r in vbasis]
-        self.killed = [tuple(r) for r in killed]
-        self.k = len(self.vbasis)
-        self.rows = self.vbasis + self.killed
-        R, piv = la.rref(F, self.rows)
+        self.rows = np.array(list(vbasis) + list(killed), dtype=np.int64)
+        self.k = len(vbasis)
+        R, piv = la.rref(F, self.rows.tolist())
         if len(R) != len(self.rows):
             raise ValueError("quotient basis rows are dependent")
         # the pivot columns of the rref cut out an invertible submatrix of
         # the *original* rows, giving exact coordinates by one inversion
-        self.piv = tuple(piv)
-        sub = [[row[j] for j in self.piv] for row in self.rows]
-        self.subinv = la.mat_inv(F, sub)
+        self.piv = list(piv)
+        self.subinv = np.array(la.mat_inv(F, self.rows[:, self.piv].tolist()))
 
-    def project(self, vec):
-        x = la.vec_mat(self.F, [vec[j] for j in self.piv], self.subinv)
-        if tuple(la.vec_mat(self.F, x, self.rows)) != tuple(vec):
+    @property
+    def vbasis(self):
+        return self.rows[: self.k]
+
+    @property
+    def killed(self):
+        return self.rows[self.k:]
+
+    def project(self, vecs):
+        vecs = np.asarray(vecs, dtype=np.int64)
+        x = la.mat_mul_np(self.F, vecs[:, self.piv], self.subinv)
+        if (la.mat_mul_np(self.F, x, self.rows) != vecs).any():
             raise ValueError("vector does not lie in the subspace")
-        return tuple(x[: self.k])
+        return x[:, : self.k]
 
-    def lift(self, coords):
-        padded = tuple(coords) + (0,) * len(self.killed)
-        return tuple(la.vec_mat(self.F, padded, self.rows))
+
+def _compound2(F, M):
+    """The 2x2 minors of the code matrix M: rows and columns indexed by the
+    pairs i < j in lexicographic order, entry (ij, ab) M_ia M_jb - M_ib M_ja.
+    For a square M it is M's action on the exterior square; for a Gram
+    matrix the Gram of the induced form on wedges; for the rows u, v the
+    coordinates of u^v."""
+    M = np.asarray(M, dtype=np.int64)
+    i, j = np.triu_indices(M.shape[0], 1)
+    a, b = np.triu_indices(M.shape[1], 1)
+    plus = F.mul_np(M[np.ix_(i, a)], M[np.ix_(j, b)])
+    minus = F.mul_np(F.neg(1), F.mul_np(M[np.ix_(i, b)], M[np.ix_(j, a)]))
+    return la.sum_np(F, np.stack((plus, minus)))
+
+
+@dataclass(frozen=True)
+class SectionModel:
+    """A group acting with two orbits on the points of the polar space of a
+    section of a module: the form and maps induced from the ambient module
+    on the complement of quotient.killed."""
+    space: object
+    orbits: object
+    gens: object
+    quotient: object          # _Quotient from ambient coordinates
+
+    @property
+    def form(self):
+        return self.space.form
+
+
+def _section(ambient, quo, maps, label):
+    """The section of quo with the form that ambient restricts to on
+    quo.vbasis and the maps induced by the ambient matrices maps (rows are
+    images), each quo.project(V M); raises unless they have two orbits."""
+    F = ambient.field
+    V = quo.vbasis
+    form = forms.quadratic_form(F, ambient.restriction(V).tolist())
+    space = polar.build(form)
+    gens = group.GeneratorSet(
+        F, [group.Semisimilarity(F, quo.project(la.mat_mul_np(F, V, M)).tolist())
+            for M in maps], label=label)
+    orb = group.orbits(space, gens)
+    if orb.n_orbits != 2:
+        raise AssertionError(f"expected two orbits, got {orb.n_orbits}")
+    return SectionModel(space=space, orbits=orb, gens=gens, quotient=quo)
 
 
 # -- SL3(q) on its adjoint module ------------------------------------------
 
 
-def _flat3(X):
-    return tuple(X[0]) + tuple(X[1]) + tuple(X[2])
-
-
-def _unflat3(v):
-    return (tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]))
-
-
-def adjoint_quadratic(F, X):
-    """Q(A) = sum_{i<j} (A_ij A_ji - A_ii A_jj) on 3x3 matrices; equals minus
-    the linear coefficient of the characteristic polynomial (the second
-    elementary symmetric function of the eigenvalues, negated)."""
-    tot = 0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            tot = F.add(tot, F.sub(F.mul(X[i][j], X[j][i]),
-                                   F.mul(X[i][i], X[j][j])))
-    return tot
-
-
-@dataclass(frozen=True)
-class AdjointModel:
-    q: int
-    space: object
-    orbits: object
-    gens: object
-    quotient: object          # _Quotient from flattened 3x3 matrices
-
-    @property
-    def form(self):
-        return self.space.form
+def _gl3_form(F):
+    """Q(X) = sum_{i<j} (X_ij X_ji - X_ii X_jj) on 3x3 matrices flattened row
+    by row: minus the second elementary symmetric function of the
+    eigenvalues, a conjugation-invariant form, parabolic Q(8,q) for p = 3."""
+    C = np.zeros((9, 9), dtype=np.int64)
+    i, j = np.triu_indices(3, 1)
+    C[3 * i + j, 3 * j + i] = 1
+    C[4 * i, 4 * j] = F.neg(1)
+    return forms.quadratic_form(F, C.tolist())
 
 
 def adjoint_sl3(q):
@@ -113,163 +139,72 @@ def adjoint_sl3(q):
 
     # basis of the trace-zero matrices: six off-diagonal units, then
     # H = E00 - E11; the identity (= H0 + 2*H1 here) is the killed line
-    offs = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    vbasis = []
-    for (i, j) in offs:
-        X = [[0] * 3 for _ in range(3)]
-        X[i][j] = 1
-        vbasis.append(_flat3(X))
-    H = [[1, 0, 0], [0, F.neg(1), 0], [0, 0, 0]]
-    vbasis.append(_flat3(H))
-    I3 = _flat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    quo = _Quotient(F, vbasis, [I3])
-
-    C = [[0] * 7 for _ in range(7)]
-    bq = [adjoint_quadratic(F, _unflat3(b)) for b in vbasis]
-    for u in range(7):
-        C[u][u] = bq[u]
-        for v in range(u + 1, 7):
-            s = tuple(F.add(a, b) for a, b in zip(vbasis[u], vbasis[v]))
-            C[u][v] = F.sub(F.sub(adjoint_quadratic(F, _unflat3(s)), bq[u]),
-                            bq[v])
-    form = forms.quadratic_form(F, C)
-    if form.kind is not FormKind.PARABOLIC:
-        raise AssertionError("adjoint form should be parabolic")
-    space = polar.build(form)
+    vbasis = np.eye(9, dtype=np.int64)[[1, 2, 3, 5, 6, 7]].tolist()
+    vbasis.append([1, 0, 0, 0, F.neg(1), 0, 0, 0, 0])
+    quo = _Quotient(F, vbasis, [np.eye(3, dtype=np.int64).ravel()])
 
     # SL3(q) = < x_01(lam) over an F_p-basis, 3-cycle Weyl element >:
     # conjugating the transvection around the cycle gives x_12 and x_20,
-    # and commutators fill in the remaining root subgroups.
+    # and commutators fill in the remaining root subgroups.  X -> g^-1 X g
+    # on row-flattened X is the Kronecker matrix (g^-1)^T (x) g.
     gens3 = []
     for t in range(F.f):
-        X = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        X[0][1] = F.exp[t]
+        X = np.eye(3, dtype=np.int64)
+        X[0, 1] = F.exp[t]
         gens3.append(X)
-    gens3.append([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    sgens = [group.Semisimilarity(F, _conjugation_matrix(F, quo, g))
-             for g in gens3]
-    gset = group.GeneratorSet(F, sgens, label=f"SL3({q}) on the adjoint module")
-    orb = group.orbits(space, gset)
-    if orb.n_orbits != 2:
-        raise AssertionError(f"expected two orbits, got {orb.n_orbits}")
-    return AdjointModel(q=q, space=space, orbits=orb, gens=gset, quotient=quo)
-
-
-def _conjugation_matrix(F, quo, g):
-    """Matrix of X -> g^-1 X g on the quotient, rows = images of the basis.
-    Two products image every basis matrix X at once: the X stacked, times
-    g, then g^-1 times the X g side by side."""
-    n = len(quo.vbasis)
-    ginv = np.array(la.mat_inv(F, g), dtype=np.int64)
-    Xg = la.mat_mul_np(F, np.reshape(quo.vbasis, (3 * n, 3)), np.array(g))
-    side = Xg.reshape(n, 3, 3).transpose(1, 0, 2).reshape(3, 3 * n)
-    Y = la.mat_mul_np(F, ginv, side).reshape(3, n, 3).transpose(1, 0, 2)
-    return [quo.project(y) for y in Y.reshape(n, 9).tolist()]
+    gens3.append(np.roll(np.eye(3, dtype=np.int64), 1, axis=1))
+    maps = [F.mul_np(np.array(la.mat_inv(F, g.tolist())).T[:, None, :, None],
+                     g[None, :, None, :]).reshape(9, 9) for g in gens3]
+    return _section(_gl3_form(F), quo, maps, f"SL3({q}) on the adjoint module")
 
 
 # -- Sp6(q) on the exterior-square section ---------------------------------
 
 
-WEDGE_PAIRS = tuple((i, j) for i in range(6) for j in range(i + 1, 6))
-
-
-def _beta1(F, K, pq, rs):
-    """Induced bilinear form on wedges: beta1(a^b, c^d) =
-    K(a,c)K(b,d) - K(a,d)K(b,c)."""
-    (a, b), (c, d) = pq, rs
-    return F.sub(F.mul(K[a][c], K[b][d]), F.mul(K[a][d], K[b][c]))
-
-
-def _wedge_matrix(F, g, pairs):
-    """The induced action of g on the 15-dimensional exterior square."""
-    rows = []
-    for (i, j) in pairs:
-        row = [F.sub(F.mul(g[i][a], g[j][b]), F.mul(g[i][b], g[j][a]))
-               for (a, b) in pairs]
-        rows.append(row)
-    return rows
-
-
-@dataclass(frozen=True)
-class ExtSquareModel:
-    q: int
-    space: object
-    orbits: object
-    gens: object
-    quotient: object          # _Quotient from wedge coordinates
-    h: tuple                  # the invariant bivector, wedge coordinates
-
-    @property
-    def form(self):
-        return self.space.form
-
-
 def extsq_sp6(q):
     """Sp6(q), char 3, on the section h-perp / <h> of the exterior square.
 
-    h is the invariant bivector with beta1(h, u^v) = kappa1(u,v); for p = 3
-    it lies in its own perp, so the section V has dimension 13 and carries
-    the parabolic form kappa(x) = beta1(x,x)/2.  Sp6(q) has two orbits on
-    the quadric's points, tight sets with parameters q^2+1 and q^6-q^2.
-    Only q = 3 fits the desk budget (q = 9 would mean ~2*10^8 points).
+    h is the invariant bivector with beta1(h, u^v) = kappa1(u,v), beta1 the
+    form induced on wedges; for p = 3 it lies in its own perp, so the
+    section V has dimension 13 and carries the parabolic form
+    kappa(x) = beta1(x,x)/2.  Sp6(q) has two orbits on the quadric's points,
+    tight sets with parameters q^2+1 and q^6-q^2.  Only q = 3 fits the desk
+    budget (q = 9 would mean ~2*10^8 points).
     """
     if q != 3:
         raise ValueError("only q=3 is within the desk budget")
     F = gf.field(3, 1)
-    kappa1 = forms.standard_form("W", 6, F)
-    K = kappa1.data
-    pairs = WEDGE_PAIRS
-    B15 = [[_beta1(F, K, s, t) for t in pairs] for s in pairs]
+    K = forms.standard_form("W", 6, F).matrix_np
+    beta1 = _compound2(F, K)
+    half = F.inv(F.add(1, 1))
+    ambient = forms.quadratic_form(
+        F, (np.triu(beta1, 1) + np.diag(F.mul_np(half, np.diagonal(beta1)))).tolist())
 
-    # solve beta1(h, e_c ^ e_d) = kappa1(e_c, e_d) for h
-    rhs = [K[c][d] for (c, d) in pairs]
-    h = tuple(la.vec_mat(F, rhs, la.mat_inv(F, B15)))
-
-    # U = h-perp under beta1; h itself lies in U (char 3), and the section
-    # basis is any complement of <h> inside U
-    functional = la.vec_mat(F, h, B15)
+    # solve beta1(h, e_c ^ e_d) = kappa1(e_c, e_d) for h: that row of
+    # kappa1 values is the functional beta1(h, .), whose kernel U = h-perp
+    # contains h itself (char 3); the section basis is any complement of
+    # <h> inside U
+    rhs = K[np.triu_indices(6, 1)].tolist()
+    h = la.mat_mul_np(F, np.array([rhs]), np.array(la.mat_inv(F, beta1.tolist())))
     vbasis = []
-    for r in la.nullspace(F, [functional], 15):
-        cand = vbasis + [r, h]
+    for r in la.nullspace(F, [rhs], 15):
+        cand = vbasis + [r, *h.tolist()]
         if len(la.rref(F, cand)[0]) == len(cand):
             vbasis.append(r)
     if len(vbasis) != 13:
         raise AssertionError("section should have dimension 13")
-    quo = _Quotient(F, vbasis, [h])
 
-    # kappa(x) = beta1(x, x)/2 in the basis V: the diagonal of V B15 V^T
-    # halved, and its entries above the diagonal
-    V = np.array(quo.vbasis, dtype=np.int64)
-    G = la.mat_mul_np(F, la.mat_mul_np(F, V, np.array(B15)), V.T)
-    C = np.triu(G, 1) + np.diag(F.mul_np(F.inv(F.add(1, 1)), np.diag(G)))
-    form = forms.quadratic_form(F, C.tolist())
-    if form.kind is not FormKind.PARABOLIC:
-        raise AssertionError("section form should be parabolic")
-    space = polar.build(form)
-
-    sp_gens = group.classical_generators("Sp", 6, F)
-    induced = []
-    for g in sp_gens:
-        M15 = np.array(_wedge_matrix(F, g.matrix, pairs), dtype=np.int64)
-        rows = [quo.project(r) for r in la.mat_mul_np(F, V, M15).tolist()]
-        induced.append(group.Semisimilarity(F, rows))
-    gset = group.GeneratorSet(F, induced,
-                              label=f"Sp6({q}) on the exterior-square section")
-    orb = group.orbits(space, gset)
-    if orb.n_orbits != 2:
-        raise AssertionError(f"expected two orbits, got {orb.n_orbits}")
-    return ExtSquareModel(q=q, space=space, orbits=orb, gens=gset,
-                          quotient=quo, h=h)
+    maps = [_compound2(F, g.matrix)
+            for g in group.classical_generators("Sp", 6, F).generators]
+    return _section(ambient, _Quotient(F, vbasis, h), maps,
+                    f"Sp6({q}) on the exterior-square section")
 
 
 def wedge_point(model, u, v):
     """Index of <(u^v + <h>)> in the section's polar space, for vectors u, v
     of the symplectic 6-space with kappa1(u,v) = 0 and u^v not in <h>."""
-    F = model.space.field
-    w = [0] * 15
-    for t, (a, b) in enumerate(WEDGE_PAIRS):
-        w[t] = F.sub(F.mul(u[a], v[b]), F.mul(u[b], v[a]))
-    return int(model.space.locate([model.quotient.project(tuple(w))])[0])
+    w = _compound2(model.space.field, [u, v])
+    return int(model.space.locate(model.quotient.project(w))[0])
 
 
 # -- D-length partitions ----------------------------------------------------

@@ -52,14 +52,14 @@ class Form:
     """A nondegenerate form on GF(q)^d.
 
     ``data`` is the upper-triangular coefficient matrix for quadratic kinds
-    (Q(v) = v C v^T) and the Gram matrix otherwise.  Construction validates
-    shape, nondegeneracy _and_ that the computed type matches the declared
+    (Q(v) = v C v^T) and the Gram matrix otherwise, its entries element
+    codes by gf.element_codes.  Construction validates shape, nondegeneracy _and_ that the computed type matches the declared
     kind, so a Form that exists is a certificate.
     """
 
     def __init__(self, kind, field, data):
         kind = parse_kind(kind)
-        data = tuple(tuple(row) for row in data)
+        data = gf.element_codes(field, data)
         d = len(data)
         if any(len(row) != d for row in data):
             raise ValueError("form matrix must be square")
@@ -332,11 +332,10 @@ def diagonal_form(field, entries):
 
 def quadratic_form(field, upper):
     """Build a quadratic Form from an upper-triangular matrix, computing its kind."""
-    d = len(upper)
-    if d % 2:
+    upper = gf.element_codes(field, upper)
+    if len(upper) % 2:
         kind = FormKind.PARABOLIC
     else:
-        upper = tuple(tuple(r) for r in upper)
         kind = _quadratic_sign(field, upper, _polarized(field, upper))
     return Form(kind, field, upper)
 

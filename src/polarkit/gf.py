@@ -15,11 +15,13 @@ subfield embedding ``g0 -> G^((q^b-1)/(q0-1))`` is an honest ring homomorphism
 to the lexicographically minimal primitive polynomial under the same ordering.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["FiniteField", "SubfieldEmbedding", "field", "embedding"]
+__all__ = ["FiniteField", "SubfieldEmbedding", "field", "embedding", "integer",
+           "element_codes"]
 
 # Conway polynomials, little-endian coefficient tuples (monic, degree f).
 # Generated offline by the standard recursive lex-minimal search and frozen.
@@ -409,6 +411,34 @@ def field_of_order(q):
     if m != 1:
         raise ValueError(f"{q} is not a prime power")
     return field(p, f)
+
+
+def integer(name, x):
+    """x as an int; ValueError naming it if it is not one (floats, strings
+    and bools are refused, numpy integers accepted)."""
+    if isinstance(x, bool):
+        raise ValueError(f"{name} {x!r} is a bool, not an int")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} {x!r} is not an int") from None
+
+
+def element_codes(F, matrix):
+    """The matrix as a tuple of row tuples of element codes of F: ints in
+    range(q), else ValueError naming the entry."""
+    out = []
+    for i, row in enumerate(matrix):
+        codes = []
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                x = integer(f"matrix entry ({i}, {j})", x)
+            if not 0 <= x < F.q:
+                raise ValueError(f"matrix entry ({i}, {j}) = {x} is out of "
+                                 f"range for q={F.q}")
+            codes.append(x)
+        out.append(tuple(codes))
+    return tuple(out)
 
 
 class SubfieldEmbedding:

@@ -9,7 +9,6 @@ s+t), so v.(gh) = (v.g).h.
 import itertools
 import json
 import math
-import operator
 import random
 from functools import cached_property
 
@@ -36,11 +35,11 @@ class Semisimilarity:
     __slots__ = ("field", "matrix", "sigma_power", "_inverse")
 
     def __init__(self, field, matrix, sigma_power=0):
-        matrix = _element_codes(field, matrix)
+        matrix = gf.element_codes(field, matrix)
         d = len(matrix)
         if any(len(r) != d for r in matrix):
             raise ValueError("matrix must be square")
-        s = _integer("sigma_power", sigma_power) % field.f
+        s = gf.integer("sigma_power", sigma_power) % field.f
         inv = la.mat_inv(field, matrix)   # raises if singular
         self._link(field, matrix, field.frobenius_np(inv, -s).tolist(), s)
 
@@ -107,34 +106,6 @@ class Semisimilarity:
 
     def __repr__(self):
         return f"Semisimilarity(d={self.dim}, sigma={self.sigma_power})"
-
-
-def _integer(name, x):
-    """x as an int; ValueError naming it if it is not one (floats, strings
-    and bools are refused, numpy integers accepted)."""
-    if isinstance(x, bool):
-        raise ValueError(f"{name} {x!r} is a bool, not an int")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} {x!r} is not an int") from None
-
-
-def _element_codes(F, matrix):
-    """The matrix as a tuple of row tuples of element codes of F: ints in
-    range(q), else ValueError naming the entry."""
-    out = []
-    for i, row in enumerate(matrix):
-        codes = []
-        for j, x in enumerate(row):
-            if type(x) is not int:
-                x = _integer(f"matrix entry ({i}, {j})", x)
-            if not 0 <= x < F.q:
-                raise ValueError(f"matrix entry ({i}, {j}) = {x} is out of "
-                                 f"range for q={F.q}")
-            codes.append(x)
-        out.append(tuple(codes))
-    return tuple(out)
 
 
 def multiplier(form, g):
@@ -230,8 +201,8 @@ class GeneratorSet:
                 raise ValueError(f"generator data has no {key!r} entry")
         if not isinstance(data["generators"], list):
             raise ValueError("'generators' is not a list")
-        F = gf.field_of_order(_integer("header entry 'q'", data["q"]))
-        d = _integer("header entry 'd'", data["d"])
+        F = gf.field_of_order(gf.integer("header entry 'q'", data["q"]))
+        d = gf.integer("header entry 'd'", data["d"])
 
         def decode(c):
             # entries are coefficient lists as written by serialize(), but a

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -36,12 +38,13 @@ def test_adjoint_sl3_budget():
 
 @given(st.lists(st.integers(0, 2), min_size=9, max_size=9))
 def test_adjoint_quadratic_is_char_poly_coefficient(flat):
-    """Q(A) agrees with minus the second elementary symmetric function of A,
-    i.e. the lambda-coefficient of det(A - lambda I) up to the sign fixed by
-    cubic charpoly conventions."""
+    """The ambient form Q(A) of the adjoint module agrees with minus the
+    second elementary symmetric function of A, i.e. the lambda-coefficient
+    of det(A - lambda I) up to the sign fixed by cubic charpoly
+    conventions."""
     F = gf.field(3)
     A = [flat[0:3], flat[3:6], flat[6:9]]
-    got = constructions.adjoint_quadratic(F, A)
+    got = constructions._gl3_form(F).evaluate(flat)
     e2 = 0
     for i in range(3):
         for j in range(i + 1, 3):
@@ -56,18 +59,67 @@ def test_adjoint_quadratic_is_conjugation_invariant():
     g = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     ginv = tuple(zip(*g))      # a permutation matrix: its transpose
     Xg = mat_mul(F, mat_mul(F, ginv, X), g)
-    assert constructions.adjoint_quadratic(F, Xg) == \
-        constructions.adjoint_quadratic(F, X)
+    Q = constructions._gl3_form(F)
+    assert Q.evaluate(sum(map(list, Xg), [])) == Q.evaluate(sum(X, []))
 
 
 def test_adjoint_quotient_roundtrip():
     model = constructions.adjoint_sl3(3)
     quo = model.quotient       # 7 = dim(trace-zero) - dim(scalars) in char 3
     assert quo.k == 7
-    for coords in itertools.islice(
-            itertools.product(range(3), repeat=7), 0, 300, 11):
-        lifted = quo.lift(coords)
-        assert quo.project(lifted) == tuple(coords)
+    coords = list(itertools.islice(
+        itertools.product(range(3), repeat=7), 0, 300, 11))
+    assert len(coords) == 28
+    lifted = mat_mul(model.space.field, coords, quo.vbasis.tolist())
+    assert quo.project(lifted).tolist() == [list(c) for c in coords]
+
+
+def test_quotient_refuses_dependent_rows():
+    F = gf.field(3)
+    with pytest.raises(ValueError, match="dependent"):
+        constructions._Quotient(F, [(1, 0, 0), (0, 1, 0)], [(1, 1, 0)])
+
+
+def test_quotient_refuses_a_stack_with_one_row_outside_the_span():
+    F = gf.field(3)
+    quo = constructions._Quotient(F, [(1, 0, 0)], [(0, 1, 0)])
+    assert quo.project([(2, 0, 0), (1, 2, 0)]).tolist() == [[2], [1]]
+    with pytest.raises(ValueError, match="does not lie"):
+        quo.project([(2, 0, 0), (1, 2, 0), (0, 0, 1)])
+
+
+# SHA-256 of json.dumps(x, sort_keys=True) of the serialized form, the
+# serialized generators and the orbit labels, frozen when each construction
+# still had its own form loop and induction code
+_PINS = {
+    ("adjoint_sl3", 3): (
+        "a03147f43101b5683b8f9ec67f65d941e0aca00210a8d4725fb7462b6acab42b",
+        "e4c6a27c2c933f2c95aa5d48f8b41d11c03be0c3b9ede248bf4d433df887a8cc",
+        "2f65195899d344c0b79c755d751b820bc500e9d24b8f749609ecfe9743e5316b"),
+    ("adjoint_sl3", 9): (
+        "96f5c642bfc7d634e1ad072bba1d6e5ed1f0e97fb14be0d716dbb11a988c2ba8",
+        "e9ad00770f646c566e6d7f71326adcc17fc723bbb2393a42a770032a67a40995",
+        "8e2ed4031abeb8c807bc7d067c2a2b07c1e575c02b8f8da95d5c876c9bf1132d"),
+    ("extsq_sp6", 3): (
+        "03f4d797e39f8a7d3476d2611909e1689ed1ebf502528155c824682acc518897",
+        "1d50bac41f8b269104c5b28cde05c09dc7a867cee99232f7b088238cf1470f6b",
+        "60e7875158b06b9fc594c2a2a5e493ceb7456d67c54a5e3fe050be80ddc526db"),
+}
+
+
+def _sha(x):
+    return hashlib.sha256(json.dumps(x, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,q", list(_PINS), ids=[f"{n}-{q}" for n, q in _PINS])
+def test_construction_pins(name, q):
+    model = getattr(constructions, name)(q)
+    got = (_sha(model.form.serialize()), _sha(model.gens.serialize()),
+           _sha(model.orbits.labels.tolist()))
+    assert got == _PINS[name, q]
+    if name == "extsq_sp6":
+        e0, e1 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)
+        assert constructions.wedge_point(model, e0, e1) == 88573
 
 
 # -- exterior square of Sp6 -------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -206,6 +207,50 @@ def test_diagonal_form_kinds():
 def test_diagonal_form_rejects_char2():
     with pytest.raises(ValueError):
         forms.diagonal_form(gf.field(2), (1, 1))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda F: forms.Form("W", F, [[0, 5], [-5, 0]]),
+     r"matrix entry \(0, 1\) = 5 is out of range for q=3"),
+    (lambda F: forms.Form("W", F, [[0, 1.0], [2, 0]]),
+     r"matrix entry \(0, 1\) 1.0 is not an int"),
+    (lambda F: forms.Form("W", F, [[0, True], [2, 0]]),
+     r"matrix entry \(0, 1\) True is a bool, not an int"),
+    (lambda F: forms.quadratic_form(F, [[1, 7], [0, 1]]),
+     r"matrix entry \(0, 1\) = 7 is out of range for q=3"),
+], ids=["out-of-range", "float", "bool", "quadratic-out-of-range"])
+def test_form_entries_must_be_element_codes(f3, build, match):
+    """A form's entries follow the rule of Semisimilarity's: ints in
+    range(q), numpy integers included; bools, floats and codes out of range
+    are refused with a message naming the entry."""
+    with pytest.raises(ValueError, match=match):
+        build(f3)
+    data = forms.Form("W", f3, np.array([[0, 1], [2, 0]])).data
+    assert data == ((0, 1), (2, 0)) and all(type(x) is int for r in data for x in r)
+
+
+@pytest.mark.parametrize("kind,q,data,match", [
+    ("W", 3, [[0]], "symplectic forms need even dimension"),
+    ("W", 3, [[1, 1], [2, 0]], "symplectic Gram must have zero diagonal"),
+    ("W", 3, [[0, 1], [1, 0]], "symplectic Gram must be alternating"),
+    ("W", 3, [[0, 0], [0, 0]], "degenerate symplectic form"),
+    ("H", 3, [[1]], "Hermitian forms need a square field"),
+    ("H", 4, [[2]], "Hermitian Gram must be conjugate-symmetric"),
+    ("H", 4, [[0]], "degenerate Hermitian form"),
+    ("Q", 3, [[1, 0, 0], [1, 0, 1], [0, 0, 1]],
+     "quadratic forms are stored upper-triangular"),
+    ("Q", 3, [[0, 1], [0, 0]], "parabolic quadratic forms need odd dimension"),
+    ("Q", 2, [[1]], "parabolic quadratic spaces are only supported for odd q"),
+    ("Q", 3, [[0]], r"degenerate quadratic form \(polarized radical nonzero\)"),
+    ("Q+", 3, [[1]], "PLUS quadratic forms need even dimension"),
+    ("Q-", 3, [[0, 1], [0, 0]], "declared MINUS but computed type is PLUS"),
+], ids=["W-odd", "W-diagonal", "W-alternating", "W-degenerate", "H-field",
+        "H-conjugate", "H-degenerate", "Q-lower", "Q-even", "Q-even-q",
+        "Q-degenerate", "Q+-odd", "Q--sign"])
+def test_form_validation_refusals(kind, q, data, match):
+    """Each refusal of Form's validation, one case per message."""
+    with pytest.raises(ValueError, match=match):
+        forms.Form(kind, gf.field_of_order(q), data)
 
 
 @pytest.mark.parametrize("kind,q", [("Q+", 3), ("Q-", 3), ("Q+", 4), ("Q-", 4)])
