@@ -273,11 +273,15 @@ class FiniteField:
         return a
 
     def digits(self, a):
-        """Little-endian base-p digits of element codes: shape (..., f)."""
+        """Little-endian base-p digits of element codes: shape (..., f).
+
+        One contiguous gather of rows of the digit table (take, not fancy
+        indexing, which copies each (f,) row on its own); a code >= q
+        raises IndexError."""
         a = np.asarray(a, dtype=np.int64)
         if self.f == 1:
             return a[..., None]
-        return self.digit_table[a]
+        return self.digit_table.take(a, axis=0)
 
     def from_digits(self, x):
         """Element codes from digit arrays of shape (..., f), digits in [0, p)."""

@@ -13,12 +13,12 @@ from fractions import Fraction
 from functools import cached_property
 import itertools
 import math
-import operator
 
 import numpy as np
 
 from . import _linalg as la
 from . import forms as fm
+from . import gf
 from .forms import FormKind, Subspace
 
 POINT_CAP = 2_000_000
@@ -189,9 +189,10 @@ class _PointIndex(Mapping):
     to indices, with no table of its own.  A key is looked up by its
     base-q code in the space's increasing codes, so only a tuple of d ints
     (numpy integers included) in range(q) that is a canonical point is
-    found; a scalar multiple, an entry out of range or a float, a wrong
-    length or a non-tuple is a KeyError.  Iteration yields the points as tuples in
-    index order, one _linalg._SCAN_ROWS block of points at a time."""
+    found; a scalar multiple, an entry out of range, a bool or a float
+    (gf.integer's rule), a wrong length or a non-tuple is a KeyError.
+    Iteration yields the points as tuples in index order, one
+    _linalg._SCAN_ROWS block of points at a time."""
 
     __slots__ = ("_points", "_codes", "_q")
 
@@ -203,10 +204,11 @@ class _PointIndex(Mapping):
         if not isinstance(key, tuple) or len(key) != self._points.shape[1]:
             raise KeyError(key)
         for x in key:
-            try:
-                x = operator.index(x)
-            except TypeError:
-                raise KeyError(key) from None
+            if type(x) is not int:
+                try:
+                    x = gf.integer("coordinate", x)
+                except ValueError:
+                    raise KeyError(key) from None
             if not 0 <= x < q:
                 raise KeyError(key)
             code = code * q + x
@@ -368,13 +370,11 @@ class PointSet:
         return len(self.members)
 
     def __contains__(self, i):
-        """Whether i is a member index; by the constructor's rule a bool or
-        anything operator.index refuses (a float, say) never is."""
-        if isinstance(i, bool):
-            return False
+        """Whether i is a member index; by the constructor's rule
+        (gf.integer's) a bool or a float never is."""
         try:
-            i = operator.index(i)
-        except TypeError:
+            i = gf.integer("point index", i)
+        except ValueError:
             return False
         j = self.members.searchsorted(i)
         return bool(j < len(self.members) and self.members[j] == i)
@@ -406,20 +406,11 @@ class PointSet:
 
 
 def _index_array(members):
-    """A list of point indices as an int64 array.  A bool is refused, plain
-    ints are taken as they are and anything else through operator.index;
+    """A list of point indices as an int64 array.  Plain ints are taken as
+    they are and anything else by gf.integer's rule, which refuses a bool;
     the first member that is no int is named."""
-    kinds = set(map(type, members))
-    if bool in kinds:   # operator.index would take it as 0 or 1
-        i = next(i for i in members if type(i) is bool)
-        raise ValueError(f"point index {i!r} is a bool, not an int")
-    if not kinds <= {int}:
-        for i in members:
-            try:
-                operator.index(i)
-            except TypeError:
-                raise ValueError(f"point index {i!r} is not an int") from None
-        members = list(map(operator.index, members))
+    if not set(map(type, members)) <= {int}:
+        members = [gf.integer("point index", i) for i in members]
     try:
         return np.array(members, dtype=np.int64)
     except OverflowError:   # beyond int64, so beyond every space

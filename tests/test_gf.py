@@ -193,8 +193,17 @@ def test_numpy_tables_match_scalar_arithmetic(q):
 @pytest.mark.parametrize("q", _TABLE_ORDERS)
 def test_digit_table_matches_the_arithmetic(q):
     """Row a of the digit table is a's base-p digits by integer division and
-    its coefficient list; digits gathers from it on any shape."""
+    its coefficient list; digits gathers from it on any shape (0-d, empty,
+    3-d): shape + (f,), int64, the digits a // p^r % p, undone by
+    from_digits; a code q is out of range."""
     F = gf.field_of_order(q)
+    for shape in [(), (0,), (2, 3, 4)]:
+        a = -np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape) % q
+        x = F.digits(a)
+        assert x.shape == shape + (F.f,) and x.dtype == np.int64
+        oracle = np.stack([a // F.p ** r % F.p for r in range(F.f)], axis=-1)
+        assert np.array_equal(x, oracle)
+        assert np.array_equal(F.from_digits(x), a)
     if F.f == 1:
         assert F.digits(range(q)).tolist() == [[a] for a in range(q)]
         return
@@ -207,6 +216,8 @@ def test_digit_table_matches_the_arithmetic(q):
     codes = np.arange(2 * q).reshape(2, q) % q
     assert F.digits(codes).tolist() == [[F.coeffs(a) for a in row]
                                         for row in codes.tolist()]
+    with pytest.raises(IndexError):
+        F.digits([0, q])
 
 
 def _sympy_galois():

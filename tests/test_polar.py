@@ -432,6 +432,18 @@ def test_index_answers_as_a_dict_over_the_points(kind, pdim, q):
     assert dict(index.items()) == oracle
 
 
+def test_index_refuses_bool_coordinates():
+    """A bool coordinate is no int (gf.integer's rule, as for Form,
+    Semisimilarity and PointSet), though True would read as the 1 of a
+    point's key: (1, 0, 0, 0) is a point of W(3,3)."""
+    sp = _space("W", 3, 3)
+    assert (1, 0, 0, 0) in sp.index
+    for key in ((True, 0, 0, 0), (np.True_, 0, 0, 0), (1, False, 0, 0)):
+        assert key not in sp.index and sp.index.get(key) is None
+        with pytest.raises(KeyError):
+            sp.index[key]
+
+
 def test_index_lookups_build_no_point_list():
     """Looking the 121 maximal TS points of Q(10,3) up through index, its
     first use included, allocates under 1 MiB: no tuple point list and no
