@@ -1,14 +1,16 @@
-"""Small exact linear algebra over FiniteField instances, and the one array
-kernel that every field runs on.
+"""Exact linear algebra over FiniteField instances, on int64 arrays of
+element codes: one Gauss-Jordan elimination and the one matrix product that
+every field runs on.
 
-Vectors are tuples of int codes, matrices are tuples of row tuples, and
-sizes are tiny (d <= 16).  rref is the one Gauss-Jordan elimination:
-nullspace reads its pivots, mat_inv is the right half of rref([A | I]), and
-a rank is the length of an rref.  det keeps a forward elimination of its
-own, about half the work, because form validation runs it on every
-standard form.  mat_mul_np is the one matrix product over GF(q), on int64
-code arrays: the products come from the field's log tables and sum_np adds
-them up digit by digit.
+rref_np reduces a whole stack of matrices (..., m, n) at once: each pivot
+column is one F.mul_np and one sum_np over the stack.  It returns the
+canonical rref, the pivot columns and, for a square matrix of full rank,
+the determinant, so det and mat_inv (the right half of rref_np([A | I]))
+are reads of it, and a rank is a count of its pivots.  A tiny matrix costs
+more this way than scalar code would, so callers stack the matrices they
+reduce together.  mat_mul_np is the matrix product: the products come from
+the field's log tables and sum_np adds them up digit by digit.  vec_mat
+images one vector of row tuples, for Semisimilarity.apply.
 
 Bulk work writes GF(q)^d as GF(p)^(d*f) through the base-p digits of the
 codes (FiniteField.digits).  expand turns a semilinear map into its GF(p)
@@ -40,11 +42,9 @@ S/p * 2^-t < 1/p of it.
   integer and fl(S/p) less than 1/p from S/p, so fl(S/p) is no integer.
 """
 
+import math
+
 import numpy as np
-
-
-def identity(F, n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def vec_mat(F, v, A):
@@ -59,105 +59,100 @@ def vec_mat(F, v, A):
     return tuple(out)
 
 
-def dot(F, u, v):
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = F.add(acc, F.mul(x, y))
-    return acc
+# -- GF(q) arithmetic on code arrays ---------------------------------------
 
 
-def scale(F, c, v):
-    return tuple(F.mul(c, x) for x in v)
+def sum_np(F, P, axis=0):
+    """The sum over F of the code array P along a nonnegative axis: the
+    base-p digits add mod p.  Exact in int64."""
+    return F.from_digits(F.digits(P).sum(axis=axis) % F.p)
 
 
-def add_vec(F, u, v):
-    return tuple(F.add(x, y) for x, y in zip(u, v))
+def mat_mul_np(F, A, B):
+    """The product over F of code arrays A (..., n, k) and B (..., k, m),
+    stacks broadcast as in np.matmul: the products come from the log
+    tables, then sum_np adds them up."""
+    P = F.mul_np(A[..., None], B[..., None, :, :])
+    return sum_np(F, P, axis=P.ndim - 2)
 
 
-def rref(F, rows):
-    """Reduced row echelon form; returns (rows_tuple, pivot_columns).
+def rref_np(F, A):
+    """The reduced row echelon forms of the code arrays A (..., m, n) over
+    F, by one Gauss-Jordan elimination over the whole stack: (R, pivots,
+    unit).
 
-    The output is canonical: two row spaces are equal iff their rrefs are
-    byte-identical.
+    R has A's shape and holds each canonical rref, its nonzero rows first:
+    two row spaces are equal iff their rrefs are.  pivots (..., n) marks the
+    pivot columns, so pivots.sum(-1) is the rank.  For a square A of full
+    rank, unit (...) is its determinant: the product of the pivots, negated
+    once per transposition of the rows.
+
+    The nonzero columns go one by one: each matrix with a nonzero at or
+    below its next pivot row swaps the first such row up and scales it to a
+    leading 1; then, unless the column is clear, one F.mul_np and one sum_np
+    clear it in those matrices, over the whole stack.  A matrix without a
+    pivot in the column is left as it is (a zero row below each matrix
+    stands in as the pivot row of one that is out of rows).
     """
-    R = [list(r) for r in rows]
-    if not R:
-        return (), ()
-    ncols = len(R[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(R)) if R[i][c]), None)
-        if piv is None:
+    A = np.asarray(A, dtype=np.int64)
+    *stack, m, n = A.shape
+    W = np.zeros((2, math.prod(stack), m + 1, n), dtype=np.int64)
+    R = W[0]                     # the matrices; W[1] the multiples to add
+    R[:, :m] = A.reshape(len(R), m, n)
+    k = np.arange(len(R))
+    top = np.zeros(len(R), dtype=np.int64)       # each matrix's next pivot row
+    swaps = np.zeros(len(R), dtype=np.int64)
+    values = np.zeros((len(R), n), dtype=np.int64)   # the pivots, 0 elsewhere
+    rows = np.arange(m + 1)
+    minus = F.neg(1)
+    for c in np.flatnonzero(R.any(axis=(0, 1))):
+        col = R[:, :, c]
+        live = (col != 0) & (rows >= top[:, None])
+        i = live.argmax(axis=1)
+        found = live[k, i]
+        if not found.any():
             continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = F.inv(R[r][c])
-        R[r] = [F.mul(inv, x) for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                m = R[i][c]
-                R[i] = [F.sub(x, F.mul(m, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
+        i = np.where(found, i, top)
+        values[:, c] = x = col[k, i]
+        swaps += i != top
+        pivot = F.mul_np(F.inv_np[x | ~found][:, None], R[k, i])
+        R[k, i] = R[k, top]
+        R[k, top] = pivot
+        f = col * found[:, None]
+        f[k, top] = 0
+        if f.any():
+            W[1] = F.mul_np(F.mul_np(minus, f)[:, :, None], pivot[:, None, :])
+            R[...] = sum_np(F, W)
+        top += found
+        if top.min() == m:
             break
-    R = [row for row in R[:r]]
-    return tuple(tuple(row) for row in R), tuple(pivots)
-
-
-def nullspace(F, rows, ncols):
-    """Canonical rref basis of {x in F^ncols : rows . x^T = 0}."""
-    R, pivots = rref(F, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R[i][fc])
-        basis.append(tuple(v))
-    B, _ = rref(F, basis)
-    return B
-
-
-def mat_inv(F, A):
-    """The inverse of the square matrix A: the right half of rref([A | I]).
-    ValueError if A is singular, that is if a pivot falls in the right
-    half."""
-    n = len(A)
-    R, pivots = rref(F, [tuple(a) + e for a, e in zip(A, identity(F, n))])
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in R)
+    # log 2(q-1) of a 0 off the pivots counts as log 1; log(-1) per swap
+    logs = F.log_np[values].sum(axis=1) + swaps * F.log[minus]
+    return (R[:, :m].reshape(A.shape), (values != 0).reshape(*stack, n),
+            F.exp_np[logs % (F.q - 1)].reshape(stack))
 
 
 def det(F, A):
-    """The determinant, by forward elimination: a pivot row clears only the
-    rows below it and is not scaled, so this is about half of rref's work.
-    Form validation runs it on every standard form: on the 58 matrices of
-    one pass of the 13 verify-fast targets, rref takes 1.3 ms and det 0.7
-    ms, about 1% of the pass."""
-    n = len(A)
-    M = [list(r) for r in A]
-    d = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            d = F.neg(d)
-        d = F.mul(d, M[c][c])
-        inv = F.inv(M[c][c])
-        for i in range(c + 1, n):
-            if M[i][c]:
-                m = F.mul(inv, M[i][c])
-                M[i] = [F.sub(x, F.mul(m, y)) for x, y in zip(M[i], M[c])]
-    return d
+    """The determinants of the square code arrays A (..., n, n), an int64
+    array of shape (...): rref_np's unit where the rank is n, else 0."""
+    _, pivots, unit = rref_np(F, A)
+    return np.where(pivots.all(axis=-1), unit, 0)
 
 
-# -- the array kernel ------------------------------------------------------
+def mat_inv(F, A):
+    """The inverses of the square code arrays A (..., n, n): the right half
+    of rref_np([A | I]).  ValueError if one is singular, that is if a pivot
+    falls in the right half."""
+    A = np.asarray(A, dtype=np.int64)
+    n = A.shape[-1]
+    I = np.broadcast_to(np.eye(n, dtype=np.int64), A.shape)
+    R, pivots, _ = rref_np(F, np.concatenate((A, I), axis=-1))
+    if not pivots[..., :n].all():
+        raise ValueError("matrix is singular")
+    return R[..., n:]
+
+
+# -- the GF(p) digit kernel --------------------------------------------------
 
 # each float dtype with 2^t, t its significand bits: the integers in [0, 2^t)
 # are exact in it
@@ -173,20 +168,6 @@ def _exact_dtype(k, p):
             return dtype
     raise ValueError(f"inner dimension {k} with p={p} exceeds the exact "
                      "float64 range")
-
-
-def sum_np(F, P, axis=0):
-    """The sum over F of the code array P along a nonnegative axis: the
-    base-p digits add mod p.  Exact in int64."""
-    return F.from_digits(F.digits(P).sum(axis=axis) % F.p)
-
-
-def mat_mul_np(F, A, B):
-    """The product over F of code arrays A (..., n, k) and B (..., k, m),
-    stacks broadcast as in np.matmul: the products come from the log
-    tables, then sum_np adds them up."""
-    P = F.mul_np(A[..., None], B[..., None, :, :])
-    return sum_np(F, P, axis=P.ndim - 2)
 
 
 def expand(F, M, s=0):

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import _linalg as la
 from . import constructions as cx
 from . import fieldred, forms, gf, group, intriguing, manifest, polar
 
@@ -75,7 +74,7 @@ def cmd_orbits(args):
                 raise ValueError(f"dimension or field mismatch: header entry "
                                  f"{key!r} is {data[key]!r}, the space has {want}")
         gens = group.GeneratorSet(sp.field, [group.Semisimilarity(
-            sp.field, la.identity(sp.field, sp.d))])
+            sp.field, [[int(i == j) for j in range(sp.d)] for i in range(sp.d)])])
     elif isinstance(data, list):
         raise ValueError("a bare generator list has no field metadata; "
                          "use {q, d, generators}")

@@ -35,15 +35,15 @@ class _Quotient:
 
     def __init__(self, F, vbasis, killed):
         self.F = F
-        self.rows = np.array(list(vbasis) + list(killed), dtype=np.int64)
+        self.rows = np.concatenate((vbasis, killed)).astype(np.int64)
         self.k = len(vbasis)
-        R, piv = la.rref(F, self.rows.tolist())
-        if len(R) != len(self.rows):
+        _, pivots, _ = la.rref_np(F, self.rows)
+        if pivots.sum() != len(self.rows):
             raise ValueError("quotient basis rows are dependent")
         # the pivot columns of the rref cut out an invertible submatrix of
         # the *original* rows, giving exact coordinates by one inversion
-        self.piv = list(piv)
-        self.subinv = np.array(la.mat_inv(F, self.rows[:, self.piv].tolist()))
+        self.piv = np.flatnonzero(pivots)
+        self.subinv = la.mat_inv(F, self.rows[:, self.piv])
 
     @property
     def vbasis(self):
@@ -98,9 +98,9 @@ def _section(ambient, quo, maps, label):
     V = quo.vbasis
     form = forms.quadratic_form(F, ambient.restriction(V).tolist())
     space = polar.build(form)
+    P = np.stack([quo.project(la.mat_mul_np(F, V, M)) for M in maps])
     gens = group.GeneratorSet(
-        F, [group.Semisimilarity(F, quo.project(la.mat_mul_np(F, V, M)).tolist())
-            for M in maps], label=label)
+        F, group.Semisimilarity._pairs(F, P, la.mat_inv(F, P)), label=label)
     orb = group.orbits(space, gens)
     if orb.n_orbits != 2:
         raise AssertionError(f"expected two orbits, got {orb.n_orbits}")
@@ -153,8 +153,9 @@ def adjoint_sl3(q):
         X[0, 1] = F.exp[t]
         gens3.append(X)
     gens3.append(np.roll(np.eye(3, dtype=np.int64), 1, axis=1))
-    maps = [F.mul_np(np.array(la.mat_inv(F, g.tolist())).T[:, None, :, None],
-                     g[None, :, None, :]).reshape(9, 9) for g in gens3]
+    gens3 = np.array(gens3)
+    maps = F.mul_np(la.mat_inv(F, gens3).transpose(0, 2, 1)[:, :, None, :, None],
+                    gens3[:, None, :, None, :]).reshape(-1, 9, 9)
     return _section(_gl3_form(F), quo, maps, f"SL3({q}) on the adjoint module")
 
 
@@ -182,16 +183,14 @@ def extsq_sp6(q):
 
     # solve beta1(h, e_c ^ e_d) = kappa1(e_c, e_d) for h: that row of
     # kappa1 values is the functional beta1(h, .), whose kernel U = h-perp
-    # contains h itself (char 3); the section basis is any complement of
-    # <h> inside U
-    rhs = K[np.triu_indices(6, 1)].tolist()
-    h = la.mat_mul_np(F, np.array([rhs]), np.array(la.mat_inv(F, beta1.tolist())))
-    vbasis = []
-    for r in la.nullspace(F, [rhs], 15):
-        cand = vbasis + [r, *h.tolist()]
-        if len(la.rref(F, cand)[0]) == len(cand):
-            vbasis.append(r)
-    if len(vbasis) != 13:
+    # contains h itself (char 3); the section basis is the rows of U's rref
+    # outside the span of h and the rows before them: the pivot columns of
+    # the rref of the columns h, U_0, U_1, ...
+    h = la.mat_mul_np(F, K[np.triu_indices(6, 1)][None], la.mat_inv(F, beta1))
+    U = forms.perp(ambient, forms.Subspace(F, 15, h)).rows
+    pivots = la.rref_np(F, np.concatenate((h, U)).T)[1]
+    vbasis = U[pivots[1:]]
+    if not pivots[0] or len(vbasis) != 13:
         raise AssertionError("section should have dimension 13")
 
     maps = [_compound2(F, g.matrix)
@@ -258,12 +257,17 @@ def dlength_partition(kind, q, t):
 
 
 def monomial_map(F, perm, signs):
-    """The monomial semisimilarity x_i -> signs[i] * x_perm[i]."""
+    """The monomial semisimilarity x_i -> signs[i] * x_perm[i] for a
+    permutation perm and unit signs, made with its inverse, which is
+    monomial too: x_perm[i] -> x_i / signs[i]."""
     d = len(perm)
-    rows = [[0] * d for _ in range(d)]
-    for i in range(d):
-        rows[i][perm[i]] = signs[i]
-    return group.Semisimilarity(F, rows)
+    (signs,) = gf.element_codes(F, [signs])
+    if sorted(perm) != list(range(d)) or len(signs) != d or 0 in signs:
+        raise ValueError("a monomial map needs a permutation and unit signs")
+    M = np.zeros((2, 1, d, d), dtype=np.int64)
+    M[0, 0, np.arange(d), perm] = signs
+    M[1, 0, perm, np.arange(d)] = F.inv_np[list(signs)]
+    return group.Semisimilarity._pairs(F, *M)[0]
 
 
 def q43_monomial_splits():
@@ -330,9 +334,9 @@ def sl2_5_in_sl2_9():
     if (_mat_order(F, a), _mat_order(F, b)) != (4, 5):
         raise AssertionError("SL2(9) arithmetic is broken: the frozen pair "
                              "does not have orders 4 and 5")
-    gset = group.GeneratorSet(
-        F, [group.Semisimilarity(F, a), group.Semisimilarity(F, b)],
-        label="SL2(5) < SL2(9)")
+    M = np.array(_SL2_5_PAIR)
+    gset = group.GeneratorSet(F, group.Semisimilarity._pairs(F, M, la.mat_inv(F, M)),
+                              label="SL2(5) < SL2(9)")
     if group.vector_orbits(wform, gset) != (40, 40):
         raise AssertionError("SL2(9) arithmetic is broken: the frozen pair "
                              "does not have two vector orbits of size 40")

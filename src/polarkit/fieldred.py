@@ -60,7 +60,7 @@ class _Flattener:
         up = np.array([emb.up(c) for c in S.basis_np.tolist()], dtype=np.int64)
         rows = L.digits(L.mul_np(L.exp_np[:emb.b, None], up[None, :]))
         rows = rows.reshape(L.f, L.f)
-        inv = np.array(la.mat_inv(gf.field(L.p), rows.tolist()), dtype=np.int64)
+        inv = la.mat_inv(gf.field(L.p), rows)
         eye = np.eye(m, dtype=np.int64)
         self.digit_matrix = np.kron(eye, inv)
         self.inverse_matrix = np.kron(eye, rows)

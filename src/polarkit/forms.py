@@ -53,8 +53,9 @@ class Form:
 
     ``data`` is the upper-triangular coefficient matrix for quadratic kinds
     (Q(v) = v C v^T) and the Gram matrix otherwise, its entries element
-    codes by gf.element_codes.  Construction validates shape, nondegeneracy _and_ that the computed type matches the declared
-    kind, so a Form that exists is a certificate.
+    codes by gf.element_codes.  Construction validates shape,
+    nondegeneracy and that the computed type matches the declared kind, so
+    a Form that exists is a certificate.
     """
 
     def __init__(self, kind, field, data):
@@ -113,28 +114,21 @@ class Form:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, v):
-        """Q(v) for quadratic kinds, kappa(v, v) otherwise."""
+        """Q(v) for quadratic kinds, kappa(v, v) otherwise: frame([v])[0, 0]."""
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        if self.kind.is_quadratic:
-            return _eval_upper(self.field, self.data, v)
-        return self.evaluate_pair(v, v)
+        return int(self.frame([v])[0, 0])
 
     def evaluate_pair(self, u, v):
         """kappa(u, v) = sum u_i G_ij v_j^sigma, G = bilinear_gram; for
-        quadratic kinds the polarized form B(u, v)."""
-        F = self.field
+        quadratic kinds the polarized form B(u, v).  Read from
+        K = frame([u, v]): K_01, plus K_10 for quadratic kinds."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        if self.sigma:
-            v = [F.frobenius(y, self.sigma) for y in v]
-        acc = 0
-        for x, row in zip(u, self.bilinear_gram):
-            if x:
-                for y, g in zip(v, row):
-                    if y and g:
-                        acc = F.add(acc, F.mul(x, F.mul(g, y)))
-        return acc
+        K = self.frame([u, v])
+        if self.kind.is_quadratic:
+            return int(la.sum_np(self.field, K[[0, 1], [1, 0]]))
+        return int(K[0, 1])
 
     def pair_functional(self, s):
         """Coefficients w with kappa(x, s) = sum_i x_i w_i (linear in x), as
@@ -231,35 +225,37 @@ def _quadratic_sign(F, C, B):
     the factor 2^d between B and the halved Gram is a square).
     Even q: the Arf invariant.  Split off hyperbolic pairs (e, f) of the
     polar form B, B(e, f) = 1, one at a time, projecting the other vectors
-    onto the perp of the pair; the form is hyperbolic iff
-    Tr_{GF(q)/GF(2)} of sum Q(e) Q(f) is 0.  O(d^3) field operations.
+    w onto the perp of the pair, w' = w + a e + b f with a = B(w, f) and
+    b = B(w, e); the form is hyperbolic iff Tr_{GF(q)/GF(2)} of
+    sum Q(e) Q(f) is 0.  Only the Gram matrix G of the vectors left and
+    their values Q are kept, from B and diag(C): in characteristic 2,
+    G' = G + a b^T + b a^T and Q(w') = Q(w) + a^2 Q(e) + b^2 Q(f) + a b.
     """
     d = len(C)
     k = d // 2
     if F.p != 2:
-        disc = la.det(F, B)
+        disc = int(la.det(F, B))
         if disc == 0:
             raise ValueError("degenerate quadratic form (polarized radical nonzero)")
-        m1 = F.neg(1)
-        ref = disc
-        for _ in range(k):
-            ref = F.mul(ref, m1)
+        ref = F.neg(disc) if k % 2 else disc
         return FormKind.PLUS if F.is_square(ref) else FormKind.MINUS
-    rest = list(la.identity(F, d))
+    G = np.asarray(B, dtype=np.int64)
+    Q = np.diagonal(np.asarray(C, dtype=np.int64))
     arf = 0
-    while rest:
-        e = rest.pop()
-        eB = la.vec_mat(F, e, B)   # B is symmetric in characteristic 2
-        j = next((j for j, w in enumerate(rest) if la.dot(F, w, eB)), None)
-        if j is None:
+    while len(G):
+        partners = np.flatnonzero(G[-1, :-1])
+        if not partners.size:
             raise ValueError("degenerate quadratic form (polarized radical nonzero)")
-        partner = rest.pop(j)
-        f = la.scale(F, F.inv(la.dot(F, partner, eB)), partner)
-        fB = la.vec_mat(F, f, B)
-        rest = [la.add_vec(F, w, la.add_vec(F, la.scale(F, la.dot(F, w, fB), e),
-                                            la.scale(F, la.dot(F, w, eB), f)))
-                for w in rest]
-        arf = F.add(arf, F.mul(_eval_upper(F, C, e), _eval_upper(F, C, f)))
+        j = partners[0]
+        s = F.inv(int(G[-1, j]))
+        qe, qf = int(Q[-1]), F.mul(F.mul(s, s), int(Q[j]))
+        arf = F.add(arf, F.mul(qe, qf))
+        rest = np.delete(np.arange(len(G) - 1), j)
+        a, b = F.mul_np(s, G[rest, j]), G[rest, -1]
+        ab = F.mul_np(a[:, None], b)
+        G = la.sum_np(F, np.stack((G[np.ix_(rest, rest)], ab, ab.T)))
+        Q = la.sum_np(F, np.stack((Q[rest], F.mul_np(F.mul_np(a, a), qe),
+                                   F.mul_np(F.mul_np(b, b), qf), np.diagonal(ab))))
     trace = 0
     for i in range(F.f):
         trace = F.add(trace, F.frobenius(arf, i))
@@ -289,7 +285,7 @@ def standard_form(kind, d, field):
             gram[m + i][i] = F.neg(1)
         return Form(kind, F, gram)
     if kind is FormKind.HERMITIAN:
-        return Form(kind, F, la.identity(F, d))
+        return Form(kind, F, np.eye(d, dtype=np.int64))
     C = [[0] * d for _ in range(d)]
     if kind is FormKind.PLUS:
         if d % 2:
@@ -341,22 +337,25 @@ def quadratic_form(field, upper):
 
 
 class Subspace:
-    """A subspace of GF(q)^d in canonical reduced-row-echelon coordinates."""
+    """A subspace of GF(q)^d: rows is the canonical rref of its spanning rows
+    (element codes by gf.element_codes), a read-only (dim, ambient) array."""
 
     __slots__ = ("field", "ambient", "rows", "dim")
 
     def __init__(self, field, ambient, rows):
-        R, _ = la.rref(field, [tuple(r) for r in rows])
-        if any(len(r) != ambient for r in R):
+        rows = gf.element_codes(field, rows)
+        if any(len(r) != ambient for r in rows):
             raise ValueError("row length does not match ambient dimension")
+        R, pivots, _ = la.rref_np(field, np.reshape(rows, (len(rows), ambient)))
         self.field = field
         self.ambient = ambient
-        self.rows = R
-        self.dim = len(R)
+        self.dim = int(pivots.sum())
+        self.rows = R[:self.dim]
+        self.rows.flags.writeable = False
 
     @classmethod
     def span(cls, field, vectors, ambient=None):
-        vectors = [tuple(v) for v in vectors]
+        vectors = list(vectors)
         if ambient is None:
             if not vectors:
                 raise ValueError("ambient dimension required for the zero subspace")
@@ -370,26 +369,39 @@ class Subspace:
     def contains(self, v):
         """v lies in the subspace when the rows and v together have rank
         dim."""
-        return len(la.rref(self.field, self.rows + (tuple(v),))[0]) == self.dim
+        (v,) = gf.element_codes(self.field, [v])
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        _, pivots, _ = la.rref_np(self.field, np.vstack((self.rows, v)))
+        return int(pivots.sum()) == self.dim
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field is other.field
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient
+                and np.array_equal(self.rows, other.rows))
 
     def __hash__(self):
-        return hash((id(self.field), self.ambient, self.rows))
+        return hash((id(self.field), self.ambient, self.rows.tobytes()))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def _kernel(F, A):
+    """A basis of {x : A x^T = 0}, from the rref R of the code array A: a
+    row per free column c, 1 at c and -R_ic at row i's pivot column."""
+    R, pivots, _ = la.rref_np(F, A)
+    piv, free = np.flatnonzero(pivots), np.flatnonzero(~pivots)
+    N = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    N[np.arange(len(free)), free] = 1
+    N[:, piv] = F.mul_np(F.neg(1), R[:len(piv), free].T)
+    return N
+
+
 def perp(form, S):
-    """The polar subspace {x : kappa(x, s) = 0 for all s in S}."""
-    if S.dim == 0:
-        return Subspace(form.field, form.dim, la.identity(form.field, form.dim))
-    functionals = form.pair_functional(S.rows).tolist()
-    basis = la.nullspace(form.field, functionals, ncols=form.dim)
-    return Subspace(form.field, form.dim, basis)
+    """{x : kappa(x, s) = 0 for all s in S}, the kernel of S's functionals."""
+    return Subspace(form.field, form.dim,
+                    _kernel(form.field, form.pair_functional(S.rows)))
 
 
 @dataclass(frozen=True)
@@ -416,17 +428,16 @@ def classify_restriction(form, S):
     k = S.dim
     if k == 0:
         return RestrictionReport(None, 0, 0, 0, True)
-    M = form.restriction(S.rows).tolist()
-    if not any(map(any, M)):
+    M = form.restriction(S.rows)
+    if not M.any():
         return RestrictionReport(None, k, k, k, True)
     if form.kind.is_quadratic:
-        B = _polarized(F, M)
-        rad = la.nullspace(F, B, ncols=k)
+        B = la.sum_np(F, np.stack((M, M.T)))
+        rad = _kernel(F, B)
         rad_dim = len(rad)
         if F.p == 2 and rad_dim:
             # singular radical: kernel of the semilinear functional Q on rad(B)
-            qvals = [_eval_upper(F, M, r) for r in rad]
-            if any(qvals):
+            if np.diagonal(la.mat_mul_np(F, la.mat_mul_np(F, rad, M), rad.T)).any():
                 rad_dim -= 1
         if rad_dim > 0:
             return RestrictionReport(None, k, None, rad_dim, False)
@@ -435,19 +446,7 @@ def classify_restriction(form, S):
         sign = _quadratic_sign(F, M, B)
         witt = k // 2 if sign is FormKind.PLUS else k // 2 - 1
         return RestrictionReport(sign, k, witt, 0, False)
-    rad_dim = k - len(la.rref(F, M)[0])
+    rad_dim = k - int(la.rref_np(F, M)[1].sum())
     if rad_dim:
         return RestrictionReport(None, k, None, rad_dim, False)
     return RestrictionReport(form.kind, k, k // 2, 0, False)
-
-
-def _eval_upper(F, C, v):
-    acc = 0
-    k = len(v)
-    for i, x in enumerate(v):
-        if x:
-            acc = F.add(acc, F.mul(x, F.mul(x, C[i][i])))
-            for j in range(i + 1, k):
-                if v[j] and C[i][j]:
-                    acc = F.add(acc, F.mul(C[i][j], F.mul(x, v[j])))
-    return acc

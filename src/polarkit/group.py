@@ -40,7 +40,7 @@ class Semisimilarity:
         if any(len(r) != d for r in matrix):
             raise ValueError("matrix must be square")
         s = gf.integer("sigma_power", sigma_power) % field.f
-        inv = la.mat_inv(field, matrix)   # raises if singular
+        inv = la.mat_inv(field, matrix)   # an array; raises if singular
         self._link(field, matrix, field.frobenius_np(inv, -s).tolist(), s)
 
     def _link(self, F, M, Minv, s):
@@ -528,7 +528,7 @@ def _random_words(gs, rng):
     inverse of a product is the product of the inverses in reverse order,
     so one mat_mul_np over a stack of four makes a step: s_i <- s_i s_j and
     acc <- acc s_i (the s_i before the step), each with its inverse.  No
-    matrix goes through la.mat_inv, and no Semisimilarity is built."""
+    elimination inverts a matrix, and no Semisimilarity is built."""
     F, gens = gs.field, gs.generators
     pairs = np.array([(g.matrix, g.inverse().matrix) for g in gens],
                      dtype=np.int64)
@@ -571,8 +571,9 @@ def _certify(space, gs, order):
     """
     F = space.field
     gens = gs.generators
+    dets = la.det(F, [g.matrix for g in gens])
     for i, (g, lam) in enumerate(zip(gens, _validate_gens(space.form, gens))):
-        if lam != 1 or g.sigma_power or la.det(F, g.matrix) != 1:
+        if lam != 1 or g.sigma_power or dets[i] != 1:
             raise ValueError(f"generator {i} rejected: not a special isometry "
                              f"(multiplier {lam}, sigma power {g.sigma_power})")
     perms = list(_point_images(space, gs.generators))
@@ -692,8 +693,7 @@ def _identity_plus(F, C, R):
     it; it holds when (RC)^r = 0, as it does here (RC = 0 for a
     transvection along an isotropic v, and RC has only a lower-left entry
     for an Eichler map, u being singular and perpendicular to v).  Each
-    product is one mat_mul_np over the whole stack, and no map goes
-    through la.mat_inv."""
+    product is one mat_mul_np over the whole stack; no elimination runs."""
     C = np.asarray(C, dtype=np.int64)
     R = np.asarray(R, dtype=np.int64)
     RC = la.mat_mul_np(F, R, C)
@@ -792,7 +792,7 @@ def _eichler_generators(form):
     F, d = form.field, form.dim
     C, R = [], []
     for u in _first_hyperbolic_pair(form):
-        P = np.array(fm.perp(form, fm.Subspace.span(F, [u])).rows, dtype=np.int64)
+        P = fm.perp(form, fm.Subspace.span(F, [u])).rows
         i, j = np.triu_indices(len(P), 1)
         V = np.concatenate((P, la.sum_np(F, np.stack((P[i], P[j])))))
         V = F.mul_np(V[:, None], F.exp_np[:F.f, None]).reshape(-1, d)
@@ -815,5 +815,5 @@ def _first_hyperbolic_pair(form):
     if not len(hits):
         raise ValueError("no hyperbolic pair among basis vectors (rank 0?)")
     i, j = map(int, hits[0])
-    e = la.identity(F, d)
-    return e[i], tuple(F.div(x, int(B[i, j])) for x in e[j])
+    e = np.eye(d, dtype=np.int64)
+    return tuple(e[i].tolist()), tuple(F.mul_np(F.inv(int(B[i, j])), e[j]).tolist())

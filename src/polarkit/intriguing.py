@@ -18,7 +18,6 @@ import numpy as np
 from . import _linalg as la
 from . import gf
 from . import polar as pl
-from .forms import Subspace
 
 
 @dataclass(frozen=True)
@@ -132,13 +131,12 @@ def _collinear_constant(space):
     x^perp / x, of the same kind in dimension d - 2 and rank r - 1, and each
     carries q points besides x.  At rank 1 the residual is empty (its theta
     is not an integer there).  Point 0 is counted directly as a cross-check:
-    its perp, polar.perp_residual, is one blocked product over the space.
+    its perp, polar.perp_indices, is one blocked product over the space.
     """
     residual = (pl.expected_point_count(space.kind, space.d - 2, space.q)
                 if space.rank > 1 else 0)
     count = 1 + space.q * residual
-    x = Subspace.span(space.field, space.points_np[:1].tolist())
-    sample = len(pl.perp_residual(space, x))
+    sample = len(pl.perp_indices(space, space.points_np[:1]))
     if sample != count:
         raise AssertionError(
             f"point 0 is collinear with {sample} points, the closed form "
@@ -213,24 +211,12 @@ def _counter(space, members, rows):
 
 def _span(G, p, n):
     """(R, piv): the rref R of the row space of G^T over GF(p) and its pivot
-    columns, or None as soon as a pivot would bring p^K to n."""
-    A = G.T
-    R = np.zeros((0, G.shape[0]), dtype=np.int64)
-    piv = []
-    for c in range(G.shape[0]):
-        A = A[A.any(axis=1)]
-        if not len(A):
-            break
-        nz = np.flatnonzero(A[:, c])
-        if not nz.size:
-            continue
-        if p ** (len(piv) + 1) >= n:
-            return None
-        row = A[nz[0]] * pow(int(A[nz[0], c]), -1, p) % p
-        A = (A - np.outer(A[:, c], row)) % p
-        R = np.vstack(((R - np.outer(R[:, c], row)) % p, row))
-        piv.append(c)
-    return R, piv
+    columns, or None when p^K would reach n."""
+    R, pivots, _ = la.rref_np(gf.field(p), G.T)
+    piv = np.flatnonzero(pivots)
+    if p ** len(piv) >= n:
+        return None
+    return R[:len(piv)], piv
 
 
 # -- feasibility -----------------------------------------------------------

@@ -422,22 +422,25 @@ def full_set(space):
 
 
 def perp_residual(space, W):
-    """The points of the space lying in W^perp (the whole space for W = 0):
-    those whose digits make the one group of all of W's pair functionals
-    vanish, by _linalg.zero_groups (exact by the rule of that module's
-    docstring), _linalg._SCAN_ROWS points at a time, so that the digit rows
-    stay block-sized too."""
+    """The points of the space lying in W^perp (all of it for W = 0)."""
     if W.ambient != space.d:
         raise ValueError("subspace ambient dimension mismatch")
-    if W.dim == 0:
-        return full_set(space)
+    return PointSet(space, perp_indices(space, W.rows))
+
+
+def perp_indices(space, rows):
+    """The indices of the points perpendicular to all of rows: those whose
+    digits make the one group of the rows' pair functionals vanish, by
+    _linalg.zero_groups, _linalg._SCAN_ROWS points at a time."""
+    if not len(rows):
+        return np.arange(space.num_points)
     F, points = space.field, space.points_np
-    G = space.form.pair_matrix(W.rows)
+    G = space.form.pair_matrix(rows)
     ok = [np.zeros(0, dtype=bool)] + [
         la.zero_groups(F.digit_rows(points[r:r + la._SCAN_ROWS]), G, F.p,
                        G.shape[1])[:, 0]
         for r in range(0, len(points), la._SCAN_ROWS)]
-    return PointSet(space, np.flatnonzero(np.concatenate(ok)))
+    return np.flatnonzero(np.concatenate(ok))
 
 
 def maximal_ts_points(space):

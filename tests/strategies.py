@@ -76,9 +76,39 @@ def points(space):
 
 def collinear(space, i, j):
     """Whether points i and j are perpendicular (true on the diagonal):
-    Form.evaluate_pair on their coordinate tuples."""
+    pair_value on their coordinate tuples."""
     u, v = space.points_np[[i, j]].tolist()
-    return space.form.evaluate_pair(u, v) == 0
+    return pair_value(space.form, u, v) == 0
+
+
+def form_value(form, v):
+    """Q(v) = sum over i <= j of C_ij v_i v_j for quadratic kinds, on the
+    stored coefficients C, and kappa(v, v) otherwise."""
+    if not form.kind.is_quadratic:
+        return pair_value(form, v, v)
+    F, C = form.field, form.data
+    acc = 0
+    for i, x in enumerate(v):
+        for j in range(i, len(v)):
+            if x and v[j] and C[i][j]:
+                acc = F.add(acc, F.mul(C[i][j], F.mul(x, v[j])))
+    return acc
+
+
+def pair_value(form, u, v):
+    """kappa(u, v) = sum u_i G_ij v_j^sigma, with G = C + C^T for quadratic
+    kinds and the stored Gram matrix otherwise, sigma = sqrt(q) for
+    Hermitian forms and the identity otherwise."""
+    F, M = form.field, form.data
+    s = F.f // 2 if form.kind.value == "H" else 0
+    quadratic = form.kind.is_quadratic
+    acc = 0
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            if x and y:
+                g = F.add(M[i][j], M[j][i]) if quadratic else M[i][j]
+                acc = F.add(acc, F.mul(x, F.mul(g, F.frobenius(y, s))))
+    return acc
 
 
 def point_index(space):
@@ -125,6 +155,64 @@ def mat_mul(F, A, B):
     """The matrix product over F, one scalar product and sum at a time."""
     return tuple(tuple(functools.reduce(F.add, map(F.mul, row, col), 0)
                        for col in zip(*B)) for row in A)
+
+
+def rref(F, rows):
+    """The reduced row echelon form of the rows, one scalar operation at a
+    time: (nonzero rows as a tuple of tuples, pivot columns)."""
+    R = [list(r) for r in rows]
+    if not R:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(R[0])):
+        piv = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = F.inv(R[r][c])
+        R[r] = [F.mul(inv, x) for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                m = R[i][c]
+                R[i] = [F.sub(x, F.mul(m, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(R):
+            break
+    return tuple(tuple(row) for row in R[:r]), tuple(pivots)
+
+
+def det(F, A):
+    """The determinant by forward elimination: a pivot row clears only the
+    rows below it and is not scaled."""
+    n = len(A)
+    M = [list(r) for r in A]
+    d = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if M[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            d = F.neg(d)
+        d = F.mul(d, M[c][c])
+        inv = F.inv(M[c][c])
+        for i in range(c + 1, n):
+            if M[i][c]:
+                m = F.mul(inv, M[i][c])
+                M[i] = [F.sub(x, F.mul(m, y)) for x, y in zip(M[i], M[c])]
+    return d
+
+
+def mat_inv(F, A):
+    """The inverse of a square matrix, the right half of rref([A | I]), or
+    None if A is singular."""
+    n = len(A)
+    R, pivots = rref(F, [tuple(a) + e for a, e in zip(A, identity(n))])
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in R)
 
 
 def span(F, rows, ambient):

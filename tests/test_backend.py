@@ -3,8 +3,8 @@ replaced.
 
 Every field runs on the GF(p)-digit kernels of _linalg (expand,
 expand_quadratic, form_values, mulmod).  Each oracle below is the
-pure-Python loop that did the same job before, built from FiniteField and
-Form scalar methods only, and each test draws fields from GF(2) to GF(25),
+pure-Python loop that did the same job before, built from FiniteField
+methods and the scalar form values of tests/strategies.py only, and each test draws fields from GF(2) to GF(25),
 forms in random coordinates (Hermitian ones included) and semilinear maps.
 """
 
@@ -21,8 +21,8 @@ import pytest
 
 from polarkit import _linalg as la
 from polarkit import fieldred, forms, gf, group, intriguing, polar
-from strategies import (canonical, flatten, frobenius, mat_mul, point_index,
-                        points, span)
+from strategies import (canonical, flatten, form_value, frobenius, mat_mul,
+                        pair_value, point_index, points, span)
 
 ORDERS = [2, 3, 4, 8, 9, 16, 25]
 
@@ -36,7 +36,7 @@ def scan_oracle(form):
     F = form.field
     return tuple(v for v in itertools.product(F.elements(), repeat=form.dim)
                  if any(v) and next(x for x in v if x) == 1
-                 and form.evaluate(v) == 0)
+                 and form_value(form, v) == 0)
 
 
 def greedy_ts_oracle(form, points):
@@ -45,7 +45,7 @@ def greedy_ts_oracle(form, points):
     basis = []
     spanned = span(F, basis, form.dim)
     for pt in points:
-        if any(form.evaluate_pair(pt, x) != 0 for x in basis):
+        if any(pair_value(form, pt, x) != 0 for x in basis):
             continue
         if pt in spanned:
             continue
@@ -58,13 +58,13 @@ def raw_counts_oracle(space, members):
     """|P^perp ∩ members| for each point P, one form value at a time."""
     form, pts = space.form, points(space)
     mvecs = [pts[i] for i in members]
-    return [sum(1 for w in mvecs if form.evaluate_pair(pt, w) == 0)
+    return [sum(1 for w in mvecs if pair_value(form, pt, w) == 0)
             for pt in pts]
 
 
 def perp_residual_oracle(space, W):
     return tuple(i for i, pt in enumerate(points(space))
-                 if all(space.form.evaluate_pair(pt, s) == 0 for s in W.rows))
+                 if all(pair_value(space.form, pt, s) == 0 for s in W.rows))
 
 
 def count_singular_oracle(F, C):
@@ -246,29 +246,6 @@ def test_singular_points_match_the_scan_oracle_across_chunks(data):
 # -- the scalar form layer -----------------------------------------------------
 
 
-def quadratic_value_oracle(F, C, v):
-    """Q(v) = sum over i <= j of C_ij v_i v_j."""
-    acc = 0
-    for i in range(len(v)):
-        for j in range(i, len(v)):
-            acc = F.add(acc, F.mul(C[i][j], F.mul(v[i], v[j])))
-    return acc
-
-
-def pair_value_oracle(form, u, v):
-    """kappa(u, v) = sum u_i G_ij v_j^sigma, with G = C + C^T for quadratic
-    kinds and the stored Gram matrix otherwise, sigma = sqrt(q) for
-    Hermitian forms and the identity otherwise."""
-    F, M = form.field, form.data
-    s = F.f // 2 if form.kind is forms.FormKind.HERMITIAN else 0
-    acc = 0
-    for i, x in enumerate(u):
-        for j, y in enumerate(v):
-            g = F.add(M[i][j], M[j][i]) if form.kind.is_quadratic else M[i][j]
-            acc = F.add(acc, F.mul(x, F.mul(g, F.frobenius(y, s))))
-    return acc
-
-
 _FORM_SHAPES = [(q, kind, d) for q in ORDERS
                 for kind in ("W", "Q", "Q+", "Q-", "H") for d in range(1, 7)
                 if _valid(kind, d, gf.field_of_order(q))]
@@ -285,13 +262,11 @@ def test_form_evaluation_matches_the_definitions(data):
                         _draw_invertible(data, F, d))
     vec = st.tuples(*[st.integers(0, q - 1)] * d)
     u, v = data.draw(vec), data.draw(vec)
-    kappa = pair_value_oracle(form, u, v)
+    kappa = pair_value(form, u, v)
     assert form.evaluate_pair(u, v) == kappa
     w = form.pair_functional(v)
     assert functools.reduce(F.add, map(F.mul, u, w), 0) == kappa
-    want = (quadratic_value_oracle(F, form.data, v) if form.kind.is_quadratic
-            else pair_value_oracle(form, v, v))
-    assert form.evaluate(v) == want
+    assert form.evaluate(v) == form_value(form, v)
 
 
 # -- the digit expansion -------------------------------------------------------
@@ -317,6 +292,7 @@ def test_expand_matches_apply_on_every_vector(data):
 @settings(max_examples=60)
 @given(st.data())
 def test_form_values_match_evaluate_on_every_vector(data):
+    """form_values against evaluate's definition, the scalar form_value."""
     q, kind, d = data.draw(st.sampled_from(
         [s for s in SPACES if s[0] ** s[2] <= 5000]))
     F = gf.field_of_order(q)
@@ -325,7 +301,7 @@ def test_form_values_match_evaluate_on_every_vector(data):
     vecs = _all_vectors(F, d)
     A = la.expand_quadratic(F, form.data, form.sigma)
     got = F.from_digits(la.form_values(F, A, F.digit_rows(vecs)))
-    assert got.tolist() == [form.evaluate(v) for v in vecs]
+    assert got.tolist() == [form_value(form, v) for v in vecs]
 
 
 # -- point images ----------------------------------------------------------------

@@ -304,11 +304,13 @@ def test_certify_images_one_element_of_each_inverse_pair(monkeypatch):
 
 
 def test_certify_checks_each_generator_once(monkeypatch):
-    """multiplier and det run once per generator, 11 times for Sp(6,3), not
-    on the 11 inverses that close the set."""
+    """multiplier runs once per generator, 11 times for Sp(6,3), and det
+    once, on the stack of those 11 matrices: neither sees the 11 inverses
+    that close the set."""
     space = _space("Sp", 6, 3)
     gs = group.classical_generators("Sp", 6, space.field, self_check=False)
     calls = {"multiplier": 0, "det": 0}
+    stacks = []
     multiplier, det = group.multiplier, group.la.det
 
     def counting(name, fn):
@@ -318,10 +320,12 @@ def test_certify_checks_each_generator_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(group, "multiplier", counting("multiplier", multiplier))
-    monkeypatch.setattr(group.la, "det", counting("det", det))
+    monkeypatch.setattr(group.la, "det", counting(
+        "det", lambda F, A: stacks.append(np.shape(A)) or det(F, A)))
     order = group.point_image_order("Sp", 6, 3)
     assert group._certify(space, gs, order) == order
-    assert calls == {"multiplier": 11, "det": 11} and len(gs) == 22
+    assert calls == {"multiplier": 11, "det": 1} and len(gs) == 22
+    assert stacks == [(11, 6, 6)]
 
 
 def _closure(base, perms):

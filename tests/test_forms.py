@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from polarkit import forms, gf, polar
 from polarkit.forms import FormKind, Subspace
-from strategies import fields, span
+from strategies import fields, form_value, pair_value, span
 
 SPACES = [("W", 4, 3), ("W", 6, 2), ("Q", 5, 3), ("Q+", 4, 2), ("Q+", 6, 3),
           ("Q-", 4, 3), ("Q-", 6, 2), ("H", 4, 4), ("H", 3, 9)]
@@ -150,14 +150,14 @@ _RESTRICTION_SPACES = [(kind, d, q) for kind, d in (("W", 4), ("Q+", 4), ("Q-", 
 
 
 def _restriction_oracle(form, rows):
-    """The form on the rows, one evaluate / evaluate_pair per entry: the
-    upper-triangular coefficient matrix for quadratic kinds, the Gram
+    """The form on the rows, one scalar form_value / pair_value per entry:
+    the upper-triangular coefficient matrix for quadratic kinds, the Gram
     matrix otherwise."""
     k = len(rows)
     if not form.kind.is_quadratic:
-        return [[form.evaluate_pair(u, v) for v in rows] for u in rows]
-    return [[form.evaluate(rows[i]) if i == j
-             else form.evaluate_pair(rows[i], rows[j]) if i < j else 0
+        return [[pair_value(form, u, v) for v in rows] for u in rows]
+    return [[form_value(form, rows[i]) if i == j
+             else pair_value(form, rows[i], rows[j]) if i < j else 0
              for j in range(k)] for i in range(k)]
 
 
@@ -176,18 +176,19 @@ def test_classify_restriction_matches_the_brute_force_oracles(data):
     S = Subspace(F, d, data.draw(st.lists(vector, min_size=1, max_size=4)))
     assume(S.dim > 0)
     rep = forms.classify_restriction(form, S)
-    oracle = _restriction_oracle(form, S.rows)
+    rows = S.rows.tolist()
+    oracle = _restriction_oracle(form, rows)
     assert form.restriction(S.rows).tolist() == oracle
     assert rep.dim == S.dim
     assert rep.totally_singular == (not any(map(any, oracle)))
-    vectors = span(F, S.rows, d)
-    radical = [v for v in vectors if form.evaluate(v) == 0
-               and all(form.evaluate_pair(v, r) == 0 for r in S.rows)]
+    vectors = span(F, rows, d)
+    radical = [v for v in vectors if form_value(form, v) == 0
+               and all(pair_value(form, v, r) == 0 for r in rows)]
     assert len(radical) == q ** rep.radical_dim
     if not rep.nondegenerate:
         assert rep.kind is None and (rep.rank is None) != rep.totally_singular
         return
-    singular = [v for v in vectors if any(v) and form.evaluate(v) == 0]
+    singular = [v for v in vectors if any(v) and form_value(form, v) == 0]
     assert (len(singular) > 0) == (rep.rank > 0)
     assert len(singular) == (q - 1) * polar.expected_point_count(rep.kind, S.dim, q)
     assert rep.rank == polar.rank_of(rep.kind, S.dim)
@@ -308,8 +309,44 @@ def test_span_is_canonical():
     F = gf.field(3)
     S1 = Subspace.span(F, [(1, 2, 0, 1), (0, 1, 1, 1)])
     S2 = Subspace.span(F, [(2, 4 % 3, 0, 2), (1, 0, 1 % 3, 2)])  # scaled + mixed
-    assert S1.rows == S2.rows
+    assert S1.rows.tolist() == S2.rows.tolist() == [[1, 0, 1, 2], [0, 1, 1, 1]]
+    assert S1 == S2 and hash(S1) == hash(S2)
     assert S1.dim == 2
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda F: Subspace(F, 3, [(-1, 0, 0)]),
+     r"matrix entry \(0, 0\) = -1 is out of range for q=3"),
+    (lambda F: Subspace(F, 3, [(1, 0, 0), (5, 0, 0)]),
+     r"matrix entry \(1, 0\) = 5 is out of range for q=3"),
+    (lambda F: Subspace(F, 3, [(1.0, 0, 0)]),
+     r"matrix entry \(0, 0\) 1.0 is not an int"),
+    (lambda F: Subspace(F, 3, [(True, 0, 0)]),
+     r"matrix entry \(0, 0\) True is a bool, not an int"),
+    (lambda F: Subspace.span(F, [(0, np.int64(3), 0)]),
+     r"matrix entry \(0, 1\) = 3 is out of range for q=3"),
+    (lambda F: Subspace(F, 3, [(1, 0)]),
+     "row length does not match ambient dimension"),
+    (lambda F: Subspace(F, 3, [(1, 0, 0)]).contains((-1, 0, 0)),
+     r"matrix entry \(0, 0\) = -1 is out of range for q=3"),
+    (lambda F: Subspace(F, 3, [(1, 0, 0)]).contains((True, 0, 0)),
+     r"matrix entry \(0, 0\) True is a bool, not an int"),
+    (lambda F: Subspace(F, 3, [(1, 0, 0)]).contains((1, 0)),
+     "vector length does not match ambient dimension"),
+], ids=["negative", "out-of-range", "float", "bool", "numpy-out-of-range",
+        "short-row", "contains-negative", "contains-bool", "contains-short"])
+def test_subspace_rows_must_be_element_codes(f3, build, match):
+    """A subspace's rows, and a vector tested for membership, follow the
+    rule of Form's entries: ints in range(q), numpy integers included;
+    negative codes, codes out of range, floats and bools are refused with
+    a message naming the entry, and rows of the wrong length too."""
+    with pytest.raises(ValueError, match=match):
+        build(f3)
+    S = Subspace(f3, 3, np.array([[2, 0, 0], [0, 1, 1]]))
+    assert S.rows.tolist() == [[1, 0, 0], [0, 1, 1]] and S.dim == 2
+    assert S.contains(np.array([1, 2, 2])) and not S.contains((0, 0, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        S.rows[0, 0] = 2
 
 
 def test_subspace_vectors_and_contains():

@@ -319,7 +319,7 @@ def test_a_space_within_one_block_takes_one_kernel_call_per_count(monkeypatch):
     """W(5,3) has 364 points, under one row block: classify runs the zero
     test kernel once per count, on every point against the member columns,
     as a single count of every point did.  A set covering more than half
-    the space first checks the collinearity constant through perp_residual,
+    the space first checks the collinearity constant through perp_indices,
     which runs the same kernel once against point 0's functional;
     test_collinearity_cross_check_still_raises covers that check."""
     calls = []

@@ -1,15 +1,17 @@
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from polarkit import _linalg as la
 from polarkit import forms, gf
 from strategies import (fields, identity, invertible_matrices, mat_mul,
                         singular_matrices)
+from strategies import det as oracle_det, mat_inv as oracle_inv, rref as oracle_rref
 
 # k * (p - 1)^2 just below 2^53 for k = 4: the largest products mulmod accepts
 _EDGE_P = 47_453_133
@@ -245,10 +247,116 @@ def test_zero_groups_of_empty_operands():
 
 @given(st.data())
 def test_mat_inv_inverts_and_refuses_a_singular_matrix(data):
+    """mat_inv returns an int64 code array, the scalar oracle's inverse."""
     F = data.draw(fields([2, 3, 4, 9]))
     d = data.draw(st.integers(1, 8))
     A = data.draw(invertible_matrices(F, d))
     Ainv = la.mat_inv(F, A)
-    assert mat_mul(F, A, Ainv) == mat_mul(F, Ainv, A) == identity(d)
+    assert Ainv.dtype == np.int64 and Ainv.shape == (d, d)
+    assert np.array_equal(Ainv, np.array(oracle_inv(F, A)))
+    assert mat_mul(F, A, Ainv.tolist()) == mat_mul(F, Ainv.tolist(), A) == identity(d)
     with pytest.raises(ValueError, match="matrix is singular"):
         la.mat_inv(F, data.draw(singular_matrices(F, d)))
+
+
+# -- Gauss-Jordan on stacks --------------------------------------------------
+
+ELIMINATION_ORDERS = [2, 3, 4, 5, 8, 9]
+
+
+@st.composite
+def _matrix_of_rank_at_most(draw, F, m, n):
+    """An m x n matrix over F, a product of an m x r and an r x n matrix
+    for a drawn r, so that a stack of them mixes ranks."""
+    r = draw(st.integers(0, min(m, n)))
+    entries = st.integers(0, F.q - 1)
+    C = [[draw(entries) for _ in range(r)] for _ in range(m)]
+    B = [[draw(entries) for _ in range(n)] for _ in range(r)]
+    return mat_mul(F, C, B) if r else ((0,) * n,) * m
+
+
+@st.composite
+def _stacks(draw, square=False):
+    """A field, a stack shape of up to two axes (none for one matrix) and a
+    stack of that shape of m x n matrices, 0 rows or 0 columns included, as
+    an int64 array and as the list of its members.  A square member is as
+    often invertible (P L U, row swaps included) as of lower rank."""
+    F = draw(fields(ELIMINATION_ORDERS))
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(0, 7))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    member = _matrix_of_rank_at_most(F, m, n)
+    if m == n:
+        member = st.one_of(invertible_matrices(F, m), member)
+    members = [draw(member) for _ in range(math.prod(shape))]
+    A = np.array(members, dtype=np.int64).reshape(shape + (m, n))
+    return F, A, members
+
+
+@settings(max_examples=150)
+@given(_stacks())
+def test_rref_np_matches_the_scalar_elimination(drawn):
+    """Each member's rows, pivots and rank are the scalar rref's, and its
+    rows below the rank are zero; a full-rank square member's unit is its
+    determinant."""
+    F, A, members = drawn
+    R, pivots, unit = la.rref_np(F, A)
+    assert R.shape == A.shape and R.dtype == np.int64
+    *shape, m, n = A.shape
+    assert pivots.shape == (*shape, n) and unit.shape == tuple(shape)
+    s = len(members)
+    R, pivots, unit = R.reshape(s, m, n), pivots.reshape(s, n), unit.reshape(s)
+    for M, Rk, pk, uk in zip(members, R, pivots, unit):
+        rows, cols = oracle_rref(F, M)
+        assert Rk[:len(rows)].tolist() == [list(r) for r in rows]
+        assert not Rk[len(rows):].any()
+        assert tuple(np.flatnonzero(pk)) == cols
+        if len(rows) == m == n:
+            assert uk == oracle_det(F, M)
+
+
+@pytest.mark.parametrize("members", [
+    [((1, 0, 1, 0, 0), (0, 1, 0, 0, 0)),
+     ((0, 0, 0, 0, 0), (0, 0, 1, 0, 1))],
+    [((1, 0, 1), (0, 1, 0), (0, 0, 0)),
+     ((0, 1, 0), (1, 0, 0), (0, 0, 1))]])
+def test_rref_np_of_members_that_pivot_apart(members):
+    """Over GF(2), a member without a pivot in a column keeps its rows while
+    the others reduce.  In the first stack the first member is out of rows
+    after column 1 and the second finds its one pivot in column 2.  In the
+    second the first member has no pivot in column 2, where the second has
+    one; adding multiples of its next row (0, 1, 0) to its rows above would
+    put a 1 into its pivot column 1."""
+    F = gf.field(2)
+    R, pivots, _ = la.rref_np(F, members)
+    for M, Rk, pk in zip(members, R, pivots):
+        rows, cols = oracle_rref(F, M)
+        assert Rk[:len(rows)].tolist() == [list(r) for r in rows]
+        assert not Rk[len(rows):].any()
+        assert tuple(np.flatnonzero(pk)) == cols
+
+
+@settings(max_examples=150)
+@given(_stacks(square=True))
+def test_det_matches_the_scalar_elimination(drawn):
+    F, A, members = drawn
+    got = la.det(F, A)
+    assert got.shape == A.shape[:-2] and got.dtype == np.int64
+    assert got.ravel().tolist() == [oracle_det(F, M) for M in members]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_mat_inv_of_a_stack_and_a_singular_member(data):
+    """A stack of invertible matrices inverts member by member as the
+    scalar oracle does; one singular member makes the whole call raise."""
+    F = data.draw(fields(ELIMINATION_ORDERS))
+    d = data.draw(st.integers(1, 6))
+    s = data.draw(st.integers(1, 4))
+    members = [data.draw(invertible_matrices(F, d)) for _ in range(s)]
+    got = la.mat_inv(F, members)
+    assert got.shape == (s, d, d) and got.dtype == np.int64
+    assert got.tolist() == [[list(r) for r in oracle_inv(F, M)] for M in members]
+    members[data.draw(st.integers(0, s - 1))] = data.draw(singular_matrices(F, d))
+    with pytest.raises(ValueError, match="matrix is singular"):
+        la.mat_inv(F, members)

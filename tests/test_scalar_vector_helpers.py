@@ -1,16 +1,17 @@
-"""The scalar vector helpers of _linalg (vec_mat, dot, scale, add_vec)
-have two callers left: Semisimilarity.apply, which images one vector, and
-the Arf split of forms._quadratic_sign.  Everything else works on code
-arrays through _linalg.mat_mul_np."""
+"""_linalg has one scalar vector helper left, vec_mat, and one caller of it:
+Semisimilarity.apply, which images one vector.  Everything else works on
+code arrays through _linalg.mat_mul_np and _linalg.rref_np: the tuple
+Gauss-Jordan and the scalar form loops are gone."""
 
 import ast
 from pathlib import Path
 
 import polarkit
+from polarkit import _linalg, forms
 
 PACKAGE = Path(polarkit.__file__).resolve().parent
 SCALAR_HELPERS = {"vec_mat", "dot", "scale", "add_vec"}
-ALLOWED = {("forms.py", "_quadratic_sign"), ("group.py", "Semisimilarity.apply")}
+ALLOWED = {("group.py", "Semisimilarity.apply")}
 
 
 def _callers(tree):
@@ -42,3 +43,6 @@ def test_scalar_vector_helpers_have_two_callers():
         tree = ast.parse(path.read_text(), filename=str(path))
         callers |= {(path.name, scope) for scope in _callers(tree)}
     assert callers == ALLOWED
+    gone = {"rref", "nullspace", "identity", "dot", "scale", "add_vec"}
+    assert not gone & set(vars(_linalg))
+    assert not hasattr(forms, "_eval_upper")
