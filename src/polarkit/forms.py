@@ -55,10 +55,12 @@ class Form:
     (Q(v) = v C v^T) and the Gram matrix otherwise, its entries element
     codes by gf.element_codes.  Construction validates shape,
     nondegeneracy and that the computed type matches the declared kind, so
-    a Form that exists is a certificate.
+    a Form that exists is a certificate.  _sign is for quadratic_form
+    alone: the type it computed for even-dimensional data, which the check
+    then reads instead of computing it a second time.
     """
 
-    def __init__(self, kind, field, data):
+    def __init__(self, kind, field, data, _sign=None):
         kind = parse_kind(kind)
         data = gf.element_codes(field, data)
         d = len(data)
@@ -70,11 +72,11 @@ class Form:
         self.data = data
         self.sigma = field.f // 2 if kind is FormKind.HERMITIAN else 0
         self.bilinear_gram = _polarized(field, data) if kind.is_quadratic else data
-        self._validate()
+        self._validate(_sign)
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, sign):
         F, d, K, M = self.field, self.dim, self.kind, self.data
         if K is FormKind.SYMPLECTIC:
             if d % 2:
@@ -106,7 +108,8 @@ class Form:
             elif d % 2:
                 raise ValueError(f"{K.name} quadratic forms need even dimension")
             else:
-                sign = _quadratic_sign(F, M, self.bilinear_gram)
+                if sign is None:
+                    sign = _quadratic_sign(F, M, self.bilinear_gram)
                 want = FormKind.PLUS if K is FormKind.PLUS else FormKind.MINUS
                 if sign is not want:
                     raise ValueError(f"declared {K.name} but computed type is {sign.name}")
@@ -327,13 +330,14 @@ def diagonal_form(field, entries):
 
 
 def quadratic_form(field, upper):
-    """Build a quadratic Form from an upper-triangular matrix, computing its kind."""
+    """Build a quadratic Form from an upper-triangular matrix, computing its
+    kind: one _quadratic_sign for an even dimension, which Form's check of
+    the kind reads."""
     upper = gf.element_codes(field, upper)
     if len(upper) % 2:
-        kind = FormKind.PARABOLIC
-    else:
-        kind = _quadratic_sign(field, upper, _polarized(field, upper))
-    return Form(kind, field, upper)
+        return Form(FormKind.PARABOLIC, field, upper)
+    sign = _quadratic_sign(field, upper, _polarized(field, upper))
+    return Form(sign, field, upper, _sign=sign)
 
 
 class Subspace:
@@ -388,13 +392,22 @@ class Subspace:
 
 
 def _kernel(F, A):
-    """A basis of {x : A x^T = 0}, from the rref R of the code array A: a
-    row per free column c, 1 at c and -R_ic at row i's pivot column."""
+    """A basis of {x : A x^T = 0} for each matrix of the code stack A
+    (..., m, n), as a stack (..., n - r, n), from the rrefs R of one
+    rref_np: a row per free column c, 1 at c and -R_ic at row i's pivot
+    column.  Every matrix must have the same rank r (ValueError)."""
     R, pivots, _ = la.rref_np(F, A)
-    piv, free = np.flatnonzero(pivots), np.flatnonzero(~pivots)
-    N = np.zeros((len(free), A.shape[1]), dtype=np.int64)
-    N[np.arange(len(free)), free] = 1
-    N[:, piv] = F.mul_np(F.neg(1), R[:len(piv), free].T)
+    ranks = pivots.sum(axis=-1)
+    r = int(ranks.max(initial=0))
+    if (ranks != r).any():
+        raise ValueError("the matrices of the stack differ in rank")
+    *stack, n = pivots.shape
+    piv = np.nonzero(pivots)[-1].reshape(*stack, 1, r)
+    free = np.nonzero(~pivots)[-1].reshape(*stack, n - r, 1)
+    N = np.zeros((*stack, n - r, n), dtype=np.int64)
+    np.put_along_axis(N, free, 1, axis=-1)
+    Rf = np.take_along_axis(R[..., :r, :], np.swapaxes(free, -1, -2), axis=-1)
+    np.put_along_axis(N, piv, F.mul_np(F.neg(1), np.swapaxes(Rf, -1, -2)), axis=-1)
     return N
 
 

@@ -430,7 +430,11 @@ def classical_generators(family, d, field, self_check=True):
     the source, drawn by _certified_pair until a pair passes _certify:
     every word is an isometry of determinant 1, and a Schreier-Sims run on
     the point permutations proves that the pair's image on the polar points
-    has the closed-form order of the family's projective group.  Every
+    has the closed-form order of the family's projective group.  For d >= 3,
+    and for the lines of Sp and SU, that group is transitive on the points,
+    so a pair whose first basic orbit is shorter than the space is refused
+    before any check or sift; the one exception is Omega+(2, q), whose
+    image fixes both points and has order 1.  Every
     later orbit run and every map induced from the set then costs two
     generators, not the whole source.  Without self_check the source set
     itself is returned, uncertified: it is the construction, fixed by how
@@ -494,24 +498,38 @@ _DRAWS = 64   # pairs of words drawn before a source is refused
 
 def _certified_pair(space, source, order):
     """The first of the pairs of random words in source (_random_words,
-    seeded, taken two at a time) whose _certify product reaches `order`, as
-    a GeneratorSet with the source's label.
+    seeded, taken two at a time) whose certificate reaches `order`, as a
+    GeneratorSet with the source's label.
 
     The words are products of the source's elements, so they lie in the
     group it generates, and _certify's checks and order argument apply to
-    the pair unchanged.  A pair that falls short of `order` is only an
+    the pair unchanged.  Each draw's point permutations are computed once,
+    and its first basic orbit, that of point 0, is read before any check
+    or sift.  For d >= 3, and for the lines of Sp and SU, the target group
+    is transitive on the points; its one intransitive image, that of
+    Omega+(2, q), has order 1.  So when `order` > 1 a pair whose first
+    basic orbit is shorter than the space generates a proper subgroup,
+    and it is refused unsifted, as _certify could only have returned a
+    shortfall for it.  A pair that falls short of `order` is only an
     unlucky draw and the next one is tried; after _DRAWS of them the
     source is refused with AssertionError naming its label.  A product
-    above `order`, a basic orbit that does not grow, or a word that is not
-    a special isometry shows a defect and raises at once, as in _certify.
+    above `order` (already a first basic orbit above it), a basic orbit
+    that does not grow, or a word that is not a special isometry shows a
+    defect and raises at once, as in _certify.
     """
-    F = source.field
+    F, n = source.field, space.num_points
     words = _random_words(source, random.Random(0))
     for _ in range(_DRAWS):
         M, Minv = np.stack((next(words), next(words)), axis=1)
         pair = GeneratorSet(F, Semisimilarity._pairs(F, M, Minv),
                             label=source.label)
-        if _certify(space, pair, order) == order:
+        perms = list(_point_images(space, pair.generators))
+        base = _Level(n, 0, perms)
+        reach = len(base.orbit)
+        if 1 < order and reach < n and reach <= order:
+            continue          # intransitive, so short: refused unsifted
+        _check_special(space, pair)
+        if _schreier_sims(pair, perms, base, order) == order:
             return pair
     raise AssertionError(
         f"{source.label} failed its self-check: none of the first {_DRAWS} "
@@ -525,23 +543,28 @@ def _random_words(gs, rng):
     _random_elements runs it on permutations.
 
     The maps are linear (sigma power 0) and know their inverses, and the
-    inverse of a product is the product of the inverses in reverse order,
-    so one mat_mul_np over a stack of four makes a step: s_i <- s_i s_j and
-    acc <- acc s_i (the s_i before the step), each with its inverse.  No
+    inverse of a product is the product of the inverses in reverse order.
+    The state is one (2k + 2, d, d) code array: slot i at rows 2i and
+    2i + 1 (its matrix and its inverse's), the accumulator and its inverse
+    in the last two rows.  A step s_i <- s_i s_j and acc <- acc s_i (the
+    s_i before the step), each with its inverse, is one gather per operand,
+    one mat_mul_np over the four products and one scatter of them.  No
     elimination inverts a matrix, and no Semisimilarity is built."""
     F, gens = gs.field, gs.generators
     pairs = np.array([(g.matrix, g.inverse().matrix) for g in gens],
                      dtype=np.int64)
-    state = pairs[np.arange(max(10, len(gens))) % len(gens)]
-    acc = np.stack((np.eye(gs.dim, dtype=np.int64),) * 2)
+    k, d = max(10, len(gens)), gs.dim
+    state = np.concatenate((pairs[np.arange(k) % len(gens)].reshape(2 * k, d, d),
+                            np.stack((np.eye(d, dtype=np.int64),) * 2)))
+    acc = 2 * k
     for step in itertools.count():
-        i, j = rng.sample(range(len(state)), 2)
-        (si, si_inv), (sj, sj_inv) = state[i], state[j]
-        P = la.mat_mul_np(F, np.stack((si, sj_inv, acc[0], si_inv)),
-                          np.stack((sj, si_inv, si, acc[1])))
-        state[i], acc = P[:2], P[2:]
+        i, j = rng.sample(range(k), 2)
+        # s_i s_j, s_j^-1 s_i^-1, acc s_i, s_i^-1 acc^-1
+        P = la.mat_mul_np(F, state[[2 * i, 2 * j + 1, acc, 2 * i + 1]],
+                          state[[2 * j, 2 * i + 1, 2 * i, acc + 1]])
+        state[[2 * i, 2 * i + 1, acc, acc + 1]] = P
         if step >= 50:        # the first 50 steps only mix the state
-            yield acc
+            yield P[2:]
 
 
 def _certify(space, gs, order):
@@ -553,33 +576,48 @@ def _certify(space, gs, order):
     Each of gs.generators must be an isometry (multiplier 1, sigma power 0)
     of determinant 1, so the generated group lies in the special isometry
     group; the inverses and duplicates that gs.elements adds are special
-    isometries too and are not checked again (a failure raises ValueError
-    naming the index in gs.generators).  A random Schreier-Sims run
-    (Seress, Permutation Group Algorithms, 2003) on the point permutations
-    of gs.generators then builds a base and strong generators; in a finite
-    group g^-1 is a power of g, so the appended inverses add nothing.
-    Every strong generator is a word in gs, so the product is a lower bound
-    on the order of the generated image, and the run stops once it reaches
+    isometries too and are not checked again (_check_special).  A random
+    Schreier-Sims run (_schreier_sims) on the point permutations of
+    gs.generators then builds a base and strong generators.  Every strong
+    generator is a word in gs, so the product is a lower bound on the
+    order of the generated image, and the run stops once it reaches
     `order`.  For Sp and SU that is the order of the whole special isometry
     group's image; the Eichler transformations lie in Omega, whose image
-    has that order.  A product above `order`, or a level whose basic orbit
-    stays of length 1 after a residue that moves its base is added, is a
-    defect and raises AssertionError.  Random elements come from product
-    replacement with a fixed seed: the run is deterministic.  For d >= 3
-    the whole group is transitive on the points, so a certified set is too
-    and needs no orbit check of its own.
+    has that order.  For d >= 3, and for the lines of Sp and SU, the whole
+    group is transitive on the points, so a certified set is too and needs
+    no orbit check of its own.
     """
-    F = space.field
+    _check_special(space, gs)
+    perms = list(_point_images(space, gs.generators))
+    return _schreier_sims(gs, perms, _Level(space.num_points, 0, perms), order)
+
+
+def _check_special(space, gs):
+    """ValueError naming the index in gs.generators of a generator that is
+    not an isometry (multiplier 1, sigma power 0) of determinant 1; the
+    determinants come from one la.det over their stack."""
     gens = gs.generators
-    dets = la.det(F, [g.matrix for g in gens])
+    dets = la.det(space.field, [g.matrix for g in gens])
     for i, (g, lam) in enumerate(zip(gens, _validate_gens(space.form, gens))):
         if lam != 1 or g.sigma_power or dets[i] != 1:
             raise ValueError(f"generator {i} rejected: not a special isometry "
                              f"(multiplier {lam}, sigma power {g.sigma_power})")
-    perms = list(_point_images(space, gs.generators))
-    n = space.num_points
-    levels = [_Level(n, 0, perms)]
-    found = len(levels[0].orbit)
+
+
+def _schreier_sims(gs, perms, base, order):
+    """_certify's product for the point permutations perms of
+    gs.generators, from base, their _Level at point 0: a random
+    Schreier-Sims run (Seress, Permutation Group Algorithms, 2003) that
+    sifts random elements of the group (product replacement with a fixed
+    seed, so the run is deterministic) until the product of the basic
+    orbit lengths reaches `order` or _STALL in a row sift to the identity.
+    In a finite group g^-1 is a power of g, so the inverses that
+    gs.elements appends add nothing.  A product above `order`, or a level
+    whose basic orbit stays of length 1 after a residue that moves its
+    base is added, is a defect and raises AssertionError naming gs.label."""
+    n = len(perms[0])
+    levels = [base]
+    found = len(base.orbit)
     stall = 0
     randoms = _random_elements(perms, random.Random(0))
     while found < order:
@@ -787,16 +825,19 @@ def _eichler_generators(form):
 
     For fixed singular u, v -> rho_{u,v} is additive, so the v's must span
     u^perp over GF(p), not only over GF(q): without the scalings Omega+(6,4)
-    is not transitive.  Over a prime field omega^0 = 1 is the only scaling."""
+    is not transitive.  Over a prime field omega^0 = 1 is the only scaling.
+    Both perps come from one stacked _kernel of the pair functionals and
+    are made canonical by one stacked rref_np: the rows of
+    perp(form, <u>), so the set does not depend on how u^perp is found."""
     from . import forms as fm
     F, d = form.field, form.dim
+    U = np.array(_first_hyperbolic_pair(form), dtype=np.int64)
+    perps = la.rref_np(F, fm._kernel(F, form.pair_functional(U)[:, None]))[0]
     C, R = [], []
-    for u in _first_hyperbolic_pair(form):
-        P = fm.perp(form, fm.Subspace.span(F, [u])).rows
+    for u, P in zip(U, perps):
         i, j = np.triu_indices(len(P), 1)
         V = np.concatenate((P, la.sum_np(F, np.stack((P[i], P[j])))))
         V = F.mul_np(V[:, None], F.exp_np[:F.f, None]).reshape(-1, d)
-        u = np.array(u, dtype=np.int64)
         fu = F.mul_np(F.neg(1), form.pair_functional(u))
         qu = F.mul_np(np.diagonal(form.frame(V))[:, None], u)
         C.append(np.stack(np.broadcast_arrays(form.pair_functional(V), fu), 2))

@@ -1,11 +1,14 @@
-"""Shared hypothesis strategies (small fields, their elements and vectors)
-and scalar oracles written from FiniteField methods only."""
+"""Shared hypothesis strategies (small fields, their elements and vectors),
+scalar oracles written from FiniteField methods only, and random_words, the
+word draw as it was before group._random_words kept one state array."""
 
 import functools
 import itertools
 
 import hypothesis.strategies as st
+import numpy as np
 
+from polarkit import _linalg as la
 from polarkit import gf
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
@@ -223,3 +226,23 @@ def span(F, rows, ambient):
         vectors = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(v, row))
                    for v in vectors for c in F.elements()}
     return vectors
+
+
+def random_words(gs, rng):
+    """The word draw of group._random_words with its state as a list of
+    (2, d, d) pairs, each step two np.stack of four operands and one
+    mat_mul_np: s_i <- s_i s_j and acc <- acc s_i, each with its inverse,
+    yielded from step 50 on."""
+    F, gens = gs.field, gs.generators
+    pairs = np.array([(g.matrix, g.inverse().matrix) for g in gens],
+                     dtype=np.int64)
+    state = pairs[np.arange(max(10, len(gens))) % len(gens)]
+    acc = np.stack((np.eye(gs.dim, dtype=np.int64),) * 2)
+    for step in itertools.count():
+        i, j = rng.sample(range(len(state)), 2)
+        (si, si_inv), (sj, sj_inv) = state[i], state[j]
+        P = la.mat_mul_np(F, np.stack((si, sj_inv, acc[0], si_inv)),
+                          np.stack((sj, si_inv, si, acc[1])))
+        state[i], acc = P[:2], P[2:]
+        if step >= 50:
+            yield acc

@@ -5,6 +5,7 @@ search over its elements, with no stabiliser chain."""
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import hypothesis.strategies as st
 
 from polarkit import _linalg as la
 from polarkit import forms, gf, group, polar
-from strategies import identity, mat_mul, points
+from strategies import identity, mat_mul, points, random_words
 
 _KIND = {"Sp": "W", "SU": "H", "Omega": "Q", "OmegaPlus": "Q+",
          "OmegaMinus": "Q-"}
@@ -130,14 +131,17 @@ def test_the_certified_pair_is_pinned(family, d, q):
 
 
 def _counting_draws(monkeypatch):
+    """The generators of every pair _certified_pair draws, in order, those
+    refused before any check or sift included: each draw images its
+    pair's points once, through _point_images."""
     draws = []
-    certify = group._certify
+    images = group._point_images
 
-    def counting(space, gs, order):
-        draws.append(gs)
-        return certify(space, gs, order)
+    def counting(space, gens):
+        draws.append(gens)
+        return images(space, gens)
 
-    monkeypatch.setattr(group, "_certify", counting)
+    monkeypatch.setattr(group, "_point_images", counting)
     return draws
 
 
@@ -168,7 +172,7 @@ def test_a_source_that_falls_short_is_refused_at_the_draw_cap(monkeypatch):
                              rf"{group._DRAWS} pairs .* order 72"):
         group._certified_pair(space, tv, 72)
     assert len(draws) == group._DRAWS
-    assert all(len(gs.generators) <= 2 for gs in draws)
+    assert all(len(gens) <= 2 for gens in draws)
 
 
 def test_su32_certifies_well_within_the_draw_cap(monkeypatch):
@@ -195,6 +199,76 @@ def test_a_defect_in_a_draw_raises_at_once(monkeypatch):
     with pytest.raises(AssertionError, match="basic orbit of length 1"):
         group._certified_pair(space, source, group.point_image_order("Sp", 4, 3))
     assert len(draws) == 2
+
+
+def _refuse_to_run(*args):
+    raise AssertionError("a refused draw was checked or sifted")
+
+
+def test_an_intransitive_draw_is_refused_before_any_check_or_sift(monkeypatch):
+    """Omega-(8,3)'s first two pairs move point 0 within orbits of 702 and
+    729 of the 1,066 points of Q-(7,3), by a breadth-first closure of their
+    point permutations.  The group is transitive, so both generate proper
+    subgroups: each is refused from its first basic orbit, with no
+    multiplier, no random element and no sift, and the third pair
+    certifies."""
+    space = _space("OmegaMinus", 8, 3)
+    F = space.field
+    source = group.classical_generators("OmegaMinus", 8, F, self_check=False)
+    order = group.point_image_order("OmegaMinus", 8, 3)
+    draws = _counting_draws(monkeypatch)
+    with monkeypatch.context() as m:
+        for name in ("multiplier", "_random_elements", "_sift"):
+            m.setattr(group, name, _refuse_to_run)
+        m.setattr(group, "_DRAWS", 2)
+        with pytest.raises(AssertionError, match="none of the first 2 pairs"):
+            group._certified_pair(space, source, order)
+    assert [len(_closure(0, _permutations(space, gens))) for gens in draws] \
+        == [702, 729] and space.num_points == 1066
+    del draws[:]
+    gs = group.classical_generators("OmegaMinus", 8, F)
+    assert len(draws) == 3 and gs.generators == draws[-1]
+
+
+def test_a_short_first_orbit_above_the_order_raises_on_the_first_draw(
+        monkeypatch):
+    """The transvections along e_0, ..., e_5 of Sp(6,3) are not transitive
+    on W(5,3).  A claimed order below the first pair's first basic orbit is
+    a defect, not an unlucky draw: it raises from that pair, which the
+    intransitivity refusal would otherwise pass over."""
+    space = _space("Sp", 6, 3)
+    sub = group._symplectic_transvections(space.form)[:6]
+    gs = group.GeneratorSet(space.field, sub, label="e_i transvections")
+    draws = _counting_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="none of the first"):
+        group._certified_pair(space, gs, group.point_image_order("Sp", 6, 3))
+    reach = len(_closure(0, _permutations(space, draws[0])))
+    assert 2 < reach < space.num_points
+    del draws[:]
+    with pytest.raises(AssertionError, match=rf"e_i transvections generates "
+                                             rf"a group of order at least "
+                                             rf"{reach} on points, above "
+                                             rf"{reach - 1}"):
+        group._certified_pair(space, gs, reach - 1)
+    assert len(draws) == 1
+
+
+@pytest.mark.parametrize("family,d,q", [
+    ("Sp", 6, 3), ("Omega", 5, 3), ("OmegaMinus", 8, 3), ("Sp", 4, 4),
+    ("SU", 5, 4), ("OmegaPlus", 6, 4), ("Sp", 4, 9), ("SU", 3, 9),
+    ("OmegaMinus", 4, 9)])
+def test_random_words_match_the_stacked_stepper(family, d, q):
+    """The word draw on one state array gives the same first words, each
+    with its inverse, as the stepper that stacked four operands a step."""
+    F = gf.field_of_order(q)
+    source = group.classical_generators(family, d, F, self_check=False)
+    got = group._random_words(source, random.Random(0))
+    want = random_words(source, random.Random(0))
+    for _ in range(8):
+        w = next(got)
+        assert w.shape == (2, d, d) and w.dtype == np.int64
+        assert np.array_equal(w, next(want))
+        assert mat_mul(F, w[0].tolist(), w[1].tolist()) == identity(d)
 
 
 def test_su32_transvections_alone_fall_short():
@@ -267,8 +341,12 @@ def test_a_generator_outside_the_special_isometries_is_refused(
     odd = group.Semisimilarity(F, matrix, sigma)
     group.multiplier(space.form, odd)        # a semisimilarity all the same
     gs = group.GeneratorSet(F, gens + [odd])
+    order = group.point_image_order(family, d, q)
     with pytest.raises(ValueError, match="not a special isometry"):
-        group._certify(space, gs, group.point_image_order(family, d, q))
+        group._certify(space, gs, order)
+    if not sigma:    # words multiply matrices: only a linear map reaches a pair
+        with pytest.raises(ValueError, match="not a special isometry"):
+            group._certified_pair(space, gs, order)
 
 
 def test_a_level_that_does_not_grow_raises_instead_of_hanging(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from polarkit import forms, gf, polar
+from polarkit import fieldred, forms, gf, polar
 from polarkit.forms import FormKind, Subspace
 from strategies import fields, form_value, pair_value, span
 
@@ -283,6 +283,61 @@ def test_a_quadratic_form_takes_one_determinant(monkeypatch, kind, q, dets):
     monkeypatch.setattr(forms.la, "det", lambda *a: calls.append(a) or det(*a))
     forms.Form(kind, F, data)
     assert len(calls) == dets
+
+
+def test_an_even_quadratic_form_computes_its_sign_once(monkeypatch):
+    """quadratic_form computes the sign of an even-dimensional form once,
+    to choose its kind, and Form's check of that kind reads it: one
+    _quadratic_sign per form for diagonal Q+(5,3) and Q-(5,3) and for the
+    traced form of row 10 (H(3,9) down to Q+(7,3)).  A declared kind is
+    still checked."""
+    signs, per_form = [], []
+    sign, build = forms._quadratic_sign, forms.quadratic_form
+
+    def counting(F, upper):
+        before = len(signs)
+        form = build(F, upper)
+        per_form.append((form.kind, len(signs) - before))
+        return form
+
+    monkeypatch.setattr(forms, "_quadratic_sign",
+                        lambda *a: signs.append(a) or sign(*a))
+    monkeypatch.setattr(forms, "quadratic_form", counting)
+    F3 = gf.field(3)
+    forms.diagonal_form(F3, (1, 1, 1, 1, 1, 2))
+    forms.diagonal_form(F3, (1, 1, 1, 1, 1, 1))
+    fieldred.reduce(10, forms.standard_form("H", 4, gf.field(3, 2)), F3)
+    assert per_form == [(FormKind.PLUS, 1), (FormKind.MINUS, 1),
+                        (FormKind.PLUS, 1)]
+    del signs[:]
+    with pytest.raises(ValueError, match="declared MINUS but computed type is PLUS"):
+        forms.Form("Q-", F3, [[1, 0], [0, 2]])
+    assert len(signs) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_kernel_of_a_stack_is_the_kernel_of_each_member(q):
+    """_kernel of a stack of matrices of one rank: per member the basis
+    of the 2-D call, n - r independent rows that the matrix kills.  A stack
+    whose members differ in rank is refused."""
+    F = gf.field_of_order(q)
+    rng = np.random.default_rng(q)
+    for m, n, r in ((1, 5, 1), (2, 4, 2), (3, 6, 2), (2, 3, 0)):
+        A = np.zeros((4, m, n), dtype=np.int64)
+        while True:
+            A[:, :r] = rng.integers(0, q, size=(4, r, n))
+            if all(int(forms.la.rref_np(F, a)[1].sum()) == r for a in A):
+                break
+        A[:, r:] = forms.la.mat_mul_np(F, rng.integers(0, q, size=(4, m - r, r)),
+                                       A[:, :r])
+        N = forms._kernel(F, A)
+        assert N.shape == (4, n - r, n)
+        for a, k in zip(A, N):
+            assert np.array_equal(k, forms._kernel(F, a))
+            assert not forms.la.mat_mul_np(F, a, k.T).any()
+            assert int(forms.la.rref_np(F, k)[1].sum()) == n - r
+    with pytest.raises(ValueError, match="differ in rank"):
+        forms._kernel(F, np.array([[[1, 0]], [[0, 0]]]))
 
 
 def test_quadratic_form_agrees_with_diagonal():

@@ -401,6 +401,21 @@ def test_first_hyperbolic_pair_matches_the_scalar_loop(family, d, q):
     assert all(type(x) is int for v in got for x in v)
 
 
+@pytest.mark.parametrize("family,d,q", sorted(k for k in _SERIALIZED
+                                              if k[0].startswith("Omega")))
+def test_eichler_generators_take_two_eliminations(monkeypatch, family, d, q):
+    """The perps of both hyperbolic vectors come from one stacked kernel
+    and one stacked canonical rref: two rref_np calls per Omega source,
+    whose elements test_elements_keep_their_content_and_order pins."""
+    form = forms.standard_form(group._FAMILY_KIND[family], d, gf.field_of_order(q))
+    calls = []
+    rref = la.rref_np
+    monkeypatch.setattr(la, "rref_np", lambda F, A: calls.append(np.shape(A))
+                        or rref(F, A))
+    group._eichler_generators(form)
+    assert calls == [(2, 1, d), (2, d - 1, d)]
+
+
 @pytest.mark.parametrize("family,d,q,aliases", [
     ("Sp", 4, 3, [forms.FormKind.SYMPLECTIC, "W", "sp"]),
     ("SU", 3, 4, [forms.FormKind.HERMITIAN, "H"]),
